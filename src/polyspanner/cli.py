@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SceneError as exc:
+    except (SceneError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,71 +157,51 @@ def point_in_polygon(p, poly) -> int:
     return 1 if inside else -1
 
 
-def segment_polygon_hits(a, b, poly) -> list:
-    """Sorted parameters t in [0, 1] where segment a + t*(b-a) meets the
-    polygon boundary. Collinear overlaps contribute both overlap ends."""
-    abx = b[0] - a[0]
-    aby = b[1] - a[1]
-    ts = set()
-
-    def param_of(p):
-        if abx != 0:
-            return Fraction(p[0] - a[0], abx)
-        return Fraction(p[1] - a[1], aby)
-
-    n = len(poly)
-    for i in range(n):
-        c = poly[i]
-        d = poly[(i + 1) % n]
-        cdx = d[0] - c[0]
-        cdy = d[1] - c[1]
-        denom = cross(abx, aby, cdx, cdy)
-        if denom != 0:
-            acx = c[0] - a[0]
-            acy = c[1] - a[1]
-            t = Fraction(cross(acx, acy, cdx, cdy), denom)
-            s = Fraction(cross(acx, acy, abx, aby), denom)
-            if 0 <= t <= 1 and 0 <= s <= 1:
-                ts.add(t)
-            continue
-        if orient(a, b, c) != COLLINEAR:
-            continue
-        # Collinear edge: clip its parameter interval to [0, 1].
-        t1 = param_of(c)
-        t2 = param_of(d)
-        lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
-        lo = max(lo, Fraction(0))
-        hi = min(hi, Fraction(1))
-        if lo <= hi:
-            ts.add(lo)
-            ts.add(hi)
-    return sorted(ts)
-
-
 def segment_properly_intersects_polygon(a, b, poly) -> bool:
-    """True iff the open segment (a, b) meets the open interior of poly.
-
-    Touching the boundary, passing through vertices, or running along a
-    boundary edge does not count. The segment is cut at every boundary
-    hit and each open piece is classified by its midpoint, which is
-    exact because all cut parameters are rational.
+    """True iff the open segment (a, b) meets the open interior of the
+    simple counterclockwise ring poly; touching the boundary does not
+    count. Decided from orientation signs alone: True exactly when ab
+    - properly crosses an edge;
+    - passes through a corner, or leaves an endpoint that is a corner,
+      strictly into the interior wedge there (d_next counterclockwise
+      to d_prev, as in ``cones.obstacle_wedge``);
+    - leaves an endpoint in an edge's relative interior to the interior
+      (left) side;
+    - starts strictly inside, at a. (If only b is inside, ab reaches b
+      through the boundary, where a case above holds.)
     """
-    if a == b:
+    ax, ay = a[0], a[1]
+    dx, dy = b[0] - ax, b[1] - ay
+    if dx == 0 and dy == 0:
         return False
-    ts = segment_polygon_hits(a, b, poly)
-    cuts = [Fraction(0)]
-    for t in ts:
-        if 0 < t < 1:
-            cuts.append(t)
-    cuts.append(Fraction(1))
-    abx = b[0] - a[0]
-    aby = b[1] - a[1]
-    for t0, t1 in zip(cuts, cuts[1:]):
-        tm = (t0 + t1) / 2
-        mid = (a[0] + tm * abx, a[1] + tm * aby)
-        if point_in_polygon(mid, poly) > 0:
-            return True
-    return False
+    # Side of line ab for every corner: >0 left, <0 right, 0 on the line.
+    sides = [dx * (p[1] - ay) - dy * (p[0] - ax) for p in poly]
+    length2 = dx * dx + dy * dy
+    k = len(poly)
+    for i, c in enumerate(poly):
+        s, s_prev, s_next = sides[i], sides[i - 1], sides[(i + 1) % k]
+        nxt = poly[(i + 1) % k]
+        if s == 0:
+            # Corner on line ab; t is 0 at a and length2 at b. The wedge
+            # holds ab's direction iff d_next lies right of ab and d_prev
+            # left of it (both at a convex corner, either at a reflex one).
+            t = (c[0] - ax) * dx + (c[1] - ay) * dy
+            if orient(c, nxt, poly[i - 1]) == CW:  # reflex corner
+                forward, backward = s_next < 0 or s_prev > 0, s_next > 0 or s_prev < 0
+            else:
+                forward, backward = s_next < 0 < s_prev, s_prev < 0 < s_next
+            if forward and 0 <= t < length2 or backward and 0 < t <= length2:
+                return True
+        elif s * s_next < 0:
+            # The edge crosses line ab. True if it crosses strictly inside
+            # ab, or at an endpoint that ab leaves to the edge's interior
+            # (left) side, which is ab's forward side iff c is left of ab.
+            ex, ey = nxt[0] - c[0], nxt[1] - c[1]
+            oa = ex * (ay - c[1]) - ey * (ax - c[0])
+            ob = ex * (b[1] - c[1]) - ey * (b[0] - c[0])
+            if oa * ob < 0 or oa == 0 and s > 0 or ob == 0 and s < 0:
+                return True
+    return point_in_polygon(a, poly) > 0
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ REL_TOL = 1e-9
 def edge_length(scene: Scene, u: int, v: int) -> float:
     ux, uy = scene.point(u)
     vx, vy = scene.point(v)
-    return math.sqrt(float((vx - ux) ** 2 + (vy - uy) ** 2))
+    return math.hypot(float(vx - ux), float(vy - uy))
 
 
 def distance_matrix(scene: Scene, g: Graph) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyspanner.geom import (
     CCW,
@@ -13,7 +13,6 @@ from polyspanner.geom import (
     orient,
     point_in_polygon,
     polygon_signed_area2,
-    segment_polygon_hits,
     segment_properly_intersects_polygon,
     segments_intersect_closed,
     segments_properly_intersect,
@@ -21,6 +20,9 @@ from polyspanner.geom import (
     sqrt3_sign,
     strictly_inside_segment,
 )
+from polyspanner.scene import Scene, validate
+
+from tests import reference_geom
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.tuples(coords, coords)
@@ -116,7 +118,7 @@ def test_polygon_signed_area2():
 
 
 def test_segment_polygon_hits_crossing():
-    hits = segment_polygon_hits((-1, 2), (5, 2), SQUARE)
+    hits = reference_geom.segment_polygon_hits((-1, 2), (5, 2), SQUARE)
     # enters at x=0 and leaves at x=4: parameters 1/6 and 5/6
     assert hits == [Fraction(1, 6), Fraction(5, 6)]
 
@@ -130,6 +132,67 @@ def test_segment_properly_intersects_polygon():
     assert not segment_properly_intersects_polygon((-1, 5), (5, 5), SQUARE)
     # grazing a corner from outside
     assert not segment_properly_intersects_polygon((-1, 3), (1, 5), SQUARE)
+
+
+@st.composite
+def polygon_and_segment(draw):
+    """A simple ccw polygon on a small grid and a segment whose ends are
+    often corners, edge midpoints or interior lattice points."""
+    r = draw(st.integers(3, 8))
+    corners = draw(
+        st.lists(
+            st.tuples(st.integers(-r, r), st.integers(-r, r)),
+            min_size=3,
+            max_size=8,
+            unique=True,
+        )
+    )
+    # Ordering by angle around an off-lattice centre gives convex rings,
+    # nonconvex star-shaped ones and self-crossing ones (filtered out
+    # below); collinear runs give straight corners.
+    cx = draw(st.integers(-2 * r, 2 * r)) / 4 + 1 / 7
+    cy = draw(st.integers(-2 * r, 2 * r)) / 4 + 1 / 11
+    corners.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    # Doubling puts every edge midpoint on the lattice.
+    scene = Scene([(2 * x, 2 * y) for x, y in corners], [range(len(corners))])
+    assume(validate(scene).ok)
+    poly = scene.ipolygon(0)
+    k = len(poly)
+    mids = [
+        ((poly[i][0] + poly[i - 1][0]) // 2, (poly[i][1] + poly[i - 1][1]) // 2)
+        for i in range(k)
+    ]
+    grid = st.tuples(st.integers(-2 * r - 2, 2 * r + 2), st.integers(-2 * r - 2, 2 * r + 2))
+    end = st.one_of(st.sampled_from(list(poly) + mids), grid)
+    return poly, draw(end), draw(end)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(polygon_and_segment())
+def test_polygon_predicate_matches_reference(case):
+    poly, a, b = case
+    assert segment_properly_intersects_polygon(a, b, poly) == (
+        reference_geom.segment_properly_intersects_polygon(a, b, poly)
+    )
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        SQUARE,
+        [(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)],  # reflex notch at (2, 1)
+        [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (0, 4)],  # straight corners
+    ],
+)
+def test_polygon_predicate_matches_reference_exhaustively(poly):
+    # Every segment between lattice points of a small window: covers
+    # corners passed through, edges run along, and every endpoint kind.
+    window = [(x, y) for x in range(-1, 6) for y in range(-1, 6)]
+    for a in window:
+        for b in window:
+            assert segment_properly_intersects_polygon(a, b, poly) == (
+                reference_geom.segment_properly_intersects_polygon(a, b, poly)
+            ), (a, b)
 
 
 class TestExactScalar:

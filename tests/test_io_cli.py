@@ -251,6 +251,24 @@ class TestCli:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_verify_huge_coordinates(self, tmp_path, capsys):
+        # Squared lengths overflow a float here; the lengths do not.
+        src = tmp_path / "huge.json"
+        src.write_text('{"vertices": [[0,0],[1e200,3e199],[5e199,9e200]]}')
+        assert main(["verify", "--in", str(src)]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("PASS") == 25
+        assert "Traceback" not in err
+
+    def test_verify_out_of_float_range_is_usage_error(self, tmp_path, capsys):
+        # Coordinate differences near 3.4e308 have no float at all.
+        src = tmp_path / "huger.json"
+        src.write_text('{"vertices": [[-1.7e308,0],[1.7e308,1e307],[0,1.5e308]]}')
+        assert main(["verify", "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_gen_infeasible_is_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--n", "4", "--obstacles", "2",
                    "--out", str(tmp_path / "x.json")])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyspanner.scene import Scene
 from polyspanner.visibility import Graph, visibility_graph, visible
@@ -79,6 +80,37 @@ def test_visibility_graph_matches_pairwise(nonconvex):
     for u in range(nonconvex.n):
         for v in range(u + 1, nonconvex.n):
             assert g.has_edge(u, v) == visible(nonconvex, u, v)
+
+
+NOTCHED = [(2, 2), (6, 2), (6, 6), (4, 4), (2, 6)]  # reflex corner at (4, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12, unique=True),
+    st.booleans(),
+)
+def test_visibility_graph_matches_pairwise_off_general_position(extra, with_obstacle):
+    # A small grid is full of collinear triples and shared rays: the
+    # per-apex blocking table must agree with the pairwise vertex scan.
+    corners = NOTCHED if with_obstacle else []
+    pts = corners + [p for p in extra if p not in corners]
+    sc = Scene(pts, [range(len(corners))] if corners else [])
+    g = visibility_graph(sc)
+    for u in range(sc.n):
+        for v in range(u + 1, sc.n):
+            assert g.has_edge(u, v) == visible(sc, u, v), (u, v)
+
+
+def test_several_vertices_on_one_ray():
+    # the first four share one ray: only neighbours along it see each other
+    sc = Scene([(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (6, 1)])
+    g = visibility_graph(sc)
+    assert g.has_edge(0, 1) and g.has_edge(1, 2) and g.has_edge(2, 3)
+    assert not g.has_edge(0, 2) and not g.has_edge(0, 3) and not g.has_edge(1, 3)
+    for u in range(sc.n):
+        for v in range(u + 1, sc.n):
+            assert g.has_edge(u, v) == visible(sc, u, v)
 
 
 def test_grazing_corner_does_not_block():
