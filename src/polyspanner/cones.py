@@ -17,7 +17,6 @@ separate "subcones" (side "right" before the wedge in ccw order, side
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
@@ -128,74 +127,6 @@ def key_compare(label: ConeLabel, d1, d2) -> int:
     a1, b1 = _key_parts(label, d1[0], d1[1])
     a2, b2 = _key_parts(label, d2[0], d2[1])
     return sqrt3_sign(a1 - a2, b1 - b2)
-
-
-# --- canonical triangle ---------------------------------------------------
-
-# cos/sin of the rotation taking cone 0 onto cone i (0, 120, 240 degrees),
-# as ExactScalar values.
-_ROT = (
-    (ExactScalar(1), ExactScalar(0)),
-    (ExactScalar(Fraction(-1, 2)), ExactScalar(0, Fraction(1, 2))),
-    (ExactScalar(Fraction(-1, 2)), ExactScalar(0, Fraction(-1, 2))),
-)
-
-
-def _rotate(cos_t: ExactScalar, sin_t: ExactScalar, x: ExactScalar, y: ExactScalar):
-    return (x * cos_t - y * sin_t, x * sin_t + y * cos_t)
-
-
-@dataclass(frozen=True)
-class CanonicalTriangle:
-    """Triangle with apex u bounded by the two rays of the positive cone
-    containing v and the perpendicular to the cone bisector through v.
-
-    Corner a is on the counterclockwise cone boundary, b on the
-    clockwise one, m is the midpoint of side ab (it lies on the
-    bisector). Corner coordinates live in Q(sqrt 3) componentwise.
-    """
-
-    apex: tuple
-    label: ConeLabel
-    a: tuple  # (ExactScalar, ExactScalar)
-    b: tuple
-    m: tuple
-    height: ExactScalar  # distance from apex to line ab along the bisector
-
-    def float_points(self):
-        def f(pt):
-            return (float(pt[0]), float(pt[1]))
-
-        return f(self.apex), f(self.a), f(self.b), f(self.m)
-
-
-def canonical_triangle(u, v) -> CanonicalTriangle:
-    """Canonical triangle of the pair (u, v); v must lie in a positive
-    cone of u."""
-    label = cone_of(u, v)
-    if not label.positive:
-        raise ValueError(f"{v} lies in negative cone {label} of {u}")
-    cos_t, sin_t = _ROT[label.index]
-    dx = ExactScalar.of(v[0] - u[0])
-    dy = ExactScalar.of(v[1] - u[1])
-    # Pull the direction back into cone 0's frame (rotate by -theta).
-    bx, by = _rotate(cos_t, ExactScalar(0) - sin_t, dx, dy)
-    h = by
-    half = ExactScalar(by.b, Fraction(by.a, 3))  # h / sqrt(3)
-    ux = ExactScalar.of(u[0])
-    uy = ExactScalar.of(u[1])
-    corners = []
-    for local in ((ExactScalar(0) - half, h), (half, h), (ExactScalar(0), h)):
-        wx, wy = _rotate(cos_t, sin_t, local[0], local[1])
-        corners.append((ux + wx, uy + wy))
-    return CanonicalTriangle(
-        apex=(u[0], u[1]),
-        label=label,
-        a=corners[0],
-        b=corners[1],
-        m=corners[2],
-        height=h,
-    )
 
 
 # --- obstacle wedges and subcones -----------------------------------------

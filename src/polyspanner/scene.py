@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geom import (
     COLLINEAR,
-    cross,
     orient,
     point_in_polygon,
     polygon_signed_area2,
     segments_intersect_closed,
-    sign,
 )
 
 
@@ -375,138 +373,3 @@ def perturb_by_rotation(scene: Scene, k: int) -> Scene:
     s = Fraction(2 * k, den)
     rotated = [(x * c - y * s, x * s + y * c) for x, y in scene.vertices]
     return Scene(rotated, scene.obstacles)
-
-
-# --- shared-vertex splitting -------------------------------------------------
-
-
-def _inward_dir(prev_pt, v_pt, next_pt):
-    """A rational direction strictly inside the obstacle wedge at a
-    corner (the wedge spans d_next counterclockwise to d_prev)."""
-    d1 = (next_pt[0] - v_pt[0], next_pt[1] - v_pt[1])
-    d2 = (prev_pt[0] - v_pt[0], prev_pt[1] - v_pt[1])
-    o = sign(cross(d1[0], d1[1], d2[0], d2[1]))
-    s = (d1[0] + d2[0], d1[1] + d2[1])
-    if o > 0:  # convex corner: positive combination stays inside
-        return s
-    if o < 0:  # reflex corner: the antipode lands inside
-        return (-s[0], -s[1])
-    return (-d1[1], d1[0])  # straight corner: interior is on the left
-
-
-def _gap_dir(g1, g2):
-    """A rational direction strictly inside the gap from g1
-    counterclockwise to g2."""
-    o = sign(cross(g1[0], g1[1], g2[0], g2[1]))
-    s = (g1[0] + g2[0], g1[1] + g2[1])
-    if o > 0:
-        return s
-    if o < 0:
-        return (-s[0], -s[1])
-    if s == (0, 0):  # gap of exactly pi
-        return (-g1[1], g1[0])
-    raise SceneError("degenerate gap at shared vertex (overlapping edges)")
-
-
-def split_shared_vertices(
-    scene: Scene, mode: Literal["passable", "blocked"]
-) -> Scene:
-    """Replace each vertex shared by two obstacles with two nearby
-    vertices.
-
-    passable: each obstacle keeps its own copy, pulled slightly into its
-    own interior, which opens a channel between the polygons.
-    blocked: the two obstacles are merged into one simple polygon whose
-    boundary pinches through the old contact point, sealing the channel.
-    The offset is a rational epsilon, halved until the result validates
-    and introduces no new general-position violations.
-    """
-    if mode not in ("passable", "blocked"):
-        raise ValueError(f"unknown mode {mode!r}")
-    current = scene
-    for _ in range(scene.n + 1):
-        target = _first_shared_vertex(current)
-        if target is None:
-            return current
-        current = _split_one(current, target, mode)
-    raise SceneError("shared vertices keep reappearing")  # pragma: no cover
-
-
-def _first_shared_vertex(scene: Scene) -> Optional[int]:
-    for vi in range(scene.n):
-        obs = sorted({oi for oi, _ in scene.memberships(vi)})
-        if len(obs) >= 3:
-            raise SceneError(
-                f"vertex {vi} is shared by {len(obs)} obstacles; cannot split"
-            )
-        if len(obs) == 2:
-            return vi
-    return None
-
-
-def _split_one(scene: Scene, vi: int, mode: str) -> Scene:
-    obs = sorted({oi for oi, _ in scene.memberships(vi)})
-    oa, ob = obs
-    ring_a = scene.obstacles[oa]
-    ring_b = scene.obstacles[ob]
-    pa = ring_a.index(vi)
-    pb = ring_b.index(vi)
-    v = scene.point(vi)
-    prev_a, next_a = scene.point(ring_a[pa - 1]), scene.point(ring_a[(pa + 1) % len(ring_a)])
-    prev_b, next_b = scene.point(ring_b[pb - 1]), scene.point(ring_b[(pb + 1) % len(ring_b)])
-
-    if mode == "passable":
-        dir1 = _inward_dir(prev_a, v, next_a)
-        dir2 = _inward_dir(prev_b, v, next_b)
-    else:
-        # Pinch vertices seal the two gaps between the wedges.
-        dir1 = _gap_dir(
-            (prev_a[0] - v[0], prev_a[1] - v[1]),
-            (next_b[0] - v[0], next_b[1] - v[1]),
-        )
-        dir2 = _gap_dir(
-            (prev_b[0] - v[0], prev_b[1] - v[1]),
-            (next_a[0] - v[0], next_a[1] - v[1]),
-        )
-
-    eps = Fraction(1, 4)
-    for _ in range(200):
-        first = (v[0] + eps * dir1[0], v[1] + eps * dir1[1])
-        second = (v[0] + eps * dir2[0], v[1] + eps * dir2[1])
-        vertices = list(scene.vertices)
-        vertices[vi] = first
-        vertices.append(second)
-        new_idx = len(vertices) - 1
-
-        obstacles = list(scene.obstacles)
-        if mode == "passable":
-            ring = list(ring_b)
-            ring[pb] = new_idx
-            obstacles[ob] = tuple(ring)
-        else:
-            # vi's slot -> pinch of gap 1, appended vertex -> gap 2.
-            merged = (
-                [vi]
-                + [ring_b[(pb + 1 + t) % len(ring_b)] for t in range(len(ring_b) - 1)]
-                + [new_idx]
-                + [ring_a[(pa + 1 + t) % len(ring_a)] for t in range(len(ring_a) - 1)]
-            )
-            obstacles = [r for t, r in enumerate(obstacles) if t not in (oa, ob)]
-            obstacles.append(tuple(merged))
-
-        candidate = Scene(vertices, obstacles)
-        if validate(candidate).ok:
-            # Vertices other than the two copies kept their coordinates,
-            # so any violation touching the copies is new; the rest are
-            # pre-existing and not this function's problem.
-            rep = check_general_position(candidate)
-            changed = {vi, new_idx}
-            fresh = [
-                viol
-                for viol in rep.parallel_violations + rep.collinear_violations
-                if set(viol) & changed
-            ]
-            if not fresh:
-                return candidate
-        eps /= 2
-    raise SceneError(f"could not separate shared vertex {vi}")

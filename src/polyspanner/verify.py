@@ -17,10 +17,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .cones import canonical_triangle, subcone_of, subcones
+from .cones import subcone_of, subcones
 from .geom import (
     CW,
-    ExactScalar,
     cross,
     orient,
     point_in_polygon,
@@ -189,6 +188,14 @@ def per_edge_bound(theta: float) -> float:
     return math.sqrt(3.0) * math.cos(theta) + math.sin(theta)
 
 
+# Unit bisectors of the positive cones C0+, C1+, C2+, indexed by cone.
+_BISECTORS = (
+    (0.0, 1.0),
+    (-math.sqrt(3.0) / 2, -0.5),
+    (math.sqrt(3.0) / 2, -0.5),
+)
+
+
 def check_per_edge_bound_ginf(
     scene: Scene,
     ginf: Graph,
@@ -197,7 +204,14 @@ def check_per_edge_bound_ginf(
 ) -> WitnessReport:
     """Every visibility edge (u, v), read from the endpoint whose
     positive cone holds the other, has a ginf path no longer than the
-    angle-dependent factor times the Euclidean distance."""
+    angle-dependent factor times the Euclidean distance.
+
+    The apex is picked by ``subcone_of``, so an edge on a cone boundary
+    or into an obstacle wedge raises ValueError. The angle is
+    atan2(|b x s|, b . s), where b is the cone's unit bisector from the
+    three-entry table ``_BISECTORS`` and s is the float offset from the
+    apex to the far endpoint.
+    """
     if vis is None:
         vis = visibility_graph(scene)
     if ginf_dist is None:
@@ -206,15 +220,11 @@ def check_per_edge_bound_ginf(
     for u, v in vis.sorted_edges():
         ref = subcone_of(scene, u, v)
         apex, far = (u, v) if ref.label.positive else (v, u)
-        tri = canonical_triangle(scene.point(apex), scene.point(far))
-        (ax, ay), _, _, (mx, my) = tri.float_points()
-        fx, fy = (float(c) for c in scene.point(far))
-        bis = (mx - ax, my - ay)
-        seg = (fx - ax, fy - ay)
-        dot = bis[0] * seg[0] + bis[1] * seg[1]
-        norm = math.hypot(*bis) * math.hypot(*seg)
-        cos_t = max(-1.0, min(1.0, dot / norm))
-        bound = per_edge_bound(math.acos(cos_t)) * edge_length(scene, u, v)
+        bx, by = _BISECTORS[ref.label.index]
+        (ax, ay), (fx, fy) = scene.point(apex), scene.point(far)
+        sx, sy = float(fx - ax), float(fy - ay)
+        theta = math.atan2(abs(bx * sy - by * sx), bx * sx + by * sy)
+        bound = per_edge_bound(theta) * edge_length(scene, u, v)
         have = float(ginf_dist[u, v])
         if have > bound * (1.0 + REL_TOL):
             bad.append(((u, v), have, bound))

@@ -11,7 +11,6 @@ from polyspanner.cones import (
     SIDE_RIGHT,
     SIDE_WHOLE,
     SubconeRef,
-    canonical_triangle,
     ccw_sorted,
     cone_of,
     direction_sector,
@@ -23,6 +22,8 @@ from polyspanner.cones import (
 )
 from polyspanner.geom import ExactScalar
 from polyspanner.scene import Scene
+
+from tests.reference_per_edge import canonical_triangle
 
 O = (0, 0)
 

@@ -274,3 +274,22 @@ class TestCli:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [("[]", "0 0\n"), ("[[0, 0]]", "1 0\n"), ("[[0, 0], [1, 3]]", "2 1\n0 1\n")],
+        ids=["n0", "n1", "n2"],
+    )
+    def test_tiny_inputs(self, tmp_path, capsys, vertices, edges):
+        src = tmp_path / "tiny.json"
+        out = tmp_path / "tiny.edges"
+        src.write_text(f'{{"vertices": {vertices}}}')
+        assert main(["verify", "--in", str(src)]) == 0
+        assert main(["build", "--graph", "g7", "--in", str(src),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == edges
+        stdout, stderr = capsys.readouterr()
+        lines = stdout.splitlines()
+        assert len(lines) == 25
+        assert all(line.startswith("PASS ") for line in lines)
+        assert "Traceback" not in stderr

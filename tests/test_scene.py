@@ -8,7 +8,6 @@ from polyspanner.scene import (
     SceneError,
     check_general_position,
     perturb_by_rotation,
-    split_shared_vertices,
     validate,
 )
 
@@ -126,17 +125,3 @@ def test_perturb_keeps_obstacles():
     sc = Scene([(0, 0), (5, 0), (2, 3), (9, 9)], [[0, 1, 2]])
     rot = perturb_by_rotation(sc, 3)
     assert rot.obstacles == sc.obstacles
-
-
-@pytest.mark.parametrize("mode", ["passable", "blocked"])
-def test_split_shared_vertices(mode):
-    pts = [(0, 0), (40, 10), (20, 50), (80, 20), (60, 60)]
-    sc = Scene(pts, [[0, 1, 2], [1, 3, 4]])
-    assert not validate(sc).ok
-    out = split_shared_vertices(sc, mode)
-    res = validate(out)
-    assert res.ok, [v.detail for v in res.violations]
-    if mode == "passable":
-        assert len(out.obstacles) == 2
-    else:
-        assert len(out.obstacles) == 1

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from tests import reference_per_edge
 from tests.conftest import load_scene
 
+from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.scene import Scene
 from polyspanner.spanners import build_g15, build_g_infinity
 from polyspanner.verify import (
@@ -73,6 +75,70 @@ def test_per_edge_bound_holds_on_fixture(split_cones):
     ginf = build_g_infinity(split_cones, vis)
     rep = check_per_edge_bound_ginf(split_cones, ginf, vis)
     assert rep.ok
+
+
+# A fixed seventh of the acceptance configurations: the reference builds
+# an exact canonical triangle per pair, too slow for all 100 on every run.
+DIFFERENTIAL_CONFIGS = [
+    GeneratorConfig(
+        n_points=10 + i % 51,
+        n_obstacles=min(i % 6, (10 + i % 51 - 6) // 4, 5),
+        seed=1000 + i,
+    )
+    for i in range(0, 100, 7)
+]
+
+
+def _thinned(g: Graph) -> Graph:
+    return Graph(g.n, [e for j, e in enumerate(g.sorted_edges()) if j % 3])
+
+
+def test_per_edge_bound_matches_reference():
+    for cfg in DIFFERENTIAL_CONFIGS:
+        sc = generate(cfg)
+        vis = visibility_graph(sc)
+        ginf = build_g_infinity(sc, vis)
+        # The all-inf matrix, last, turns every visible pair into a
+        # witness, so every bound is compared.
+        for dist in (
+            distance_matrix(sc, ginf),
+            distance_matrix(sc, _thinned(ginf)),
+            np.full((sc.n, sc.n), np.inf),
+        ):
+            got = check_per_edge_bound_ginf(sc, ginf, vis, dist).witnesses
+            want = reference_per_edge.check_per_edge_bound_ginf(
+                sc, ginf, vis, dist
+            ).witnesses
+            assert [w[0] for w in got] == [w[0] for w in want], cfg
+            for (_, have, bound), (_, ref_have, ref_bound) in zip(got, want):
+                assert have == ref_have
+                assert bound == pytest.approx(ref_bound, rel=REL_TOL, abs=0)
+        assert len(got) == len(vis.edges)
+
+
+def test_per_edge_bound_negative_control():
+    # Dropping (0, 1) from ginf leaves the detour through 2, about
+    # 2.2 times the bound for the pair.
+    sc = Scene([(0, 0), (1, 10), (20, 5)])
+    vis = visibility_graph(sc)
+    ginf = build_g_infinity(sc, vis)
+    assert ginf.edges == {(0, 1), (0, 2), (1, 2)}
+    thinned = Graph(3, [(0, 2), (1, 2)])
+    rep = check_per_edge_bound_ginf(sc, thinned, vis)
+    assert [w[0] for w in rep.witnesses] == [(0, 1)]
+    (_, have, bound), = rep.witnesses
+    assert have == pytest.approx(edge_length(sc, 0, 2) + edge_length(sc, 1, 2))
+    assert have > 2 * bound
+    lines = [o.line() for o in run_verification(sc, {"ginf": thinned})]
+    assert any(line.startswith("FAIL per-edge-bound(ginf|vis)") for line in lines)
+
+
+def test_per_edge_bound_rejects_pair_inside_obstacle_wedge():
+    # Vertex 3 lies between the two spike edges at vertex 0.
+    sc = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
+    vis = Graph(4, [(0, 3)])
+    with pytest.raises(ValueError, match="obstacle wedge"):
+        check_per_edge_bound_ginf(sc, vis, vis)
 
 
 def test_planarity_flags_crossing():
