@@ -1,118 +1,34 @@
 """Plane spanners of the visibility graph of points among disjoint
 polygonal obstacles, with bounded degree and verified structure."""
 
-from .scene import (
-    GeneralPositionReport,
-    Scene,
-    SceneError,
-    ValidationResult,
-    Violation,
-    check_general_position,
-    perturb_by_rotation,
-    validate,
-)
-from .cones import (
-    ConeLabel,
-    GeneralPositionError,
-    SubconeRef,
-    cone_of,
-    projection_key,
-    subcone_of,
-    subcones,
-)
-from .visibility import Graph, visibility_graph, visible
+from .cones import GeneralPositionError
+from .generator import GeneratorConfig, GeneratorError, generate
+from .io import ParseError
+from .scene import SceneError
 from .spanners import (
-    CanonicalSequence,
-    Charge,
-    ChargeLedger,
-    G7Result,
-    Transformation,
+    build_all,
     build_g10,
     build_g15,
     build_g7,
     build_g_infinity,
-    canonical_sequence,
-    compute_charges,
-    g7_transform,
 )
-from .generator import GeneratorConfig, GeneratorError, generate
-from .io import (
-    ParseError,
-    parse_edge_list,
-    parse_instance,
-    write_edge_list,
-    write_instance,
-)
-from .svg import render_svg
-from .verify import (
-    CheckOutcome,
-    DegreeReport,
-    PlanarityReport,
-    StretchReport,
-    check_canonical_paths,
-    check_empty_triangles,
-    check_per_edge_bound_ginf,
-    check_planarity,
-    degree_report,
-    distance_matrix,
-    oracle_g_infinity,
-    run_verification,
-    stretch_factor,
-)
+from .verify import run_verification
+from .visibility import visibility_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalSequence",
-    "Charge",
-    "ChargeLedger",
-    "CheckOutcome",
-    "ConeLabel",
-    "DegreeReport",
-    "G7Result",
     "GeneralPositionError",
-    "GeneralPositionReport",
     "GeneratorConfig",
     "GeneratorError",
-    "Graph",
     "ParseError",
-    "PlanarityReport",
-    "Scene",
     "SceneError",
-    "StretchReport",
-    "SubconeRef",
-    "Transformation",
-    "ValidationResult",
-    "Violation",
+    "build_all",
     "build_g10",
     "build_g15",
     "build_g7",
     "build_g_infinity",
-    "canonical_sequence",
-    "check_canonical_paths",
-    "check_empty_triangles",
-    "check_general_position",
-    "check_per_edge_bound_ginf",
-    "check_planarity",
-    "compute_charges",
-    "cone_of",
-    "degree_report",
-    "distance_matrix",
-    "g7_transform",
     "generate",
-    "oracle_g_infinity",
-    "parse_edge_list",
-    "parse_instance",
-    "perturb_by_rotation",
-    "projection_key",
-    "render_svg",
     "run_verification",
-    "stretch_factor",
-    "write_edge_list",
-    "write_instance",
-    "subcone_of",
-    "subcones",
-    "validate",
     "visibility_graph",
-    "visible",
 ]

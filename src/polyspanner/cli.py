@@ -12,10 +12,9 @@ import sys
 from .generator import GeneratorConfig, GeneratorError, generate
 from .io import ParseError, parse_edge_list, parse_instance, write_edge_list, write_instance
 from .scene import SceneError, check_general_position, perturb_by_rotation
-from .spanners import build_g7, build_g10, build_g15, build_g_infinity
+from .spanners import GRAPH_NAMES, build_all
 from .svg import render_svg
-from .verify import GRAPH_NAMES, run_verification
-from .visibility import visibility_graph
+from .verify import run_verification
 
 
 def _read(path: str) -> str:
@@ -31,21 +30,6 @@ def _write(path: str, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _build_graph(scene, name: str):
-    vis = visibility_graph(scene)
-    if name == "vis":
-        return vis
-    ginf = build_g_infinity(scene, vis)
-    if name == "ginf":
-        return ginf
-    if name == "g15":
-        return build_g15(scene, ginf)
-    g10 = build_g10(scene, ginf)
-    if name == "g10":
-        return g10
-    return build_g7(scene, ginf, g10)
 
 
 def _cmd_gen(args) -> int:
@@ -75,7 +59,7 @@ def _cmd_build(args) -> int:
     if not gp.ok:
         print("build: scene is not in general position", file=sys.stderr)
         return 2
-    graph = _build_graph(scene, args.graph)
+    graph = build_all(scene)[0][args.graph]
     _write(args.out, write_edge_list(graph))
     return 0
 
@@ -92,6 +76,13 @@ def _cmd_verify(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
+    for name, graph in substitutions.items():
+        if graph.n != scene.n:
+            print(
+                f"verify: {name} edge list has {graph.n} vertices, scene has {scene.n}",
+                file=sys.stderr,
+            )
+            return 2
     outcomes = run_verification(scene, substitutions or None)
     for outcome in outcomes:
         print(outcome.line())
@@ -110,7 +101,7 @@ def _cmd_render(args) -> int:
         if not gp.ok:
             print("render: scene is not in general position", file=sys.stderr)
             return 2
-        graph = _build_graph(scene, args.graph)
+        graph = build_all(scene)[0][args.graph]
     _write(args.out, render_svg(scene, graph, title=args.infile))
     return 0
 

@@ -18,6 +18,13 @@ Construction chain:
 Every edge of the first graph lies in a positive cone of exactly one
 endpoint and a negative cone of the other, so "per negative subcone"
 decisions cover each edge exactly once.
+
+``canonical_sequences`` builds those per-subcone facts in one pass: the
+ccw-ordered ginf neighbors of every nonempty negative subcone and its
+closest member. The degree-15, degree-10 and degree-7 steps, the
+charging ledger and the structural checks in ``verify`` all read that
+table. ``build_all`` is the single pipeline entry: it runs the chain in
+order and returns all five graphs, which the CLI and ``verify`` use.
 """
 
 from __future__ import annotations
@@ -90,47 +97,44 @@ def build_g_infinity(scene: Scene, vis: Optional[Graph] = None) -> Graph:
 @dataclass(frozen=True)
 class CanonicalSequence:
     """Neighbors of the apex inside one negative subcone, in
-    counterclockwise order around the apex."""
+    counterclockwise order around the apex, and the member with the
+    smallest bisector projection."""
 
     apex: int
     subcone: SubconeRef
     vertices: tuple
+    closest: int
 
     def consecutive_pairs(self):
         return list(zip(self.vertices, self.vertices[1:]))
 
 
-def canonical_sequence(
-    scene: Scene, ginf: Graph, apex: int, subcone: SubconeRef
-) -> CanonicalSequence:
-    if subcone.apex != apex or subcone.label.positive:
-        raise ValueError(f"{subcone} is not a negative subcone of vertex {apex}")
-    members = [
-        v for v in ginf.neighbors(apex) if subcone_of(scene, apex, v) == subcone
-    ]
-    return CanonicalSequence(apex, subcone, tuple(ccw_sorted(scene, apex, members)))
-
-
-def _negative_sequences(scene: Scene, ginf: Graph, apex: int):
-    """Nonempty canonical sequences at a vertex, deterministic order."""
-    out = []
-    for ref in subcones(scene, apex, positive=False):
-        seq = canonical_sequence(scene, ginf, apex, ref)
-        if seq.vertices:
-            out.append(seq)
-    return out
+def canonical_sequences(
+    scene: Scene, ginf: Graph
+) -> dict[SubconeRef, CanonicalSequence]:
+    """The canonical sequence of every nonempty negative subcone of
+    ginf, keyed by subcone: apexes in index order, each apex's subcones
+    in ``subcones`` order."""
+    table = {}
+    for apex in range(scene.n):
+        groups: dict[SubconeRef, list] = {}
+        for v in ginf.neighbors(apex):
+            groups.setdefault(subcone_of(scene, apex, v), []).append(v)
+        for ref in subcones(scene, apex, positive=False):
+            if ref in groups:
+                members = tuple(ccw_sorted(scene, apex, groups[ref]))
+                closest = _closest(scene, apex, ref.label, members)
+                table[ref] = CanonicalSequence(apex, ref, members, closest)
+    return table
 
 
 def build_g15(scene: Scene, ginf: Graph) -> Graph:
     """Keep the two angular extremes and the projection-closest edge of
     every negative subcone."""
     edges = set()
-    for u in range(scene.n):
-        for seq in _negative_sequences(scene, ginf, u):
-            members = seq.vertices
-            closest = _closest(scene, u, seq.subcone.label, members)
-            for v in (members[0], members[-1], closest):
-                edges.add(_edge(u, v))
+    for seq in canonical_sequences(scene, ginf).values():
+        for v in (seq.vertices[0], seq.vertices[-1], seq.closest):
+            edges.add(_edge(seq.apex, v))
     return Graph(scene.n, edges)
 
 
@@ -138,12 +142,10 @@ def build_g10(scene: Scene, ginf: Graph) -> Graph:
     """Keep the closest edge of every negative subcone plus the
     canonical path joining consecutive sequence members."""
     edges = set()
-    for u in range(scene.n):
-        for seq in _negative_sequences(scene, ginf, u):
-            closest = _closest(scene, u, seq.subcone.label, seq.vertices)
-            edges.add(_edge(u, closest))
-            for p, q in seq.consecutive_pairs():
-                edges.add(_edge(p, q))
+    for seq in canonical_sequences(scene, ginf).values():
+        edges.add(_edge(seq.apex, seq.closest))
+        for p, q in seq.consecutive_pairs():
+            edges.add(_edge(p, q))
     return Graph(scene.n, edges)
 
 
@@ -225,10 +227,9 @@ def _scenario_d_target(scene: Scene, vertex: int, index: int, side_hint: str) ->
     return SubconeRef(vertex, label, SIDE_WHOLE)
 
 
-def compute_charges(
-    scene: Scene, g10: Graph, ginf: Optional[Graph] = None
-) -> ChargeLedger:
-    """Charge every edge of g10 to subcones of both endpoints.
+def compute_charges(scene: Scene, ginf: Graph) -> ChargeLedger:
+    """Charge every edge of g10, the degree-10 graph of ginf, to
+    subcones of both endpoints.
 
     Closest edges pay scenario B at the sequence owner and scenario A at
     the chosen vertex. A canonical-path edge lies in a negative cone of
@@ -236,47 +237,44 @@ def compute_charges(
     the owner) and a positive cone of the other (scenario D, charged to
     the adjacent empty negative cone).
     """
-    if ginf is None:
-        ginf = build_g_infinity(scene)
     ledger = ChargeLedger()
-    for u in range(scene.n):
-        for seq in _negative_sequences(scene, ginf, u):
-            j = seq.subcone.label.index
-            closest = _closest(scene, u, seq.subcone.label, seq.vertices)
-            e = _edge(u, closest)
-            ledger.add(seq.subcone, Charge(e, "B", u, seq.subcone))
-            ledger.add(
-                _positive_subcone_containing(scene, closest, u),
-                Charge(e, "A", u, seq.subcone),
-            )
-            for p, q in seq.consecutive_pairs():
-                e = _edge(p, q)
-                # Looking from p toward its ccw successor q.
-                lab_pq = subcone_of(scene, p, q).label
-                if not lab_pq.positive:
-                    # scenario C at p; the edge sits in the negative cone
-                    # adjacent (ccw) to the cone containing u.
-                    ledger.add(
-                        _positive_subcone_containing(scene, p, u),
-                        Charge(e, "C", u, seq.subcone),
-                    )
-                else:
-                    ledger.add(
-                        _scenario_d_target(scene, p, (j + 1) % 3, SIDE_LEFT),
-                        Charge(e, "D", u, seq.subcone),
-                    )
-                # Looking from q toward its cw predecessor p.
-                lab_qp = subcone_of(scene, q, p).label
-                if not lab_qp.positive:
-                    ledger.add(
-                        _positive_subcone_containing(scene, q, u),
-                        Charge(e, "C", u, seq.subcone),
-                    )
-                else:
-                    ledger.add(
-                        _scenario_d_target(scene, q, (j - 1) % 3, SIDE_RIGHT),
-                        Charge(e, "D", u, seq.subcone),
-                    )
+    for seq in canonical_sequences(scene, ginf).values():
+        u = seq.apex
+        j = seq.subcone.label.index
+        e = _edge(u, seq.closest)
+        ledger.add(seq.subcone, Charge(e, "B", u, seq.subcone))
+        ledger.add(
+            _positive_subcone_containing(scene, seq.closest, u),
+            Charge(e, "A", u, seq.subcone),
+        )
+        for p, q in seq.consecutive_pairs():
+            e = _edge(p, q)
+            # Looking from p toward its ccw successor q.
+            lab_pq = subcone_of(scene, p, q).label
+            if not lab_pq.positive:
+                # scenario C at p; the edge sits in the negative cone
+                # adjacent (ccw) to the cone containing u.
+                ledger.add(
+                    _positive_subcone_containing(scene, p, u),
+                    Charge(e, "C", u, seq.subcone),
+                )
+            else:
+                ledger.add(
+                    _scenario_d_target(scene, p, (j + 1) % 3, SIDE_LEFT),
+                    Charge(e, "D", u, seq.subcone),
+                )
+            # Looking from q toward its cw predecessor p.
+            lab_qp = subcone_of(scene, q, p).label
+            if not lab_qp.positive:
+                ledger.add(
+                    _positive_subcone_containing(scene, q, u),
+                    Charge(e, "C", u, seq.subcone),
+                )
+            else:
+                ledger.add(
+                    _scenario_d_target(scene, q, (j - 1) % 3, SIDE_RIGHT),
+                    Charge(e, "D", u, seq.subcone),
+                )
     return ledger
 
 
@@ -311,17 +309,17 @@ class G7Result:
     transformations: tuple
 
 
-def _is_closest_in_own_subcone(scene, ginf, apex, member) -> bool:
-    ref = subcone_of(scene, apex, member)
-    seq = canonical_sequence(scene, ginf, apex, ref)
-    return member == _closest(scene, apex, ref.label, seq.vertices)
-
-
 def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
     """Resolve every positive subcone charged twice by one canonical
     path, scanning vertices in index order and keeping the ledger
     current after each application."""
-    ledger = compute_charges(scene, g10, ginf)
+    ledger = compute_charges(scene, ginf)
+    table = canonical_sequences(scene, ginf)
+
+    def closest_in_own_subcone(apex: int, member: int) -> bool:
+        seq = table.get(subcone_of(scene, apex, member))
+        return seq is not None and seq.closest == member
+
     edges = set(g10.edges)
     transcript = []
 
@@ -346,13 +344,12 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
         if len(current) != 2:
             continue  # an earlier application already resolved this cone
         v = ref.apex
-        seq = canonical_sequence(scene, ginf, owner, owner_sub)
-        order = list(seq.vertices)
+        seq = table[owner_sub]
+        order = seq.vertices
         i = order.index(v)
-        closest = _closest(scene, owner, owner_sub.label, order)
         # Both charged edges are the path edges at v; x sits on the same
         # side of v as the owner's closest vertex.
-        if order.index(closest) < i:
+        if order.index(seq.closest) < i:
             x, y = order[i - 1], order[i + 1]
         else:
             x, y = order[i + 1], order[i - 1]
@@ -362,13 +359,13 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
         if charge_vx is None or charge_vy is None:
             continue  # an overlapping application already rewired one edge
 
-        if _is_closest_in_own_subcone(scene, ginf, v, x):
+        if closest_in_own_subcone(v, x):
             ledger.remove(ref, charge_vx)
             transcript.append(
                 Transformation(owner, owner_sub, v, x, y, absorbed=True)
             )
             continue
-        if _is_closest_in_own_subcone(scene, ginf, v, y):
+        if closest_in_own_subcone(v, y):
             ledger.remove(ref, charge_vy)
             transcript.append(
                 Transformation(owner, owner_sub, v, x, y, absorbed=True)
@@ -395,7 +392,7 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
         removed_xw = None
         uncharged_xw = None
         sub_x = subcone_of(scene, v, x)
-        vseq = canonical_sequence(scene, ginf, v, sub_x).vertices
+        vseq = table[sub_x].vertices
         xi = vseq.index(x)
         w = None
         if len(vseq) > 1:
@@ -412,7 +409,7 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
             lab_w = subcone_of(scene, x, w).label
             if lab_w == ConeLabel(False, ref.label.index):
                 e_xw = _edge(x, w)
-                if _is_closest_in_own_subcone(scene, ginf, x, w):
+                if closest_in_own_subcone(x, w):
                     # (x, w) was double counted at x; free its path charge.
                     for r, c in ledger.charges_of_edge(e_xw):
                         if r == slot and c.scenario == "C":
@@ -444,3 +441,32 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
 
 def build_g7(scene: Scene, ginf: Graph, g10: Graph) -> Graph:
     return g7_transform(scene, ginf, g10).graph
+
+
+GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
+
+
+def build_all(scene: Scene, substitutions: Optional[dict] = None):
+    """The five graphs of the pipeline plus the g7 transformation log,
+    with named graphs optionally replaced by externally supplied ones
+    (replacement happens after honest construction, so downstream
+    graphs are built from the genuine pipeline)."""
+    vis = visibility_graph(scene)
+    ginf = build_g_infinity(scene, vis)
+    g15 = build_g15(scene, ginf)
+    g10 = build_g10(scene, ginf)
+    g7res = g7_transform(scene, ginf, g10)
+    graphs = {
+        "vis": vis,
+        "ginf": ginf,
+        "g15": g15,
+        "g10": g10,
+        "g7": g7res.graph,
+    }
+    for name, g in (substitutions or {}).items():
+        if name not in graphs:
+            raise ValueError(f"unknown graph name {name!r}")
+        if g.n != scene.n:
+            raise ValueError(f"substituted {name} has {g.n} vertices, scene has {scene.n}")
+        graphs[name] = g
+    return graphs, g7res

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .cones import subcone_of, subcones
+from .cones import subcone_of
 from .geom import (
     CW,
     cross,
@@ -30,14 +30,7 @@ from .geom import (
     strictly_inside_segment,
 )
 from .scene import Scene, check_general_position, validate
-from .spanners import (
-    build_g10,
-    build_g15,
-    build_g_infinity,
-    canonical_sequence,
-    compute_charges,
-    g7_transform,
-)
+from .spanners import GRAPH_NAMES, build_all, canonical_sequences, compute_charges
 from .visibility import Graph, visibility_graph
 
 REL_TOL = 1e-9
@@ -234,20 +227,12 @@ def check_per_edge_bound_ginf(
 # --- structural property checks ----------------------------------------------
 
 
-def _all_sequences(scene: Scene, ginf: Graph):
-    for apex in range(scene.n):
-        for ref in subcones(scene, apex, positive=False):
-            seq = canonical_sequence(scene, ginf, apex, ref)
-            if len(seq.vertices) > 1:
-                yield seq
-
-
 def check_canonical_paths(
     scene: Scene, ginf: Graph, g15: Graph
 ) -> WitnessReport:
     """Consecutive canonical-sequence members are joined by a g15 edge."""
     missing = []
-    for seq in _all_sequences(scene, ginf):
+    for seq in canonical_sequences(scene, ginf).values():
         for p, q in seq.consecutive_pairs():
             if not g15.has_edge(p, q):
                 missing.append((seq.apex, p, q))
@@ -259,7 +244,7 @@ def check_empty_triangles(scene: Scene, ginf: Graph) -> WitnessReport:
     members contains no vertex in its open interior and no obstacle
     piece crosses into it."""
     bad = []
-    for seq in _all_sequences(scene, ginf):
+    for seq in canonical_sequences(scene, ginf).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs():
             tri = [scene.ipoint(u), scene.ipoint(p), scene.ipoint(q)]
@@ -409,35 +394,6 @@ class CheckOutcome:
         return f"{status} {self.name}{tail}"
 
 
-GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
-
-
-def build_all(scene: Scene, substitutions: Optional[dict] = None):
-    """The five graphs of the pipeline plus the g7 transformation log,
-    with named graphs optionally replaced by externally supplied ones
-    (replacement happens after honest construction, so downstream
-    graphs are built from the genuine pipeline)."""
-    vis = visibility_graph(scene)
-    ginf = build_g_infinity(scene, vis)
-    g15 = build_g15(scene, ginf)
-    g10 = build_g10(scene, ginf)
-    g7res = g7_transform(scene, ginf, g10)
-    graphs = {
-        "vis": vis,
-        "ginf": ginf,
-        "g15": g15,
-        "g10": g10,
-        "g7": g7res.graph,
-    }
-    for name, g in (substitutions or {}).items():
-        if name not in graphs:
-            raise ValueError(f"unknown graph name {name!r}")
-        if g.n != scene.n:
-            raise ValueError(f"substituted {name} has {g.n} vertices, scene has {scene.n}")
-        graphs[name] = g
-    return graphs, g7res
-
-
 def _fmt_pair(pair) -> str:
     return f"({pair[0]},{pair[1]})" if pair else "-"
 
@@ -529,7 +485,7 @@ def run_verification(
         )
 
     try:
-        ledger = compute_charges(scene, g10, ginf)
+        ledger = compute_charges(scene, ginf)
         totals = ledger.vertex_totals(scene.n)
         uncovered = [v for v in range(scene.n) if totals[v] < g10.degree(v)]
         neg_over = [

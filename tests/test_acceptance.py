@@ -144,7 +144,7 @@ def test_criterion_3_degree_bounds_and_charges(suite):
             bad.append((inst.label, "g10"))
         if inst.g7res.graph.max_degree() > 7:
             bad.append((inst.label, "g7"))
-        ledger = compute_charges(inst.scene, inst.g10, inst.ginf)
+        ledger = compute_charges(inst.scene, inst.ginf)
         totals = ledger.vertex_totals(inst.scene.n)
         for v in range(inst.scene.n):
             if totals[v] < inst.g10.degree(v):

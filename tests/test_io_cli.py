@@ -15,6 +15,7 @@ from polyspanner.io import (
     write_instance,
 )
 from polyspanner.scene import Scene, validate
+from polyspanner.spanners import build_g7, build_g10, build_g15, build_g_infinity
 from polyspanner.svg import render_svg
 from polyspanner.visibility import Graph, visibility_graph
 
@@ -191,11 +192,22 @@ class TestCli:
         assert "PASS oracle-equivalence(ginf)" in out
         assert "FAIL" not in out
 
-    def test_build_matches_library(self, instance_file, tmp_path):
-        out = tmp_path / "vis.edges"
-        assert main(["build", "--graph", "vis", "--in", str(instance_file),
+    @pytest.mark.parametrize("name", ["vis", "ginf", "g15", "g10", "g7"])
+    def test_build_matches_library(self, instance_file, tmp_path, name):
+        out = tmp_path / f"{name}.edges"
+        assert main(["build", "--graph", name, "--in", str(instance_file),
                      "--out", str(out)]) == 0
-        expected = visibility_graph(load_scene("split_cones.json"))
+        scene = load_scene("split_cones.json")
+        vis = visibility_graph(scene)
+        ginf = build_g_infinity(scene, vis)
+        g10 = build_g10(scene, ginf)
+        expected = {
+            "vis": vis,
+            "ginf": ginf,
+            "g15": build_g15(scene, ginf),
+            "g10": g10,
+            "g7": build_g7(scene, ginf, g10),
+        }[name]
         assert parse_edge_list(out.read_text()) == expected
 
     def test_verify_corrupted_substitution(self, instance_file, tmp_path, capsys):
@@ -215,6 +227,21 @@ class TestCli:
     def test_verify_mismatched_substitution_flags(self, instance_file, capsys):
         rc = main(["verify", "--in", str(instance_file), "--graph", "ginf"])
         assert rc == 2
+
+    def test_verify_substitution_vertex_count_mismatch(
+        self, instance_file, tmp_path, capsys
+    ):
+        edges = tmp_path / "g15.edges"
+        edges.write_text("5 1\n0 1\n")
+        rc = main(["verify", "--in", str(instance_file),
+                   "--graph", "g15", "--edges", str(edges)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "verify: g15 edge list has 5 vertices, scene has 12"
+        ]
 
     def test_render(self, instance_file, tmp_path):
         out = tmp_path / "pic.svg"

@@ -1,19 +1,19 @@
-import pytest
-
+from tests import reference_sequences
 from tests.conftest import load_scene
+from tests.test_acceptance import FIXTURE_NAMES, configs
 
-from polyspanner.cones import ConeLabel, SubconeRef, subcone_of, subcones
+from polyspanner.cones import ConeLabel, SubconeRef, subcone_of
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.spanners import (
     build_g10,
     build_g15,
     build_g7,
     build_g_infinity,
-    canonical_sequence,
+    canonical_sequences,
     compute_charges,
     g7_transform,
 )
-from polyspanner.visibility import visibility_graph
+from polyspanner.visibility import Graph, visibility_graph
 
 
 def pipeline(scene):
@@ -72,23 +72,50 @@ def test_split_cones_ginf_edge_list(split_cones):
 
 def test_canonical_sequences_on_split_fixture(split_cones):
     _, ginf, _, _ = pipeline(split_cones)
-    seq = canonical_sequence(
-        split_cones, ginf, 7, SubconeRef(7, ConeLabel(False, 1))
-    )
+    table = canonical_sequences(split_cones, ginf)
+    seq = table[SubconeRef(7, ConeLabel(False, 1))]
     assert seq.vertices == (11, 8, 4)
     assert list(seq.consecutive_pairs()) == [(11, 8), (8, 4)]
-    seq = canonical_sequence(
-        split_cones, ginf, 11, SubconeRef(11, ConeLabel(False, 2))
-    )
+    seq = table[SubconeRef(11, ConeLabel(False, 2))]
     assert seq.vertices == (3, 9, 8)
 
 
-def test_canonical_sequence_rejects_positive_cone(split_cones):
+def test_canonical_sequences_have_no_positive_subcone(split_cones):
     _, ginf, _, _ = pipeline(split_cones)
-    with pytest.raises(ValueError):
-        canonical_sequence(
-            split_cones, ginf, 7, SubconeRef(7, ConeLabel(True, 1))
+    table = canonical_sequences(split_cones, ginf)
+    assert table
+    assert not [ref for ref in table if ref.label.positive]
+
+
+def _reference_table(scene, ginf):
+    out = []
+    for apex in range(scene.n):
+        for seq in reference_sequences._negative_sequences(scene, ginf, apex):
+            closest = reference_sequences._closest(
+                scene, apex, seq.subcone.label, seq.vertices
+            )
+            out.append((seq.subcone, seq.vertices, closest))
+    return out
+
+
+def test_canonical_sequences_match_reference():
+    # The six fixtures and every seventh acceptance configuration, each
+    # with its ginf and with a thinned ginf (every third edge dropped).
+    scenes = [load_scene(name) for name in FIXTURE_NAMES]
+    scenes += [generate(cfg) for cfg in configs()[::7]]
+    for scene in scenes:
+        ginf = build_g_infinity(scene)
+        thinned = Graph(
+            scene.n, [e for j, e in enumerate(ginf.sorted_edges()) if j % 3]
         )
+        for g in (ginf, thinned):
+            table = canonical_sequences(scene, g)
+            assert all(
+                (seq.apex, seq.subcone) == (ref.apex, ref)
+                for ref, seq in table.items()
+            )
+            got = [(ref, seq.vertices, seq.closest) for ref, seq in table.items()]
+            assert got == _reference_table(scene, g)
 
 
 def test_degree_trim_chain(split_cones):
@@ -102,17 +129,15 @@ def test_degree_trim_chain(split_cones):
 
 def test_path_edges_survive_in_g10(split_cones):
     _, ginf, _, g10 = pipeline(split_cones)
-    for v in range(split_cones.n):
-        for ref in subcones(split_cones, v, positive=False):
-            seq = canonical_sequence(split_cones, ginf, v, ref)
-            for p, q in seq.consecutive_pairs():
-                assert g10.has_edge(p, q)
+    for seq in canonical_sequences(split_cones, ginf).values():
+        for p, q in seq.consecutive_pairs():
+            assert g10.has_edge(p, q)
 
 
 def test_charges_cover_degree(split_cones, nonconvex):
     for scene in (split_cones, nonconvex):
         _, ginf, _, g10 = pipeline(scene)
-        ledger = compute_charges(scene, g10, ginf)
+        ledger = compute_charges(scene, ginf)
         totals = ledger.vertex_totals(scene.n)
         for v in range(scene.n):
             assert totals[v] >= g10.degree(v)
@@ -120,16 +145,16 @@ def test_charges_cover_degree(split_cones, nonconvex):
 
 def test_charge_slot_caps(split_cones, nonconvex):
     for scene in (split_cones, nonconvex):
-        _, ginf, _, g10 = pipeline(scene)
-        ledger = compute_charges(scene, g10, ginf)
+        _, ginf, _, _ = pipeline(scene)
+        ledger = compute_charges(scene, ginf)
         for ref, charges in ledger.by_subcone.items():
             cap = 2 if ref.label.positive else 1
             assert len(charges) <= cap, str(ref)
 
 
 def test_all_scenarios_appear(split_cones):
-    _, ginf, _, g10 = pipeline(split_cones)
-    ledger = compute_charges(split_cones, g10, ginf)
+    _, ginf, _, _ = pipeline(split_cones)
+    ledger = compute_charges(split_cones, ginf)
     kinds = {c.scenario for cs in ledger.by_subcone.values() for c in cs}
     assert kinds == {"A", "B", "C", "D"}
 
