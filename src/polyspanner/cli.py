@@ -193,6 +193,11 @@ def main(argv=None) -> int:
     except (SceneError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Inputs are read inside each command; what reaches here is an
+        # --out that cannot be written.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

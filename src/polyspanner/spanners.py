@@ -171,10 +171,12 @@ class Charge:
 
 
 class ChargeLedger:
-    """Charges grouped by the subcone that pays for them."""
+    """Charges grouped by the subcone that pays for them, plus the
+    canonical-sequence table they were computed from."""
 
     def __init__(self):
         self.by_subcone: dict[SubconeRef, list] = {}
+        self.table: dict = {}
 
     def add(self, ref: SubconeRef, charge: Charge) -> None:
         self.by_subcone.setdefault(ref, []).append(charge)
@@ -238,7 +240,8 @@ def compute_charges(scene: Scene, ginf: Graph) -> ChargeLedger:
     the adjacent empty negative cone).
     """
     ledger = ChargeLedger()
-    for seq in canonical_sequences(scene, ginf).values():
+    ledger.table = canonical_sequences(scene, ginf)
+    for seq in ledger.table.values():
         u = seq.apex
         j = seq.subcone.label.index
         e = _edge(u, seq.closest)
@@ -314,7 +317,7 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
     path, scanning vertices in index order and keeping the ledger
     current after each application."""
     ledger = compute_charges(scene, ginf)
-    table = canonical_sequences(scene, ginf)
+    table = ledger.table
 
     def closest_in_own_subcone(apex: int, member: int) -> bool:
         seq = table.get(subcone_of(scene, apex, member))

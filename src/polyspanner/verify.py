@@ -37,9 +37,12 @@ REL_TOL = 1e-9
 
 
 def edge_length(scene: Scene, u: int, v: int) -> float:
-    ux, uy = scene.point(u)
-    vx, vy = scene.point(v)
-    return math.hypot(float(vx - ux), float(vy - uy))
+    """Euclidean length from integer coordinate differences. int / int
+    division is correctly rounded, so each difference is the same float
+    as ``float`` of the Fraction difference."""
+    (ux, uy), (vx, vy) = scene.ipoints[u], scene.ipoints[v]
+    s = scene.scale
+    return math.hypot((vx - ux) / s, (vy - uy) / s)
 
 
 def distance_matrix(scene: Scene, g: Graph) -> np.ndarray:
@@ -121,17 +124,37 @@ class PlanarityReport:
 
 
 def check_planarity(scene: Scene, g: Graph) -> PlanarityReport:
-    """Exhaustive exact pairwise crossing test plus obstacle-interior
-    test. Edges sharing an endpoint never count as crossing."""
+    """Exact crossing test plus obstacle-interior test. Edges sharing an
+    endpoint never count as crossing.
+
+    Edges are swept in order of their low integer x; each is tested only
+    against later edges whose x-extent starts at or before its high x
+    and whose y-extent meets its own. This is still exact: a proper
+    crossing or a collinear overlap puts a common point in both closed
+    boxes. Crossing pairs are reported in ``sorted_edges`` order.
+    """
     edges = g.sorted_edges()
-    pts = [scene.ipoint(i) for i in range(scene.n)]
-    crossings = []
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1 :]:
+    pts = scene.ipoints
+    boxes = []
+    for k, (a, b) in enumerate(edges):
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), k))
+    boxes.sort()
+    found = []
+    for s, (_, hi_x, lo_y, hi_y, i) in enumerate(boxes):
+        for t in range(s + 1, len(boxes)):
+            lo_x2, _, lo_y2, hi_y2, j = boxes[t]
+            if lo_x2 > hi_x:
+                break
+            if hi_y2 < lo_y or hi_y < lo_y2:
+                continue
+            pair = (i, j) if i < j else (j, i)
+            (a, b), (c, d) = edges[pair[0]], edges[pair[1]]
             if a == c or a == d or b == c or b == d:
                 continue
             if segments_properly_intersect(pts[a], pts[b], pts[c], pts[d]):
-                crossings.append(((a, b), (c, d)))
+                found.append(pair)
+    crossings = [(edges[i], edges[j]) for i, j in sorted(found)]
     conflicts = []
     for a, b in edges:
         lo_x = min(pts[a][0], pts[b][0])
@@ -214,8 +237,8 @@ def check_per_edge_bound_ginf(
         ref = subcone_of(scene, u, v)
         apex, far = (u, v) if ref.label.positive else (v, u)
         bx, by = _BISECTORS[ref.label.index]
-        (ax, ay), (fx, fy) = scene.point(apex), scene.point(far)
-        sx, sy = float(fx - ax), float(fy - ay)
+        (ax, ay), (fx, fy) = scene.ipoints[apex], scene.ipoints[far]
+        sx, sy = (fx - ax) / scene.scale, (fy - ay) / scene.scale
         theta = math.atan2(abs(bx * sy - by * sx), bx * sx + by * sy)
         bound = per_edge_bound(theta) * edge_length(scene, u, v)
         have = float(ginf_dist[u, v])

@@ -243,6 +243,29 @@ class TestCli:
             "verify: g15 edge list has 5 vertices, scene has 12"
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "8"],
+            ["build", "--graph", "g7", "--in", "{inst}"],
+            ["render", "--in", "{inst}"],
+            ["perturb", "--in", "{inst}"],
+        ],
+        ids=["gen", "build", "render", "perturb"],
+    )
+    def test_unwritable_out_is_usage_error(
+        self, instance_file, tmp_path, capsys, argv
+    ):
+        argv = [a.format(inst=instance_file) for a in argv]
+        out = tmp_path / "no-such-dir" / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "Traceback" not in stderr
+        (line,) = stderr.splitlines()
+        assert line.startswith(f"{argv[0]}: ")
+        assert str(out) in line
+
     def test_render(self, instance_file, tmp_path):
         out = tmp_path / "pic.svg"
         assert main(["render", "--in", str(instance_file), "--graph", "ginf",

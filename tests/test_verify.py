@@ -1,9 +1,13 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tests import reference_per_edge
+from tests import reference_per_edge, reference_planarity
 from tests.conftest import load_scene
 
 from polyspanner.generator import GeneratorConfig, generate
@@ -33,6 +37,24 @@ def test_distance_matrix_triangle():
     assert d[0, 1] == pytest.approx(5.0)
     assert d[0, 2] == pytest.approx(5.0 + math.sqrt(18))
     assert d[0, 0] == 0.0
+
+
+# Mixed denominators, and numerators from small up to 1e200.
+_COORD = st.builds(
+    Fraction,
+    st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**200), 10**200)),
+    st.one_of(st.sampled_from([1, 2, 3, 7, 1024, 10**12]), st.integers(1, 10**9)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.tuples(_COORD, _COORD, _COORD, _COORD))
+def test_edge_length_is_bit_identical_to_fraction_differences(coords):
+    x0, y0, x1, y1 = coords
+    sc = Scene([(x0, y0), (x1, y1)])
+    want = math.hypot(float(x1 - x0), float(y1 - y0))
+    assert edge_length(sc, 0, 1).hex() == want.hex()
+    assert edge_length(sc, 1, 0).hex() == want.hex()
 
 
 def test_stretch_identity_is_one(nonconvex):
@@ -159,6 +181,50 @@ def test_planarity_flags_obstacle_conflict():
     rep = check_planarity(sc, Graph(5, [(0, 1)]))
     assert not rep.ok
     assert rep.obstacle_conflicts
+
+
+def _assert_planarity_matches_reference(sc: Scene, g: Graph):
+    got = check_planarity(sc, g)
+    want = reference_planarity.check_planarity(sc, g)
+    assert got.crossing_pairs == want.crossing_pairs
+    assert got.obstacle_conflicts == want.obstacle_conflicts
+    return got
+
+
+def test_planarity_matches_reference():
+    # vis is far from plane, so nearly every pruning decision matters.
+    crossings = 0
+    for cfg in DIFFERENTIAL_CONFIGS:
+        sc = generate(cfg)
+        crossings += len(
+            _assert_planarity_matches_reference(sc, visibility_graph(sc)).crossing_pairs
+        )
+    assert crossings > 10_000
+
+
+def test_planarity_matches_reference_off_general_position():
+    # Grids are full of collinear overlaps, vertical edges and x-extents
+    # that touch at a single coordinate; the ring is a notched obstacle.
+    ring = [6, 16, 18, 12, 8]  # (1,1) (3,1) (3,3) (2,2) (1,3) on the 5x5 grid
+    scenes = [
+        Scene([(x, y) for x in range(4) for y in range(4)]),
+        Scene([(x, y) for x in range(5) for y in range(5)], [ring]),
+        Scene([(0, 0), (0, 3), (0, 1), (2, 2), (2, 0), (4, 1), (2, 5), (0, 6)]),
+    ]
+    rng = random.Random(11)
+    for sc in scenes:
+        complete = list(itertools.combinations(range(sc.n), 2))
+        _assert_planarity_matches_reference(sc, Graph(sc.n, complete))
+        for _ in range(20):
+            sub = rng.sample(complete, rng.randint(1, len(complete)))
+            _assert_planarity_matches_reference(sc, Graph(sc.n, sub))
+
+
+def test_planarity_flags_vertical_overlap():
+    # Both x-extents are the single coordinate 5.
+    sc = Scene([(5, 0), (5, 10), (5, 5), (5, 15)])
+    rep = check_planarity(sc, Graph(4, [(0, 1), (2, 3)]))
+    assert rep.crossing_pairs == (((0, 1), (2, 3)),)
 
 
 def test_degree_report():
