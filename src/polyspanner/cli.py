@@ -190,12 +190,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SceneError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"{args.command}: coordinate too large for a float ({exc})", file=sys.stderr)
         return 2
-    except OSError as exc:
-        # Inputs are read inside each command; what reaches here is an
-        # --out that cannot be written.
+    except (SceneError, OSError) as exc:
+        # Inputs are read inside each command; an OSError that reaches
+        # here is an --out that cannot be written.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

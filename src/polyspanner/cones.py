@@ -12,6 +12,13 @@ A vertex on an obstacle corner may have one of its cones split by the
 two incident boundary edges; the two free angular parts are then
 separate "subcones" (side "right" before the wedge in ccw order, side
 "left" after it). Everything downstream works per subcone.
+
+A run classifies each directed pair once: ``ConeIndex`` memoises every
+vertex's split label, the subcone of each (apex, p) pair and the
+subcone lists, and holds the canonical-sequence table of each distinct
+``ginf`` (filled by ``spanners.canonical_sequences``). One index is
+made per run and passed along; ``subcone_of`` and ``subcones`` are the
+one-shot forms over a fresh index.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
-from .geom import ExactScalar, cross, sign, sqrt3_sign
+from .geom import cross, sign, sqrt3_sign
 
 
 class GeneralPositionError(ValueError):
@@ -110,18 +117,6 @@ def _key_parts(label: ConeLabel, dx, dy):
     return dy, -dx  # bisector (-sqrt3/2, 1/2)
 
 
-def projection_key(apex, label: ConeLabel, p) -> ExactScalar:
-    """Doubled projection of p onto the bisector of the labelled cone.
-
-    Doubling keeps the value inside Q(sqrt 3) without introducing
-    halves; only comparisons between keys of the same cone matter.
-    """
-    if cone_of(apex, p) != label:
-        raise ValueError(f"point {p} is not in cone {label} of {apex}")
-    a, b = _key_parts(label, p[0] - apex[0], p[1] - apex[1])
-    return ExactScalar(a, b)
-
-
 def key_compare(label: ConeLabel, d1, d2) -> int:
     """Exact sign of key(d1) - key(d2) for directions in the same cone."""
     a1, b1 = _key_parts(label, d1[0], d1[1])
@@ -170,42 +165,96 @@ def split_cone_label(scene, vi: int) -> Optional[ConeLabel]:
     return _SECTOR_LABEL[sn]
 
 
-def subcone_of(scene, apex: int, p: int) -> SubconeRef:
-    """Subcone of vertex apex containing vertex p.
+class ConeIndex:
+    """Subcone membership in one scene, memoised for one run.
 
-    Directions strictly inside the obstacle wedge are unreachable by any
-    visible vertex and raise ValueError; directions along a wedge edge
-    classify with the free region they bound.
+    Each vertex's split label is computed at most once and each directed
+    pair (apex, p) is classified at most once. ``tables`` maps a ginf
+    edge set to its read-only canonical-sequence table. Make one index
+    per run and pass it to every step; never keep it on a ``Scene`` or
+    at module level, where its memo would outlive the run that paid for
+    it. A computation that raises is not memoised, so every call raises
+    what the one-shot functions raise.
     """
-    ax, ay = scene.ipoint(apex)
-    px, py = scene.ipoint(p)
-    dx, dy = px - ax, py - ay
-    label = _SECTOR_LABEL[direction_sector(dx, dy)]
-    if split_cone_label(scene, apex) != label:
-        return SubconeRef(apex, label, SIDE_WHOLE)
-    dn, dp = obstacle_wedge(scene, apex)
-    c_n = cross(dx, dy, dn[0], dn[1])
-    if c_n >= 0:  # at or clockwise of d_next
-        return SubconeRef(apex, label, SIDE_RIGHT)
-    c_p = cross(dp[0], dp[1], dx, dy)
-    if c_p >= 0:  # at or counterclockwise of d_prev
-        return SubconeRef(apex, label, SIDE_LEFT)
-    raise ValueError(
-        f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
-    )
+
+    def __init__(self, scene):
+        self.scene = scene
+        self.tables: dict = {}
+        self._split: dict = {}
+        self._refs: dict = {}
+        self._subcones: dict = {}
+
+    @classmethod
+    def of(cls, scene, index: Optional["ConeIndex"]) -> "ConeIndex":
+        """index itself, or a fresh index of scene when index is None."""
+        if index is None:
+            return cls(scene)
+        if index.scene is not scene:
+            raise ValueError("cone index belongs to another scene")
+        return index
+
+    def split_label(self, vi: int) -> Optional[ConeLabel]:
+        """``split_cone_label`` of vi."""
+        if vi not in self._split:
+            self._split[vi] = split_cone_label(self.scene, vi)
+        return self._split[vi]
+
+    def subcone_of(self, apex: int, p: int) -> SubconeRef:
+        """Subcone of vertex apex containing vertex p.
+
+        Directions strictly inside the obstacle wedge are unreachable by
+        any visible vertex and raise ValueError; directions along a wedge
+        edge classify with the free region they bound.
+        """
+        key = (apex, p)
+        ref = self._refs.get(key)
+        if ref is None:
+            ref = self._refs[key] = self._classify(apex, p)
+        return ref
+
+    def _classify(self, apex: int, p: int) -> SubconeRef:
+        scene = self.scene
+        ax, ay = scene.ipoint(apex)
+        px, py = scene.ipoint(p)
+        dx, dy = px - ax, py - ay
+        label = _SECTOR_LABEL[direction_sector(dx, dy)]
+        if self.split_label(apex) != label:
+            return SubconeRef(apex, label, SIDE_WHOLE)
+        dn, dp = obstacle_wedge(scene, apex)
+        c_n = cross(dx, dy, dn[0], dn[1])
+        if c_n >= 0:  # at or clockwise of d_next
+            return SubconeRef(apex, label, SIDE_RIGHT)
+        c_p = cross(dp[0], dp[1], dx, dy)
+        if c_p >= 0:  # at or counterclockwise of d_prev
+            return SubconeRef(apex, label, SIDE_LEFT)
+        raise ValueError(
+            f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
+        )
+
+    def subcones(self, apex: int, positive: bool) -> tuple:
+        """All subcone refs of one sign at a vertex, in deterministic order."""
+        key = (apex, positive)
+        if key not in self._subcones:
+            split = self.split_label(apex)
+            out = []
+            for label in POSITIVE_LABELS if positive else NEGATIVE_LABELS:
+                if label == split:
+                    out.append(SubconeRef(apex, label, SIDE_RIGHT))
+                    out.append(SubconeRef(apex, label, SIDE_LEFT))
+                else:
+                    out.append(SubconeRef(apex, label, SIDE_WHOLE))
+            self._subcones[key] = tuple(out)
+        return self._subcones[key]
+
+
+def subcone_of(scene, apex: int, p: int) -> SubconeRef:
+    """One-shot ``ConeIndex.subcone_of``."""
+    return ConeIndex(scene).subcone_of(apex, p)
 
 
 def subcones(scene, apex: int, positive: bool) -> list:
-    """All subcone refs of one sign at a vertex, in deterministic order."""
-    split = split_cone_label(scene, apex)
-    out = []
-    for label in POSITIVE_LABELS if positive else NEGATIVE_LABELS:
-        if label == split:
-            out.append(SubconeRef(apex, label, SIDE_RIGHT))
-            out.append(SubconeRef(apex, label, SIDE_LEFT))
-        else:
-            out.append(SubconeRef(apex, label, SIDE_WHOLE))
-    return out
+    """One-shot ``ConeIndex.subcones``."""
+    return list(ConeIndex(scene).subcones(apex, positive))
 
 
 def ccw_sorted(scene, apex: int, members: Iterable[int]) -> list:

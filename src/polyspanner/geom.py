@@ -4,13 +4,12 @@ Every decision in this package reduces to the sign of an integer or
 rational expression, so no predicate can flip under rounding. Points are
 plain ``(x, y)`` tuples whose entries are ints or ``fractions.Fraction``
 (the two mix freely in arithmetic). The only irrational values anywhere
-in the pipeline are rational multiples of sqrt(3); ``ExactScalar``
-carries those symbolically.
+in the pipeline are rational multiples of sqrt(3); ``sqrt3_sign``
+decides the sign of a + b*sqrt(3) exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -202,78 +201,3 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
             if oa * ob < 0 or oa == 0 and s > 0 or ob == 0 and s < 0:
                 return True
     return point_in_polygon(a, poly) > 0
-
-
-@dataclass(frozen=True)
-class ExactScalar:
-    """Exact element a + b*sqrt(3) of Q(sqrt 3).
-
-    Closed under addition, subtraction and multiplication; ordered by
-    exact sign computation.
-    """
-
-    a: Rational
-    b: Rational = 0
-
-    @classmethod
-    def of(cls, value: Rational) -> "ExactScalar":
-        return cls(value, 0)
-
-    def sign(self) -> int:
-        return sqrt3_sign(self.a, self.b)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return ExactScalar(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return ExactScalar(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __neg__(self):
-        return ExactScalar(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        # (a + b r)(c + d r) with r*r = 3
-        return ExactScalar(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        return (self - _coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 3 ** 0.5
-
-    def __repr__(self) -> str:
-        return f"ExactScalar({self.a!r}, {self.b!r})"
-
-
-SQRT3 = ExactScalar(0, 1)
-
-
-def _coerce(value) -> ExactScalar:
-    if isinstance(value, ExactScalar):
-        return value
-    return ExactScalar(value, 0)

@@ -22,6 +22,25 @@ class ParseError(ValueError):
     pass
 
 
+# Python's own default limit on int <-> str conversion. Fraction expands
+# a decimal exponent into an integer with that many digits, so a larger
+# exponent, or a longer mantissa, would stall parsing.
+_MAX_DIGITS = 4300
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction of a decimal or "p/q" string with at most _MAX_DIGITS
+    mantissa digits and an exponent of at most _MAX_DIGITS in size."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        too_big = abs(int(exponent or 0)) > _MAX_DIGITS
+    except ValueError:
+        too_big = False  # malformed; Fraction rejects it
+    if too_big or sum(ch.isdigit() for ch in mantissa) > _MAX_DIGITS:
+        raise ParseError(f"number {text[:40]!r} has more than {_MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _coordinate(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{where}: boolean is not a coordinate")
@@ -29,7 +48,7 @@ def _coordinate(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad coordinate {value!r} ({exc})")
     if isinstance(value, float):
@@ -41,7 +60,7 @@ def _coordinate(value, where: str) -> Fraction:
 
 def parse_instance(text: str, require_valid: bool = True) -> Scene:
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=_fraction)
     except ParseError:
         raise
     except ValueError as exc:

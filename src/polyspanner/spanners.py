@@ -25,14 +25,21 @@ closest member. The degree-15, degree-10 and degree-7 steps, the
 charging ledger and the structural checks in ``verify`` all read that
 table. ``build_all`` is the single pipeline entry: it runs the chain in
 order and returns all five graphs, which the CLI and ``verify`` use.
+
+Every step takes an optional ``index``, the run's ``cones.ConeIndex``.
+Passing one index through a run classifies each directed pair once and
+builds the table once per distinct ginf; a step called without one
+makes its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .cones import (
+    ConeIndex,
     ConeLabel,
     GeneralPositionError,
     SIDE_LEFT,
@@ -41,9 +48,6 @@ from .cones import (
     SubconeRef,
     ccw_sorted,
     key_compare,
-    split_cone_label,
-    subcone_of,
-    subcones,
 )
 from .scene import Scene, check_general_position
 from .visibility import Graph, visibility_graph
@@ -76,17 +80,20 @@ def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
     return best
 
 
-def build_g_infinity(scene: Scene, vis: Optional[Graph] = None) -> Graph:
+def build_g_infinity(
+    scene: Scene, vis: Optional[Graph] = None, index: Optional[ConeIndex] = None
+) -> Graph:
     """One edge per nonempty positive subcone, to the visible vertex
     with the smallest bisector projection."""
     _require_general_position(scene)
+    index = ConeIndex.of(scene, index)
     if vis is None:
         vis = visibility_graph(scene)
     edges = set()
     for u in range(scene.n):
         groups: dict[SubconeRef, list] = {}
         for v in vis.neighbors(u):
-            ref = subcone_of(scene, u, v)
+            ref = index.subcone_of(u, v)
             if ref.label.positive:
                 groups.setdefault(ref, []).append(v)
         for ref, members in groups.items():
@@ -110,17 +117,27 @@ class CanonicalSequence:
 
 
 def canonical_sequences(
-    scene: Scene, ginf: Graph
-) -> dict[SubconeRef, CanonicalSequence]:
+    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+) -> Mapping[SubconeRef, CanonicalSequence]:
     """The canonical sequence of every nonempty negative subcone of
     ginf, keyed by subcone: apexes in index order, each apex's subcones
-    in ``subcones`` order."""
+    in ``subcones`` order. Built once per ginf edge set and index, then
+    shared read-only."""
+    index = ConeIndex.of(scene, index)
+    table = index.tables.get(ginf.edges)
+    if table is None:
+        table = MappingProxyType(_sequence_table(scene, ginf, index))
+        index.tables[ginf.edges] = table
+    return table
+
+
+def _sequence_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
     table = {}
     for apex in range(scene.n):
         groups: dict[SubconeRef, list] = {}
         for v in ginf.neighbors(apex):
-            groups.setdefault(subcone_of(scene, apex, v), []).append(v)
-        for ref in subcones(scene, apex, positive=False):
+            groups.setdefault(index.subcone_of(apex, v), []).append(v)
+        for ref in index.subcones(apex, positive=False):
             if ref in groups:
                 members = tuple(ccw_sorted(scene, apex, groups[ref]))
                 closest = _closest(scene, apex, ref.label, members)
@@ -128,21 +145,25 @@ def canonical_sequences(
     return table
 
 
-def build_g15(scene: Scene, ginf: Graph) -> Graph:
+def build_g15(
+    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+) -> Graph:
     """Keep the two angular extremes and the projection-closest edge of
     every negative subcone."""
     edges = set()
-    for seq in canonical_sequences(scene, ginf).values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         for v in (seq.vertices[0], seq.vertices[-1], seq.closest):
             edges.add(_edge(seq.apex, v))
     return Graph(scene.n, edges)
 
 
-def build_g10(scene: Scene, ginf: Graph) -> Graph:
+def build_g10(
+    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+) -> Graph:
     """Keep the closest edge of every negative subcone plus the
     canonical path joining consecutive sequence members."""
     edges = set()
-    for seq in canonical_sequences(scene, ginf).values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         edges.add(_edge(seq.apex, seq.closest))
         for p, q in seq.consecutive_pairs():
             edges.add(_edge(p, q))
@@ -172,11 +193,11 @@ class Charge:
 
 class ChargeLedger:
     """Charges grouped by the subcone that pays for them, plus the
-    canonical-sequence table they were computed from."""
+    read-only canonical-sequence table they were computed from."""
 
     def __init__(self):
         self.by_subcone: dict[SubconeRef, list] = {}
-        self.table: dict = {}
+        self.table: Mapping = {}
 
     def add(self, ref: SubconeRef, charge: Charge) -> None:
         self.by_subcone.setdefault(ref, []).append(charge)
@@ -212,24 +233,26 @@ class ChargeLedger:
         return self.by_subcone.items()
 
 
-def _positive_subcone_containing(scene: Scene, apex: int, v: int) -> SubconeRef:
-    ref = subcone_of(scene, apex, v)
+def _positive_subcone_containing(index: ConeIndex, apex: int, v: int) -> SubconeRef:
+    ref = index.subcone_of(apex, v)
     if not ref.label.positive:
         raise ValueError(f"vertex {v} is not in a positive cone of {apex}")
     return ref
 
 
-def _scenario_d_target(scene: Scene, vertex: int, index: int, side_hint: str) -> SubconeRef:
+def _scenario_d_target(index: ConeIndex, vertex: int, cone: int, side_hint: str) -> SubconeRef:
     """Negative cone paying for a scenario-D charge. The geometry keeps
     this cone unsplit; if an obstacle splits it anyway, charge the side
     adjacent to the canonical path's positive cone."""
-    label = ConeLabel(False, index)
-    if split_cone_label(scene, vertex) == label:
+    label = ConeLabel(False, cone)
+    if index.split_label(vertex) == label:
         return SubconeRef(vertex, label, side_hint)
     return SubconeRef(vertex, label, SIDE_WHOLE)
 
 
-def compute_charges(scene: Scene, ginf: Graph) -> ChargeLedger:
+def compute_charges(
+    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+) -> ChargeLedger:
     """Charge every edge of g10, the degree-10 graph of ginf, to
     subcones of both endpoints.
 
@@ -239,43 +262,44 @@ def compute_charges(scene: Scene, ginf: Graph) -> ChargeLedger:
     the owner) and a positive cone of the other (scenario D, charged to
     the adjacent empty negative cone).
     """
+    index = ConeIndex.of(scene, index)
     ledger = ChargeLedger()
-    ledger.table = canonical_sequences(scene, ginf)
+    ledger.table = canonical_sequences(scene, ginf, index)
     for seq in ledger.table.values():
         u = seq.apex
         j = seq.subcone.label.index
         e = _edge(u, seq.closest)
         ledger.add(seq.subcone, Charge(e, "B", u, seq.subcone))
         ledger.add(
-            _positive_subcone_containing(scene, seq.closest, u),
+            _positive_subcone_containing(index, seq.closest, u),
             Charge(e, "A", u, seq.subcone),
         )
         for p, q in seq.consecutive_pairs():
             e = _edge(p, q)
             # Looking from p toward its ccw successor q.
-            lab_pq = subcone_of(scene, p, q).label
+            lab_pq = index.subcone_of(p, q).label
             if not lab_pq.positive:
                 # scenario C at p; the edge sits in the negative cone
                 # adjacent (ccw) to the cone containing u.
                 ledger.add(
-                    _positive_subcone_containing(scene, p, u),
+                    _positive_subcone_containing(index, p, u),
                     Charge(e, "C", u, seq.subcone),
                 )
             else:
                 ledger.add(
-                    _scenario_d_target(scene, p, (j + 1) % 3, SIDE_LEFT),
+                    _scenario_d_target(index, p, (j + 1) % 3, SIDE_LEFT),
                     Charge(e, "D", u, seq.subcone),
                 )
             # Looking from q toward its cw predecessor p.
-            lab_qp = subcone_of(scene, q, p).label
+            lab_qp = index.subcone_of(q, p).label
             if not lab_qp.positive:
                 ledger.add(
-                    _positive_subcone_containing(scene, q, u),
+                    _positive_subcone_containing(index, q, u),
                     Charge(e, "C", u, seq.subcone),
                 )
             else:
                 ledger.add(
-                    _scenario_d_target(scene, q, (j - 1) % 3, SIDE_RIGHT),
+                    _scenario_d_target(index, q, (j - 1) % 3, SIDE_RIGHT),
                     Charge(e, "D", u, seq.subcone),
                 )
     return ledger
@@ -312,15 +336,18 @@ class G7Result:
     transformations: tuple
 
 
-def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
+def g7_transform(
+    scene: Scene, ginf: Graph, g10: Graph, index: Optional[ConeIndex] = None
+) -> G7Result:
     """Resolve every positive subcone charged twice by one canonical
     path, scanning vertices in index order and keeping the ledger
     current after each application."""
-    ledger = compute_charges(scene, ginf)
+    index = ConeIndex.of(scene, index)
+    ledger = compute_charges(scene, ginf, index)
     table = ledger.table
 
     def closest_in_own_subcone(apex: int, member: int) -> bool:
-        seq = table.get(subcone_of(scene, apex, member))
+        seq = table.get(index.subcone_of(apex, member))
         return seq is not None and seq.closest == member
 
     edges = set(g10.edges)
@@ -394,7 +421,7 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
         # path of v through x's subcone.
         removed_xw = None
         uncharged_xw = None
-        sub_x = subcone_of(scene, v, x)
+        sub_x = index.subcone_of(v, x)
         vseq = table[sub_x].vertices
         xi = vseq.index(x)
         w = None
@@ -407,9 +434,9 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
                 # The path structure makes x an endpoint; stay total if
                 # an unexpected interior position shows up.
                 w = vseq[xi + 1]
-        slot = _positive_subcone_containing(scene, x, v)
+        slot = _positive_subcone_containing(index, x, v)
         if w is not None:
-            lab_w = subcone_of(scene, x, w).label
+            lab_w = index.subcone_of(x, w).label
             if lab_w == ConeLabel(False, ref.label.index):
                 e_xw = _edge(x, w)
                 if closest_in_own_subcone(x, w):
@@ -442,23 +469,30 @@ def g7_transform(scene: Scene, ginf: Graph, g10: Graph) -> G7Result:
     return G7Result(Graph(scene.n, edges), tuple(transcript))
 
 
-def build_g7(scene: Scene, ginf: Graph, g10: Graph) -> Graph:
-    return g7_transform(scene, ginf, g10).graph
+def build_g7(
+    scene: Scene, ginf: Graph, g10: Graph, index: Optional[ConeIndex] = None
+) -> Graph:
+    return g7_transform(scene, ginf, g10, index).graph
 
 
 GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
 
 
-def build_all(scene: Scene, substitutions: Optional[dict] = None):
+def build_all(
+    scene: Scene,
+    substitutions: Optional[dict] = None,
+    index: Optional[ConeIndex] = None,
+):
     """The five graphs of the pipeline plus the g7 transformation log,
     with named graphs optionally replaced by externally supplied ones
     (replacement happens after honest construction, so downstream
     graphs are built from the genuine pipeline)."""
+    index = ConeIndex.of(scene, index)
     vis = visibility_graph(scene)
-    ginf = build_g_infinity(scene, vis)
-    g15 = build_g15(scene, ginf)
-    g10 = build_g10(scene, ginf)
-    g7res = g7_transform(scene, ginf, g10)
+    ginf = build_g_infinity(scene, vis, index)
+    g15 = build_g15(scene, ginf, index)
+    g10 = build_g10(scene, ginf, index)
+    g7res = g7_transform(scene, ginf, g10, index)
     graphs = {
         "vis": vis,
         "ginf": ginf,

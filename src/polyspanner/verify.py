@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .cones import subcone_of
+from .cones import ConeIndex
 from .geom import (
     CW,
     cross,
@@ -217,6 +217,7 @@ def check_per_edge_bound_ginf(
     ginf: Graph,
     vis: Optional[Graph] = None,
     ginf_dist: Optional[np.ndarray] = None,
+    index: Optional[ConeIndex] = None,
 ) -> WitnessReport:
     """Every visibility edge (u, v), read from the endpoint whose
     positive cone holds the other, has a ginf path no longer than the
@@ -228,13 +229,14 @@ def check_per_edge_bound_ginf(
     three-entry table ``_BISECTORS`` and s is the float offset from the
     apex to the far endpoint.
     """
+    index = ConeIndex.of(scene, index)
     if vis is None:
         vis = visibility_graph(scene)
     if ginf_dist is None:
         ginf_dist = distance_matrix(scene, ginf)
     bad = []
     for u, v in vis.sorted_edges():
-        ref = subcone_of(scene, u, v)
+        ref = index.subcone_of(u, v)
         apex, far = (u, v) if ref.label.positive else (v, u)
         bx, by = _BISECTORS[ref.label.index]
         (ax, ay), (fx, fy) = scene.ipoints[apex], scene.ipoints[far]
@@ -251,23 +253,25 @@ def check_per_edge_bound_ginf(
 
 
 def check_canonical_paths(
-    scene: Scene, ginf: Graph, g15: Graph
+    scene: Scene, ginf: Graph, g15: Graph, index: Optional[ConeIndex] = None
 ) -> WitnessReport:
     """Consecutive canonical-sequence members are joined by a g15 edge."""
     missing = []
-    for seq in canonical_sequences(scene, ginf).values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         for p, q in seq.consecutive_pairs():
             if not g15.has_edge(p, q):
                 missing.append((seq.apex, p, q))
     return WitnessReport(tuple(missing))
 
 
-def check_empty_triangles(scene: Scene, ginf: Graph) -> WitnessReport:
+def check_empty_triangles(
+    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+) -> WitnessReport:
     """The triangle spanned by the apex and two consecutive canonical
     members contains no vertex in its open interior and no obstacle
     piece crosses into it."""
     bad = []
-    for seq in canonical_sequences(scene, ginf).values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs():
             tri = [scene.ipoint(u), scene.ipoint(p), scene.ipoint(q)]
@@ -450,7 +454,8 @@ def run_verification(
     if not (vres.ok and gp.ok):
         return outcomes
 
-    graphs, g7res = build_all(scene, substitutions)
+    index = ConeIndex(scene)
+    graphs, g7res = build_all(scene, substitutions, index)
     vis, ginf = graphs["vis"], graphs["ginf"]
     g15, g10, g7 = graphs["g15"], graphs["g10"], graphs["g7"]
 
@@ -508,7 +513,7 @@ def run_verification(
         )
 
     try:
-        ledger = compute_charges(scene, ginf)
+        ledger = compute_charges(scene, ginf, index)
         totals = ledger.vertex_totals(scene.n)
         uncovered = [v for v in range(scene.n) if totals[v] < g10.degree(v)]
         neg_over = [
@@ -589,17 +594,19 @@ def run_verification(
 
     witness_check(
         "per-edge-bound(ginf|vis)",
-        lambda: check_per_edge_bound_ginf(scene, ginf, vis, dists["ginf"]),
+        lambda: check_per_edge_bound_ginf(
+            scene, ginf, vis, dists["ginf"], index
+        ),
         lambda ws: f"{len(ws)} edge(s) over bound: {[w[0] for w in ws[:4]]}",
     )
     witness_check(
         "canonical-path-edges(g15)",
-        lambda: check_canonical_paths(scene, ginf, g15),
+        lambda: check_canonical_paths(scene, ginf, g15, index),
         lambda ws: f"missing path edge(s): {ws[:4]}",
     )
     witness_check(
         "empty-canonical-triangles(ginf)",
-        lambda: check_empty_triangles(scene, ginf),
+        lambda: check_empty_triangles(scene, ginf, index),
         lambda ws: f"occupied triangle(s): {ws[:4]}",
     )
     return outcomes

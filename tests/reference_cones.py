@@ -1,0 +1,101 @@
+"""Reference subcone classification: every call from scratch.
+
+This is the original implementation of ``subcone_of`` and ``subcones``.
+Each call recomputes the apex's obstacle wedge and split label. The
+library now memoises those per run in ``cones.ConeIndex``; the
+differential tests in ``test_cone_index.py`` compare the two.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from polyspanner.cones import (
+    _SECTOR_LABEL,
+    NEGATIVE_LABELS,
+    POSITIVE_LABELS,
+    SIDE_LEFT,
+    SIDE_RIGHT,
+    SIDE_WHOLE,
+    ConeLabel,
+    GeneralPositionError,
+    SubconeRef,
+    direction_sector,
+)
+from polyspanner.geom import cross
+
+
+def obstacle_wedge(scene, vi: int):
+    """Directions (d_next, d_prev) of the boundary edges leaving vertex
+    vi, or None when vi is not an obstacle corner. The obstacle interior
+    near vi spans d_next counterclockwise to d_prev."""
+    nb = scene.boundary_neighbors(vi)
+    if nb is None:
+        return None
+    prev_i, next_i = nb
+    px, py = scene.ipoint(vi)
+    nx, ny = scene.ipoint(next_i)
+    qx, qy = scene.ipoint(prev_i)
+    return (nx - px, ny - py), (qx - px, qy - py)
+
+
+def split_cone_label(scene, vi: int) -> Optional[ConeLabel]:
+    """The cone of vi split in two by its obstacle wedge, if any.
+
+    A cone splits only when both incident edge directions fall strictly
+    inside it and the wedge occupies the middle (d_next clockwise of
+    d_prev within the cone). A wedge that covers the cone except for a
+    notch between the edges leaves a single free region: not a split.
+    """
+    w = obstacle_wedge(scene, vi)
+    if w is None:
+        return None
+    dn, dp = w
+    try:
+        sn = direction_sector(dn[0], dn[1])
+        sp = direction_sector(dp[0], dp[1])
+    except GeneralPositionError:
+        return None  # edge on a cone boundary: treat as non-splitting
+    if sn != sp:
+        return None
+    if cross(dn[0], dn[1], dp[0], dp[1]) <= 0:
+        return None
+    return _SECTOR_LABEL[sn]
+
+
+def subcone_of(scene, apex: int, p: int) -> SubconeRef:
+    """Subcone of vertex apex containing vertex p.
+
+    Directions strictly inside the obstacle wedge are unreachable by any
+    visible vertex and raise ValueError; directions along a wedge edge
+    classify with the free region they bound.
+    """
+    ax, ay = scene.ipoint(apex)
+    px, py = scene.ipoint(p)
+    dx, dy = px - ax, py - ay
+    label = _SECTOR_LABEL[direction_sector(dx, dy)]
+    if split_cone_label(scene, apex) != label:
+        return SubconeRef(apex, label, SIDE_WHOLE)
+    dn, dp = obstacle_wedge(scene, apex)
+    c_n = cross(dx, dy, dn[0], dn[1])
+    if c_n >= 0:  # at or clockwise of d_next
+        return SubconeRef(apex, label, SIDE_RIGHT)
+    c_p = cross(dp[0], dp[1], dx, dy)
+    if c_p >= 0:  # at or counterclockwise of d_prev
+        return SubconeRef(apex, label, SIDE_LEFT)
+    raise ValueError(
+        f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
+    )
+
+
+def subcones(scene, apex: int, positive: bool) -> list:
+    """All subcone refs of one sign at a vertex, in deterministic order."""
+    split = split_cone_label(scene, apex)
+    out = []
+    for label in POSITIVE_LABELS if positive else NEGATIVE_LABELS:
+        if label == split:
+            out.append(SubconeRef(apex, label, SIDE_RIGHT))
+            out.append(SubconeRef(apex, label, SIDE_LEFT))
+        else:
+            out.append(SubconeRef(apex, label, SIDE_WHOLE))
+    return out

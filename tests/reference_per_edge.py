@@ -6,6 +6,8 @@ cone bisector from the triangle's apex and far-side midpoint, and takes
 the angle with acos. The library now reads the bisector from a table of
 the three positive-cone unit bisectors and takes the angle with atan2;
 the differential test in ``test_verify.py`` compares the two.
+``ExactScalar``, the exact a + b*sqrt(3) arithmetic these triangles
+need, lives here too, since no library code uses it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from polyspanner.cones import ConeLabel, cone_of, subcone_of
-from polyspanner.geom import ExactScalar
+from polyspanner.geom import Rational, sqrt3_sign
 from polyspanner.verify import (
     REL_TOL,
     WitnessReport,
@@ -28,6 +30,82 @@ from polyspanner.verify import (
 )
 from polyspanner.scene import Scene
 from polyspanner.visibility import Graph, visibility_graph
+
+
+@dataclass(frozen=True)
+class ExactScalar:
+    """Exact element a + b*sqrt(3) of Q(sqrt 3).
+
+    Closed under addition, subtraction and multiplication; ordered by
+    exact sign computation.
+    """
+
+    a: Rational
+    b: Rational = 0
+
+    @classmethod
+    def of(cls, value: Rational) -> "ExactScalar":
+        return cls(value, 0)
+
+    def sign(self) -> int:
+        return sqrt3_sign(self.a, self.b)
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return ExactScalar(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        return ExactScalar(self.a - other.a, self.b - other.b)
+
+    def __rsub__(self, other):
+        return _coerce(other) - self
+
+    def __neg__(self):
+        return ExactScalar(-self.a, -self.b)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        # (a + b r)(c + d r) with r*r = 3
+        return ExactScalar(
+            self.a * other.a + 3 * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+        )
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other):
+        return (self - _coerce(other)).sign() < 0
+
+    def __le__(self, other):
+        return (self - _coerce(other)).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - _coerce(other)).sign() > 0
+
+    def __ge__(self, other):
+        return (self - _coerce(other)).sign() >= 0
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * 3 ** 0.5
+
+    def __repr__(self) -> str:
+        return f"ExactScalar({self.a!r}, {self.b!r})"
+
+
+SQRT3 = ExactScalar(0, 1)
+
+
+def _coerce(value) -> ExactScalar:
+    if isinstance(value, ExactScalar):
+        return value
+    return ExactScalar(value, 0)
+
 
 # cos/sin of the rotation taking cone 0 onto cone i (0, 120, 240 degrees),
 # as ExactScalar values.

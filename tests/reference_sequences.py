@@ -12,16 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from polyspanner.cones import (
-    ConeLabel,
-    SubconeRef,
-    ccw_sorted,
-    key_compare,
-    subcone_of,
-    subcones,
-)
+from polyspanner.cones import ConeLabel, SubconeRef, ccw_sorted, key_compare
 from polyspanner.scene import Scene
 from polyspanner.visibility import Graph
+
+from tests.reference_cones import subcone_of, subcones
 
 
 def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:

@@ -1,0 +1,122 @@
+"""The per-run cone index against the original one-shot classification,
+and the guard that one run classifies each vertex and builds each
+canonical-sequence table once."""
+
+from collections import Counter
+
+import pytest
+
+from polyspanner import cones, spanners
+from polyspanner.cones import ConeIndex
+from polyspanner.generator import generate
+from polyspanner.scene import Scene
+from polyspanner.spanners import build_all, build_g_infinity
+from polyspanner.verify import run_verification
+from polyspanner.visibility import Graph, visibility_graph
+
+from tests import reference_cones
+from tests.conftest import load_scene
+from tests.test_acceptance import FIXTURE_NAMES, configs
+
+
+def test_index_matches_reference_classification():
+    # Every ordered vis and ginf pair of the six fixtures and of every
+    # seventh acceptance configuration, plus every subcone list.
+    scenes = [load_scene(name) for name in FIXTURE_NAMES]
+    scenes += [generate(cfg) for cfg in configs()[::7]]
+    for scene in scenes:
+        vis = visibility_graph(scene)
+        index = ConeIndex(scene)
+        for g in (vis, build_g_infinity(scene, vis, index)):
+            for u in range(scene.n):
+                for v in g.neighbors(u):
+                    want = reference_cones.subcone_of(scene, u, v)
+                    assert index.subcone_of(u, v) == want
+                    assert cones.subcone_of(scene, u, v) == want
+        for apex in range(scene.n):
+            split = reference_cones.split_cone_label(scene, apex)
+            assert index.split_label(apex) == split
+            for positive in (True, False):
+                want = reference_cones.subcones(scene, apex, positive)
+                assert list(index.subcones(apex, positive)) == want
+                assert cones.subcones(scene, apex, positive) == want
+
+
+# A ring that repeats vertex 0 gives it a zero-length wedge edge; Scene
+# accepts it, validate does not.
+RING = Scene([(0, 0), (5, 1), (2, 7)], [(0, 1, 0)])
+SPIKE = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize(
+    "scene, apex, p",
+    [(RING, 0, 2), (SPIKE, 0, 3), (Scene([(0, 0), (5, 0)]), 0, 1)],
+    ids=["zero-wedge-edge", "into-wedge", "cone-boundary"],
+)
+def test_index_raises_what_reference_raises(scene, apex, p):
+    with pytest.raises(ValueError) as want:
+        reference_cones.subcone_of(scene, apex, p)
+    index = ConeIndex(scene)
+    for _ in range(2):  # a failure is not memoised
+        with pytest.raises(ValueError) as got:
+            index.subcone_of(apex, p)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as got:
+        cones.subcone_of(scene, apex, p)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_index_subcones_raise_what_reference_raises():
+    with pytest.raises(ValueError) as want:
+        reference_cones.subcones(RING, 0, True)
+    index = ConeIndex(RING)
+    for positive in (True, False):
+        with pytest.raises(ValueError) as got:
+            index.subcones(0, positive)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_index_belongs_to_one_scene():
+    with pytest.raises(ValueError, match="another scene"):
+        build_g_infinity(SPIKE, None, ConeIndex(RING))
+
+
+def _dropped_first(g):
+    return Graph(g.n, g.sorted_edges()[1:])
+
+
+@pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
+@pytest.mark.parametrize(
+    "name, corrupt, tables",
+    [
+        (None, None, 1),
+        ("ginf", _dropped_first, 2),
+        ("ginf", lambda g: Graph(g.n, g.edges), 1),
+        ("g15", _dropped_first, 1),
+    ],
+    ids=["honest", "ginf-differs", "ginf-same-edges", "g15-differs"],
+)
+def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
+    scene = load_scene(fixture)
+    subs = None
+    if name is not None:
+        subs = {name: corrupt(build_all(scene)[0][name])}
+    splits = Counter()
+    built = []
+    real_split = cones.split_cone_label
+    real_table = spanners._sequence_table
+
+    def split_probe(sc, vi):
+        splits[vi] += 1
+        return real_split(sc, vi)
+
+    def table_probe(sc, ginf, index):
+        built.append(ginf.edges)
+        return real_table(sc, ginf, index)
+
+    monkeypatch.setattr(cones, "split_cone_label", split_probe)
+    monkeypatch.setattr(spanners, "_sequence_table", table_probe)
+    run_verification(scene, subs)
+    assert max(splits.values()) == 1
+    assert len(built) == len(set(built)) == tables

@@ -15,12 +15,10 @@ from polyspanner.cones import (
     cone_of,
     direction_sector,
     key_compare,
-    projection_key,
     split_cone_label,
     subcone_of,
     subcones,
 )
-from polyspanner.geom import ExactScalar
 from polyspanner.scene import Scene
 
 from tests.reference_per_edge import canonical_triangle
@@ -68,21 +66,23 @@ def test_cone_duality(p, q):
 
 
 def test_projection_key_values():
-    # upward cone: key is twice the height difference
-    assert projection_key(O, ConeLabel(True, 0), (1, 4)) == ExactScalar(8)
-    # lower-left cone
-    assert projection_key(O, ConeLabel(True, 1), (-3, -3)) == ExactScalar(3, 3)
-    # membership is enforced
-    with pytest.raises(ValueError):
-        projection_key(O, ConeLabel(True, 0), (1, -4))
+    # upward cone: the key is twice the height difference, so (1, 4)
+    # ties with (0, 4) on the bisector
+    up = ConeLabel(True, 0)
+    assert key_compare(up, (1, 4), (0, 4)) == 0
+    # lower-left cone: the doubled key of (-3, -3) is 3 + 3*sqrt(3),
+    # between 1 + 4*sqrt(3) at (-4, -1) and 2 + 4*sqrt(3) at (-4, -2)
+    lower_left = ConeLabel(True, 1)
+    assert key_compare(lower_left, (-3, -3), (-4, -1)) > 0
+    assert key_compare(lower_left, (-3, -3), (-4, -2)) < 0
+    # (1, -4) is not in the upward cone, so it has no key there
+    assert cone_of(O, (1, -4)) != up
 
 
 def test_key_compare_orders_by_projection():
     lab = ConeLabel(True, 0)
-    near = projection_key(O, lab, (-1, 3))
-    far = projection_key(O, lab, (1, 4))
     assert key_compare(lab, (-1, 3), (1, 4)) < 0
-    assert near < far
+    assert key_compare(lab, (1, 4), (-1, 3)) > 0
 
 
 @given(points, points)

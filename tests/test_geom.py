@@ -8,8 +8,6 @@ from polyspanner.geom import (
     CCW,
     COLLINEAR,
     CW,
-    SQRT3,
-    ExactScalar,
     orient,
     point_in_polygon,
     polygon_signed_area2,
@@ -23,6 +21,7 @@ from polyspanner.geom import (
 from polyspanner.scene import Scene, validate
 
 from tests import reference_geom
+from tests.reference_per_edge import SQRT3, ExactScalar
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.tuples(coords, coords)

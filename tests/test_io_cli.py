@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,19 @@ class TestInstanceFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "number",
+        ['"1e99999999"', "1e99999999", '"-2.5E-99999999"', "1e-99999999",
+         "0." + "0" * 4300 + "1"],
+        ids=["string", "json", "string-negative", "json-negative", "digits"],
+    )
+    def test_parse_refuses_huge_exponents_quickly(self, number):
+        # Fraction would expand these into integers of 10**8 digits.
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            parse_instance(f'{{"vertices": [[0, 0], [{number}, 1]]}}')
+        assert time.perf_counter() - start < 0.5
 
     def test_parse_rejects_invalid_scene(self):
         # bowtie obstacle: parses structurally but fails validation
@@ -318,6 +332,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_verify_float_overflow_names_the_command(self, tmp_path, capsys):
+        # 1e400 is an exact coordinate, but no edge length can be a float.
+        src = tmp_path / "overflow.json"
+        src.write_text('{"vertices": [[0,0],[1e400,1],[2,7]]}')
+        assert main(["verify", "--in", str(src)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("verify: coordinate too large for a float")
 
     def test_gen_infeasible_is_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--n", "4", "--obstacles", "2",

@@ -2,7 +2,7 @@ from tests import reference_sequences
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
-from polyspanner.cones import ConeLabel, SubconeRef, subcone_of
+from polyspanner.cones import ConeIndex, ConeLabel, SubconeRef, subcone_of
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.spanners import (
     build_g10,
@@ -104,12 +104,15 @@ def test_canonical_sequences_match_reference():
     scenes = [load_scene(name) for name in FIXTURE_NAMES]
     scenes += [generate(cfg) for cfg in configs()[::7]]
     for scene in scenes:
-        ginf = build_g_infinity(scene)
+        index = ConeIndex(scene)
+        ginf = build_g_infinity(scene, None, index)
         thinned = Graph(
             scene.n, [e for j, e in enumerate(ginf.sorted_edges()) if j % 3]
         )
         for g in (ginf, thinned):
-            table = canonical_sequences(scene, g)
+            table = canonical_sequences(scene, g, index)
+            # one table per ginf edge set and index, shared on reuse
+            assert canonical_sequences(scene, Graph(g.n, g.edges), index) is table
             assert all(
                 (seq.apex, seq.subcone) == (ref.apex, ref)
                 for ref, seq in table.items()
