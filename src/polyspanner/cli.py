@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
-unreadable input.
+Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
+unreadable input, or a scene outside general position given to build
+or render --graph.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .cones import GeneralPositionError
 from .generator import GeneratorConfig, GeneratorError, generate
 from .io import ParseError, parse_edge_list, parse_instance, write_edge_list, write_instance
 from .scene import SceneError, check_general_position, perturb_by_rotation
@@ -55,10 +57,6 @@ def _cmd_build(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"build: {exc}", file=sys.stderr)
         return 2
-    gp = check_general_position(scene)
-    if not gp.ok:
-        print("build: scene is not in general position", file=sys.stderr)
-        return 2
     graph = build_all(scene)[0][args.graph]
     _write(args.out, write_edge_list(graph))
     return 0
@@ -97,10 +95,6 @@ def _cmd_render(args) -> int:
         return 2
     graph = None
     if args.graph is not None:
-        gp = check_general_position(scene)
-        if not gp.ok:
-            print("render: scene is not in general position", file=sys.stderr)
-            return 2
         graph = build_all(scene)[0][args.graph]
     _write(args.out, render_svg(scene, graph, title=args.infile))
     return 0
@@ -193,9 +187,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"{args.command}: coordinate too large for a float ({exc})", file=sys.stderr)
         return 2
-    except (SceneError, OSError) as exc:
+    except (GeneralPositionError, SceneError, OSError) as exc:
         # Inputs are read inside each command; an OSError that reaches
-        # here is an --out that cannot be written.
+        # here is an --out that cannot be written. build_all refuses a
+        # scene outside general position before any output is written.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

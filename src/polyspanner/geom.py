@@ -56,17 +56,6 @@ def orient(p, q, r) -> int:
     return sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
 
-def strictly_inside_segment(p, a, b) -> bool:
-    """True iff p lies on the open segment (a, b)."""
-    if orient(a, b, p) != COLLINEAR:
-        return False
-    if a[0] != b[0]:
-        lo, hi = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
-        return lo < p[0] < hi
-    lo, hi = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
-    return lo < p[1] < hi
-
-
 def _axis_interval_overlap_positive(a, b, c, d) -> bool:
     # All four points collinear; compare parameter intervals on the
     # axis where the common line actually extends.

@@ -10,7 +10,7 @@ predicates run on plain ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -52,6 +52,8 @@ class Scene:
         rings = []
         for ring in obstacles:
             idx = tuple(int(i) for i in ring)
+            if not idx:
+                raise SceneError(f"obstacle {len(rings)} is empty")
             for i in idx:
                 if not 0 <= i < n:
                     raise SceneError(f"obstacle index {i} out of range (n={n})")
@@ -98,9 +100,6 @@ class Scene:
     def n(self) -> int:
         return len(self.vertices)
 
-    def point(self, i: int):
-        return self.vertices[i]
-
     def ipoint(self, i: int):
         return self.ipoints[i]
 
@@ -109,9 +108,6 @@ class Scene:
 
     def ibbox(self, oi: int):
         return self._ibboxes[oi]
-
-    def memberships(self, vi: int) -> list:
-        return self._memberships.get(vi, [])
 
     def boundary_neighbors(self, vi: int) -> Optional[tuple]:
         """(prev, next) along the obstacle boundary through vi, if any."""

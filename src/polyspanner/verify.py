@@ -27,7 +27,6 @@ from .geom import (
     segments_properly_intersect,
     sign,
     sqrt3_sign,
-    strictly_inside_segment,
 )
 from .scene import Scene, check_general_position, validate
 from .spanners import GRAPH_NAMES, build_all, canonical_sequences, compute_charges
@@ -68,9 +67,6 @@ class StretchReport:
     witness_pair: Optional[tuple]
     sub_dist: np.ndarray = field(repr=False)
     base_dist: np.ndarray = field(repr=False)
-
-    def ratio(self, u: int, v: int) -> float:
-        return float(self.sub_dist[u, v] / self.base_dist[u, v])
 
     def within(self, bound: float) -> bool:
         return self.max_ratio <= bound * (1.0 + REL_TOL)
@@ -328,9 +324,6 @@ def _oracle_key(sector: int, dx, dy) -> tuple:
 def _oracle_visible(scene: Scene, u: int, v: int) -> bool:
     a = scene.ipoint(u)
     b = scene.ipoint(v)
-    for w in range(scene.n):
-        if w not in (u, v) and strictly_inside_segment(scene.ipoint(w), a, b):
-            return False
     for oi in range(len(scene.obstacles)):
         if segment_properly_intersects_polygon(a, b, scene.ipolygon(oi)):
             return False
@@ -370,7 +363,8 @@ def oracle_g_infinity(scene: Scene) -> Graph:
     """Brute-force restatement of the cone-spanner definition: per
     vertex, per positive subcone, the visible vertex with the smallest
     bisector projection. Shares only the exact predicates with the
-    builder."""
+    builder. Scenes outside general position are refused, so no vertex
+    lies inside another pair's segment and only obstacles can block."""
     report = check_general_position(scene)
     if not report.ok:
         raise ValueError("scene is not in general position")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .geom import segment_properly_intersects_polygon, strictly_inside_segment
+from .geom import segment_properly_intersects_polygon
 from .scene import Scene
 
 
@@ -72,18 +72,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def visible(scene: Scene, u: int, v: int) -> bool:
-    """True iff vertices u and v see each other."""
-    if u == v:
-        return False
-    a = scene.ipoint(u)
-    b = scene.ipoint(v)
-    for w in range(scene.n):
-        if w != u and w != v and strictly_inside_segment(scene.ipoint(w), a, b):
-            return False
-    return _clear_of_obstacles(scene, a, b)
 
 
 def _clear_of_obstacles(scene: Scene, a, b) -> bool:

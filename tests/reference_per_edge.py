@@ -190,9 +190,9 @@ def check_per_edge_bound_ginf(
     for u, v in vis.sorted_edges():
         ref = subcone_of(scene, u, v)
         apex, far = (u, v) if ref.label.positive else (v, u)
-        tri = canonical_triangle(scene.point(apex), scene.point(far))
+        tri = canonical_triangle(scene.vertices[apex], scene.vertices[far])
         (ax, ay), _, _, (mx, my) = tri.float_points()
-        fx, fy = (float(c) for c in scene.point(far))
+        fx, fy = (float(c) for c in scene.vertices[far])
         bis = (mx - ax, my - ay)
         seg = (fx - ax, fy - ay)
         dot = bis[0] * seg[0] + bis[1] * seg[1]

@@ -16,12 +16,12 @@ from polyspanner.geom import (
     segments_properly_intersect,
     sign,
     sqrt3_sign,
-    strictly_inside_segment,
 )
 from polyspanner.scene import Scene, validate
 
 from tests import reference_geom
 from tests.reference_per_edge import SQRT3, ExactScalar
+from tests.reference_visibility import strictly_inside_segment
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.tuples(coords, coords)

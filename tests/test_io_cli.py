@@ -25,15 +25,15 @@ class TestInstanceFormat:
     def test_parse_integer_coordinates(self):
         sc = parse_instance('{"vertices": [[0, 0], [3, -2], [1, 5]]}')
         assert sc.n == 3
-        assert sc.point(1) == (3, -2)
+        assert sc.vertices[1] == (3, -2)
 
     def test_parse_decimal_and_string_forms(self):
         sc = parse_instance(
             '{"vertices": [[0.5, "2.25"], ["1/3", 4], [9, 1]]}',
             require_valid=False,
         )
-        assert sc.point(0) == (Fraction(1, 2), Fraction(9, 4))
-        assert sc.point(1) == (Fraction(1, 3), Fraction(4))
+        assert sc.vertices[0] == (Fraction(1, 2), Fraction(9, 4))
+        assert sc.vertices[1] == (Fraction(1, 3), Fraction(4))
 
     def test_round_trip_preserves_scene(self, split_cones):
         assert parse_instance(write_instance(split_cones)) == split_cones
@@ -61,6 +61,7 @@ class TestInstanceFormat:
             '{"vertices": [[1, "x"]]}',
             '{"vertices": [[0, 0]], "obstacles": [[0, 1, 2]]}',
             '{"vertices": [[0, 0]], "obstacles": [["a"]]}',
+            '{"vertices": [[0, 0], [1, 2], [5, 1]], "obstacles": [[]]}',
             '{"vertices": [[0, 0]], "extra": 1}',
         ],
     )
@@ -285,6 +286,39 @@ class TestCli:
         assert main(["render", "--in", str(instance_file), "--graph", "ginf",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "argv", [["build", "--graph", "g7"], ["render", "--graph", "ginf"]],
+        ids=["build", "render"],
+    )
+    def test_scene_outside_general_position_is_usage_error(
+        self, tmp_path, capsys, argv
+    ):
+        src = tmp_path / "col.json"
+        src.write_text('{"vertices": [[0, 0], [1, 1], [2, 2], [5, 0]]}')
+        assert main(argv + ["--in", str(src), "--out", "-"]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "Traceback" not in stderr
+        (line,) = stderr.splitlines()
+        assert line.startswith(f"{argv[0]}: ")
+        assert "not in general position" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["build", "--graph", "vis", "--out", "-"],
+         ["render", "--out", "-"], ["perturb", "--out", "-"]],
+        ids=["verify", "build", "render", "perturb"],
+    )
+    def test_empty_obstacle_ring_is_usage_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "empty-ring.json"
+        src.write_text('{"vertices": [[0,0],[1,2],[5,1]], "obstacles": [[]]}')
+        assert main(argv + ["--in", str(src)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "Traceback" not in stderr
+        (line,) = stderr.splitlines()
+        assert line == f"{argv[0]}: obstacle 0 is empty"
 
     def test_perturb_restores_general_position(self, tmp_path):
         src = tmp_path / "flat.json"

@@ -109,7 +109,7 @@ def test_perturb_by_rotation_is_isometry():
     sc = Scene([(0, 0), (5, 0), (2, 3)])
 
     def d2(s, i, j):
-        (x1, y1), (x2, y2) = s.point(i), s.point(j)
+        (x1, y1), (x2, y2) = s.vertices[i], s.vertices[j]
         return (x1 - x2) ** 2 + (y1 - y2) ** 2
 
     rot = perturb_by_rotation(sc, 2)

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests import reference_per_edge, reference_planarity
+from tests import reference_per_edge, reference_planarity, reference_visibility
 from tests.conftest import load_scene
+from tests.test_acceptance import FIXTURE_NAMES, configs
 
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.scene import Scene
+from polyspanner.scene import Scene, check_general_position
 from polyspanner.spanners import build_g15, build_g_infinity
 from polyspanner.verify import (
     REL_TOL,
+    _oracle_visible,
     check_canonical_paths,
     check_empty_triangles,
     check_per_edge_bound_ginf,
@@ -270,6 +272,30 @@ def test_oracle_matches_builder_on_fixtures(micro3, split_cones, nonconvex):
     for scene in (micro3, split_cones, nonconvex):
         ginf = build_g_infinity(scene)
         assert oracle_g_infinity(scene) == ginf
+
+
+def test_oracle_visibility_matches_reference():
+    # The oracle tests obstacles only; on scenes in general position
+    # that must equal the full pairwise predicate with its vertex scan.
+    scenes = [load_scene(name) for name in FIXTURE_NAMES]
+    scenes += [generate(cfg) for cfg in configs()[::7]]
+    for scene in scenes:
+        assert check_general_position(scene).ok
+        for u in range(scene.n):
+            for v in range(scene.n):
+                if u != v:
+                    want = reference_visibility.visible(scene, u, v)
+                    assert _oracle_visible(scene, u, v) == want, (u, v)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[(0, 0), (2, 1), (4, 2), (1, 5)], [(0, 0), (5, 0), (2, 7)]],
+    ids=["collinear-triple", "boundary-parallel-pair"],
+)
+def test_oracle_refuses_scene_outside_general_position(vertices):
+    with pytest.raises(ValueError, match="not in general position"):
+        oracle_g_infinity(Scene(vertices))
 
 
 def test_run_verification_all_pass(split_cones):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyspanner.scene import Scene
-from polyspanner.visibility import Graph, visibility_graph, visible
+from polyspanner.visibility import Graph, visibility_graph
+
+from tests.reference_visibility import visible
 
 
 class TestGraph:
