@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 unreadable input, or a scene outside general position given to build
-or render --graph.
+or render --graph with any graph but vis.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .scene import SceneError, check_general_position, perturb_by_rotation
 from .spanners import GRAPH_NAMES, build_all
 from .svg import render_svg
 from .verify import run_verification
+from .visibility import visibility_graph
 
 
 def _read(path: str) -> str:
@@ -32,6 +33,14 @@ def _write(path: str, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _build(scene, name: str):
+    """One named graph. vis is exact on any input; the others go through
+    build_all, which refuses a scene outside general position."""
+    if name == "vis":
+        return visibility_graph(scene)
+    return build_all(scene)[0][name]
 
 
 def _cmd_gen(args) -> int:
@@ -57,8 +66,7 @@ def _cmd_build(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"build: {exc}", file=sys.stderr)
         return 2
-    graph = build_all(scene)[0][args.graph]
-    _write(args.out, write_edge_list(graph))
+    _write(args.out, write_edge_list(_build(scene, args.graph)))
     return 0
 
 
@@ -95,7 +103,7 @@ def _cmd_render(args) -> int:
         return 2
     graph = None
     if args.graph is not None:
-        graph = build_all(scene)[0][args.graph]
+        graph = _build(scene, args.graph)
     _write(args.out, render_svg(scene, graph, title=args.infile))
     return 0
 
@@ -107,10 +115,10 @@ def _cmd_perturb(args) -> int:
         print(f"perturb: {exc}", file=sys.stderr)
         return 2
     report = check_general_position(scene)
-    if report.collinear_violations:
+    if report.collinear_count:
         print(
             "perturb: collinear triples cannot be fixed by rotation; "
-            f"first: {report.collinear_violations[0]}",
+            f"first: {report.first_collinear}",
             file=sys.stderr,
         )
         return 2

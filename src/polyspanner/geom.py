@@ -148,15 +148,20 @@ def point_in_polygon(p, poly) -> int:
 def segment_properly_intersects_polygon(a, b, poly) -> bool:
     """True iff the open segment (a, b) meets the open interior of the
     simple counterclockwise ring poly; touching the boundary does not
-    count. Decided from orientation signs alone: True exactly when ab
+    count. Decided from orientation signs alone, in one pass over the
+    ring: True exactly when ab
     - properly crosses an edge;
     - passes through a corner, or leaves an endpoint that is a corner,
       strictly into the interior wedge there (d_next counterclockwise
       to d_prev, as in ``cones.obstacle_wedge``);
     - leaves an endpoint in an edge's relative interior to the interior
       (left) side;
-    - starts strictly inside, at a. (If only b is inside, ab reaches b
-      through the boundary, where a case above holds.)
+    - starts strictly inside, at a: an odd number of edges cross the ray
+      from a through b strictly ahead of a, with corners on line ab
+      counted right of it, and a lies on no edge. (If only b is inside,
+      ab reaches b through the boundary, where a case above holds.)
+    Every corner is read, so callers first skip a ring whose bounding box
+    misses the segment's, as ``visibility`` and ``verify`` do.
     """
     ax, ay = a[0], a[1]
     dx, dy = b[0] - ax, b[1] - ay
@@ -166,6 +171,7 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
     sides = [dx * (p[1] - ay) - dy * (p[0] - ax) for p in poly]
     length2 = dx * dx + dy * dy
     k = len(poly)
+    inside = on_boundary = False
     for i, c in enumerate(poly):
         s, s_prev, s_next = sides[i], sides[i - 1], sides[(i + 1) % k]
         nxt = poly[(i + 1) % k]
@@ -180,6 +186,14 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
                 forward, backward = s_next < 0 < s_prev, s_prev < 0 < s_next
             if forward and 0 <= t < length2 or backward and 0 < t <= length2:
                 return True
+            if t == 0:
+                on_boundary = True  # a is this corner
+            elif s_next > 0:
+                inside ^= t > 0  # the edge leaves the line at c
+            elif s_next == 0:
+                # The edge runs along line ab; a is on it iff its ends
+                # lie on both sides of a.
+                on_boundary |= t * ((nxt[0] - ax) * dx + (nxt[1] - ay) * dy) < 0
         elif s * s_next < 0:
             # The edge crosses line ab. True if it crosses strictly inside
             # ab, or at an endpoint that ab leaves to the edge's interior
@@ -189,4 +203,12 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
             ob = ex * (b[1] - c[1]) - ey * (b[0] - c[0])
             if oa * ob < 0 or oa == 0 and s > 0 or ob == 0 and s < 0:
                 return True
-    return point_in_polygon(a, poly) > 0
+            # The crossing lies ahead of a iff oa and s differ in sign.
+            # It is at a iff oa == 0; then s < 0, so ab leaves a to the
+            # exterior and the crossings ahead are those of an outside
+            # point: even, with no flag needed.
+            inside ^= oa * s < 0
+        elif s_next == 0 and s > 0:
+            # The edge reaches the line at nxt, which counts as right.
+            inside ^= (nxt[0] - ax) * dx + (nxt[1] - ay) * dy > 0
+    return inside and not on_boundary

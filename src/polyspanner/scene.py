@@ -305,16 +305,19 @@ def _bboxes_disjoint(a, b) -> bool:
 @dataclass(frozen=True)
 class GeneralPositionReport:
     parallel_violations: tuple  # pairs (i, j) on a cone-boundary slope
-    collinear_violations: tuple  # triples (i, j, k)
+    collinear_count: int  # collinear triples i < j < k
+    first_collinear: Optional[tuple]  # the first such (i, j, k), or None
 
     @property
     def ok(self) -> bool:
-        return not self.parallel_violations and not self.collinear_violations
+        return not self.parallel_violations and not self.collinear_count
 
 
 def check_general_position(scene: Scene) -> GeneralPositionReport:
-    """Flag vertex pairs on lines of slope {0, +sqrt3, -sqrt3} and
-    collinear vertex triples. All tests are exact."""
+    """Flag vertex pairs on lines of slope {0, +sqrt3, -sqrt3} and count
+    collinear vertex triples, keeping the first. All tests are exact.
+    Triples are counted per apex and direction, never listed, so even
+    collinear input takes O(n^2) time."""
     pts = scene.ipoints
     n = len(pts)
     parallel = []
@@ -328,7 +331,7 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
             if dy == 0 or dy * dy == 3 * dx * dx:
                 parallel.append((i, j))
 
-    collinear = []
+    count, first = 0, None
     for i in range(n):
         xi, yi = pts[i]
         by_dir: dict[tuple, list] = {}
@@ -343,12 +346,15 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
             if dx < 0 or (dx == 0 and dy < 0):
                 dx, dy = -dx, -dy
             by_dir.setdefault((dx, dy), []).append(j)
+        # Each pair of later points on one line through i is a triple.
         for members in by_dir.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    collinear.append((i, members[a], members[b]))
+            m = len(members)
+            if m > 1:
+                count += m * (m - 1) // 2
+                if first is None:
+                    first = (i, members[0], members[1])
 
-    return GeneralPositionReport(tuple(parallel), tuple(collinear))
+    return GeneralPositionReport(tuple(parallel), count, first)
 
 
 # --- perturbation ------------------------------------------------------------

@@ -59,7 +59,7 @@ def _require_general_position(scene: Scene) -> None:
         raise GeneralPositionError(
             f"scene is not in general position: "
             f"{len(report.parallel_violations)} boundary-parallel pair(s), "
-            f"{len(report.collinear_violations)} collinear triple(s)"
+            f"{report.collinear_count} collinear triple(s)"
         )
 
 

@@ -181,6 +181,13 @@ def test_polygon_predicate_matches_reference(case):
         SQUARE,
         [(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)],  # reflex notch at (2, 1)
         [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (0, 4)],  # straight corners
+        # comb: convex tips on y = 4, reflex roots on y = 2, each tooth's
+        # tip and root on one vertical line
+        [(0, 0), (5, 0), (5, 4), (4, 4), (4, 2), (3, 2), (3, 4), (2, 4),
+         (2, 2), (1, 2), (1, 4), (0, 4)],
+        # L: straight corners (2, 0) and (0, 2) on the lines x = 2 and
+        # y = 2 through the reflex corner (2, 2)
+        [(0, 0), (2, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4), (0, 2)],
     ],
 )
 def test_polygon_predicate_matches_reference_exhaustively(poly):

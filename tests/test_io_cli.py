@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tests.conftest import fixture_text, load_scene
+from tests.reference_visibility import visible
 
 from polyspanner.cli import main
 from polyspanner.generator import GeneratorConfig, GeneratorError, generate
@@ -303,6 +304,25 @@ class TestCli:
         (line,) = stderr.splitlines()
         assert line.startswith(f"{argv[0]}: ")
         assert "not in general position" in line
+
+    def test_vis_needs_no_general_position(self, tmp_path, capsys):
+        # vis is exact on any input; the cone graphs still refuse.
+        text = '{"vertices": [[0, 0], [1, 1], [2, 2], [5, 0]]}'
+        src = tmp_path / "col.json"
+        src.write_text(text)
+        assert main(["build", "--graph", "vis", "--in", str(src), "--out", "-"]) == 0
+        stdout, stderr = capsys.readouterr()
+        scene = parse_instance(text)
+        pairs = {(u, v) for u in range(4) for v in range(u + 1, 4) if visible(scene, u, v)}
+        assert parse_edge_list(stdout).edges == pairs
+        assert (0, 2) not in pairs and stderr == ""
+        assert main(["render", "--graph", "vis", "--in", str(src), "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("<svg")
+        assert main(["build", "--graph", "ginf", "--in", str(src), "--out", "-"]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        assert line.startswith("build: ") and "not in general position" in line
 
     @pytest.mark.parametrize(
         "argv",

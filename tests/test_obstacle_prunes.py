@@ -1,0 +1,108 @@
+"""The obstacle tests stay one pass each, behind exact box prunes.
+
+Counters replace the names that ``geom``, ``visibility`` and ``verify``
+call, so bringing back the kernel's point-in-polygon fall-through or
+dropping a box prune fails here, although every output would stay the
+same.
+"""
+
+import pytest
+
+from tests.conftest import load_scene
+
+from polyspanner import geom, verify, visibility
+from polyspanner.spanners import build_g_infinity
+from polyspanner.verify import check_empty_triangles, oracle_g_infinity
+from polyspanner.visibility import visibility_graph
+
+FIXTURES = ["nonconvex.json", "split_cones.json"]
+
+
+def _box(points):
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _counted(monkeypatch, module, name, check):
+    """Replace module.name by a wrapper that asserts check(*args) and
+    counts calls; returns the list of calls."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapper(*args):
+        assert check(*args), (name, args)
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _closed_boxes_meet(a, b, poly):
+    x0, y0, x1, y1 = _box([a, b])
+    px0, py0, px1, py1 = _box(poly)
+    return x0 <= px1 and px0 <= x1 and y0 <= py1 and py0 <= y1
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kernel_decides_inside_without_point_in_polygon(name, monkeypatch):
+    scene = load_scene(name)
+    rings = [scene.ipolygon(oi) for oi in range(len(scene.obstacles))]
+    # Every vertex as a, and midpoints of corner pairs strictly inside
+    # the ring, where the kernel's own parity decides the answer.
+    starts = []
+    for poly in rings:
+        mids = [((c[0] + d[0]) // 2, (c[1] + d[1]) // 2) for c in poly for d in poly]
+        inner = [m for m in mids if geom.point_in_polygon(m, poly) > 0]
+        assert inner
+        starts.append(list(scene.ipoints) + inner)
+    _counted(monkeypatch, geom, "point_in_polygon", lambda p, poly: False)
+    for poly, ends in zip(rings, starts):
+        for a in ends:
+            for b in scene.ipoints:
+                geom.segment_properly_intersects_polygon(a, b, poly)
+    visibility_graph(scene)
+    oracle_g_infinity(scene)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize(
+    "module, run",
+    [(verify, oracle_g_infinity), (visibility, visibility_graph)],
+    ids=["oracle", "vis"],
+)
+def test_segment_tests_only_where_boxes_meet(name, module, run, monkeypatch):
+    scene = load_scene(name)
+    calls = _counted(
+        monkeypatch, module, "segment_properly_intersects_polygon", _closed_boxes_meet
+    )
+    run(scene)
+    # Each unordered pair meets each obstacle at most once, and on both
+    # fixtures some pair's box misses some obstacle's box.
+    pairs = scene.n * (scene.n - 1) // 2
+    assert 0 < len(calls) < pairs * len(scene.obstacles)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_empty_triangles_test_only_inside_the_box(name, monkeypatch):
+    scene = load_scene(name)
+
+    def strictly_inside_box(p, tri):
+        x0, y0, x1, y1 = _box(tri)
+        return x0 < p[0] < x1 and y0 < p[1] < y1
+
+    def reaches_open_box(a, b, tri):
+        x0, y0, x1, y1 = _box(tri)
+        ex0, ey0, ex1, ey1 = _box([a, b])
+        return ex1 > x0 and ex0 < x1 and ey1 > y0 and ey0 < y1
+
+    points = _counted(monkeypatch, verify, "point_in_polygon", strictly_inside_box)
+    edges = _counted(
+        monkeypatch, verify, "segment_properly_intersects_polygon", reaches_open_box
+    )
+    vis = visibility_graph(scene)
+    check_empty_triangles(scene, build_g_infinity(scene, vis))
+    # vis as ginf spans triangles whose boxes hold vertices.
+    check_empty_triangles(scene, vis)
+    assert points and edges

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,7 +100,21 @@ def test_general_position_flags_horizontal_pair():
 def test_general_position_flags_collinear_triple():
     rep = check_general_position(Scene([(0, 0), (2, 2), (4, 4), (1, 7)]))
     assert not rep.ok
-    assert (0, 1, 2) in rep.collinear_violations
+    assert rep.first_collinear == (0, 1, 2)
+    assert rep.collinear_count == 1
+
+
+def test_general_position_counts_triples_without_listing_them():
+    scene = Scene([(i, 2 * i + 1) for i in range(200)])
+    tracemalloc.start()
+    try:
+        rep = check_general_position(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.collinear_count == math.comb(200, 3) == 1_313_400
+    assert rep.first_collinear == (0, 1, 2)
+    assert peak < 5_000_000
 
 
 def test_general_position_clean(split_cones):

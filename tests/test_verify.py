@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests import reference_per_edge, reference_planarity, reference_visibility
+from tests import (
+    reference_empty_triangles,
+    reference_per_edge,
+    reference_planarity,
+    reference_visibility,
+)
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
@@ -251,6 +256,27 @@ def test_empty_triangle_checker_positive(split_cones):
     vis = visibility_graph(split_cones)
     ginf = build_g_infinity(split_cones, vis)
     assert check_empty_triangles(split_cones, ginf).ok
+
+
+def test_empty_triangles_match_reference():
+    # Honest ginf on the fixtures and every seventh acceptance scene, then
+    # a random half of vis as ginf, which puts vertices and obstacle edges
+    # into canonical triangles: witnesses must agree, order included.
+    kinds = []
+    for scene in [load_scene(name) for name in FIXTURE_NAMES] + [
+        generate(cfg) for cfg in configs()[::7]
+    ]:
+        ginf = build_g_infinity(scene)
+        want = reference_empty_triangles.check_empty_triangles(scene, ginf)
+        assert check_empty_triangles(scene, ginf).witnesses == want.witnesses
+    for seed in range(20):
+        scene = generate(GeneratorConfig(n_points=22, n_obstacles=3, seed=400 + seed))
+        vis = visibility_graph(scene).sorted_edges()
+        ginf = Graph(scene.n, random.Random(seed).sample(vis, len(vis) // 2))
+        want = reference_empty_triangles.check_empty_triangles(scene, ginf)
+        assert check_empty_triangles(scene, ginf).witnesses == want.witnesses
+        kinds += [w[3] for w in want.witnesses]
+    assert kinds.count("vertex") > 100 and kinds.count("obstacle-edge") > 100
 
 
 def test_canonical_path_checker_negative_control():
