@@ -16,9 +16,9 @@ separate "subcones" (side "right" before the wedge in ccw order, side
 A run classifies each directed pair once: ``ConeIndex`` memoises every
 vertex's split label, the subcone of each (apex, p) pair and the
 subcone lists, and holds the canonical-sequence table of each distinct
-``ginf`` (filled by ``spanners.canonical_sequences``). One index is
-made per run and passed along; ``subcone_of`` and ``subcones`` are the
-one-shot forms over a fresh index.
+``ginf`` (filled by ``spanners.canonical_sequences``). Subcone
+membership has no other entry: one index is made per run and passed
+along.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class GeneralPositionError(ValueError):
 class ConeLabel:
     positive: bool
     index: int  # 0, 1 or 2
-
-    def opposite(self) -> "ConeLabel":
-        return ConeLabel(not self.positive, self.index)
 
     def __str__(self) -> str:
         return f"C{self.index}{'+' if self.positive else '-'}"
@@ -97,11 +94,6 @@ def direction_sector(dx, dy) -> int:
     return 4 if c2 > 0 else 5
 
 
-def cone_of(apex, p) -> ConeLabel:
-    """Cone of apex containing p. Raises on boundary directions."""
-    return _SECTOR_LABEL[direction_sector(p[0] - apex[0], p[1] - apex[1])]
-
-
 def _key_parts(label: ConeLabel, dx, dy):
     """Rational pair (a, b) with doubled bisector projection a + b*sqrt3."""
     if label.positive:
@@ -135,9 +127,9 @@ def obstacle_wedge(scene, vi: int):
     if nb is None:
         return None
     prev_i, next_i = nb
-    px, py = scene.ipoint(vi)
-    nx, ny = scene.ipoint(next_i)
-    qx, qy = scene.ipoint(prev_i)
+    px, py = scene.ipoints[vi]
+    nx, ny = scene.ipoints[next_i]
+    qx, qy = scene.ipoints[prev_i]
     return (nx - px, ny - py), (qx - px, qy - py)
 
 
@@ -173,8 +165,8 @@ class ConeIndex:
     edge set to its read-only canonical-sequence table. Make one index
     per run and pass it to every step; never keep it on a ``Scene`` or
     at module level, where its memo would outlive the run that paid for
-    it. A computation that raises is not memoised, so every call raises
-    what the one-shot functions raise.
+    it. A computation that raises is not memoised, so a repeated call
+    raises again.
     """
 
     def __init__(self, scene):
@@ -214,8 +206,8 @@ class ConeIndex:
 
     def _classify(self, apex: int, p: int) -> SubconeRef:
         scene = self.scene
-        ax, ay = scene.ipoint(apex)
-        px, py = scene.ipoint(p)
+        ax, ay = scene.ipoints[apex]
+        px, py = scene.ipoints[p]
         dx, dy = px - ax, py - ay
         label = _SECTOR_LABEL[direction_sector(dx, dy)]
         if self.split_label(apex) != label:
@@ -247,25 +239,16 @@ class ConeIndex:
         return self._subcones[key]
 
 
-def subcone_of(scene, apex: int, p: int) -> SubconeRef:
-    """One-shot ``ConeIndex.subcone_of``."""
-    return ConeIndex(scene).subcone_of(apex, p)
-
-
-def subcones(scene, apex: int, positive: bool) -> list:
-    """One-shot ``ConeIndex.subcones``."""
-    return list(ConeIndex(scene).subcones(apex, positive))
-
-
 def ccw_sorted(scene, apex: int, members: Iterable[int]) -> list:
     """Vertices sorted counterclockwise around apex; valid within one
     cone (angular extent below pi), where the cross product is a strict
     total order for scenes in general position."""
-    ax, ay = scene.ipoint(apex)
+    pts = scene.ipoints
+    ax, ay = pts[apex]
 
     def cmp(u: int, v: int) -> int:
-        ux, uy = scene.ipoint(u)
-        vx, vy = scene.ipoint(v)
+        ux, uy = pts[u]
+        vx, vy = pts[v]
         return -sign(cross(ux - ax, uy - ay, vx - ax, vy - ay))
 
     return sorted(members, key=cmp_to_key(cmp))

@@ -11,10 +11,9 @@ decides the sign of a + b*sqrt(3) exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
-Point = Sequence  # (x, y) with exact rational entries
 
 CCW = 1
 COLLINEAR = 0

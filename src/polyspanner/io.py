@@ -58,7 +58,9 @@ def _coordinate(value, where: str) -> Fraction:
     raise ParseError(f"{where}: bad coordinate type {type(value).__name__}")
 
 
-def parse_instance(text: str, require_valid: bool = True) -> Scene:
+def parse_instance(text: str) -> Scene:
+    """The scene of an instance document; a scene that fails
+    ``validate`` raises ParseError naming its first violations."""
     try:
         doc = json.loads(text, parse_float=_fraction)
     except ParseError:
@@ -99,11 +101,10 @@ def parse_instance(text: str, require_valid: bool = True) -> Scene:
         scene = Scene(vertices, obstacles)
     except SceneError as exc:
         raise ParseError(str(exc))
-    if require_valid:
-        res = validate(scene)
-        if not res.ok:
-            head = "; ".join(v.detail for v in res.violations[:3])
-            raise ParseError(f"scene failed validation: {head}")
+    res = validate(scene)
+    if not res.ok:
+        head = "; ".join(v.detail for v in res.violations[:3])
+        raise ParseError(f"scene failed validation: {head}")
     return scene
 
 

@@ -2,9 +2,11 @@
 
 A scene is a list of exact rational vertices plus obstacles given as
 index rings. Obstacle corners are ordinary vertices; rings are
-normalized to counterclockwise at construction. Internally every vertex
-also gets integer coordinates on a common denominator so the hot
-predicates run on plain ints.
+normalized to counterclockwise at construction. Every vertex also gets
+integer coordinates on a common denominator so the hot predicates run
+on plain ints: ``ipoints[i]`` is vertex i, ``ipolygons[oi]`` the corner
+points of obstacle oi and ``ibboxes[oi]`` its box (x0, y0, x1, y1).
+These tuples are the one spelling of the scene's integer geometry.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ class Scene:
         "obstacles",
         "scale",
         "ipoints",
-        "_memberships",
+        "ipolygons",
+        "ibboxes",
         "_boundary_prev_next",
-        "_ipolygons",
-        "_ibboxes",
     )
 
     def __init__(self, vertices: Sequence, obstacles: Sequence = ()):
@@ -72,26 +73,23 @@ class Scene:
             (int(x * denom), int(y * denom)) for x, y in self.vertices
         )
 
-        memberships: dict[int, list] = {}
         prev_next: dict[int, tuple] = {}
-        for oi, ring in enumerate(self.obstacles):
+        for ring in self.obstacles:
             k = len(ring)
             for pos, vi in enumerate(ring):
-                memberships.setdefault(vi, []).append((oi, pos))
                 prev_next.setdefault(vi, (ring[pos - 1], ring[(pos + 1) % k]))
-        self._memberships = memberships
         self._boundary_prev_next = prev_next
-        self._ipolygons = tuple(
+        self.ipolygons = tuple(
             tuple(self.ipoints[i] for i in ring) for ring in self.obstacles
         )
-        self._ibboxes = tuple(
+        self.ibboxes = tuple(
             (
                 min(p[0] for p in poly),
                 min(p[1] for p in poly),
                 max(p[0] for p in poly),
                 max(p[1] for p in poly),
             )
-            for poly in self._ipolygons
+            for poly in self.ipolygons
         )
 
     # -- basic accessors -----------------------------------------------
@@ -99,15 +97,6 @@ class Scene:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def ipoint(self, i: int):
-        return self.ipoints[i]
-
-    def ipolygon(self, oi: int):
-        return self._ipolygons[oi]
-
-    def ibbox(self, oi: int):
-        return self._ibboxes[oi]
 
     def boundary_neighbors(self, vi: int) -> Optional[tuple]:
         """(prev, next) along the obstacle boundary through vi, if any."""
@@ -182,11 +171,11 @@ def validate(scene: Scene) -> ValidationResult:
             continue
         out.extend(_simplicity_violations(scene, oi))
 
-    shared: dict[int, list] = {}
-    for vi, mem in scene._memberships.items():
-        obs = sorted({oi for oi, _ in mem})
-        if len(obs) > 1:
-            shared[vi] = obs
+    owners: dict[int, set] = {}
+    for oi, ring in enumerate(scene.obstacles):
+        for vi in ring:
+            owners.setdefault(vi, set()).add(oi)
+    shared = {vi: sorted(obs) for vi, obs in owners.items() if len(obs) > 1}
     for vi, obs in sorted(shared.items()):
         out.append(
             Violation(
@@ -196,7 +185,7 @@ def validate(scene: Scene) -> ValidationResult:
             )
         )
 
-    out.extend(_disjointness_violations(scene, shared))
+    out.extend(_disjointness_violations(scene))
     out.extend(_containment_violations(scene))
     return ValidationResult(tuple(out))
 
@@ -204,7 +193,7 @@ def validate(scene: Scene) -> ValidationResult:
 def _simplicity_violations(scene: Scene, oi: int):
     ring = scene.obstacles[oi]
     k = len(ring)
-    pts = [scene.ipoint(i) for i in ring]
+    pts = scene.ipolygons[oi]
     out = []
     for i in range(k):
         a, b = pts[i], pts[(i + 1) % k]
@@ -236,18 +225,18 @@ def _simplicity_violations(scene: Scene, oi: int):
     return out
 
 
-def _disjointness_violations(scene: Scene, shared: dict):
+def _disjointness_violations(scene: Scene):
     out = []
     m = len(scene.obstacles)
     for oa in range(m):
         for ob in range(oa + 1, m):
-            if _bboxes_disjoint(scene.ibbox(oa), scene.ibbox(ob)):
+            if _bboxes_disjoint(scene.ibboxes[oa], scene.ibboxes[ob]):
                 continue
             ra, rb = scene.obstacles[oa], scene.obstacles[ob]
             if set(ra) & set(rb):
                 continue  # already reported as shared-vertex
             hit = False
-            pa, pb = scene.ipolygon(oa), scene.ipolygon(ob)
+            pa, pb = scene.ipolygons[oa], scene.ipolygons[ob]
             for i in range(len(ra)):
                 a, b = pa[i], pa[(i + 1) % len(ra)]
                 for j in range(len(rb)):
@@ -276,12 +265,12 @@ def _containment_violations(scene: Scene):
     out = []
     for oi in range(len(scene.obstacles)):
         ring = set(scene.obstacles[oi])
-        poly = scene.ipolygon(oi)
-        bx0, by0, bx1, by1 = scene.ibbox(oi)
+        poly = scene.ipolygons[oi]
+        bx0, by0, bx1, by1 = scene.ibboxes[oi]
         for vi in range(scene.n):
             if vi in ring:
                 continue
-            x, y = scene.ipoint(vi)
+            x, y = scene.ipoints[vi]
             if not (bx0 <= x <= bx1 and by0 <= y <= by1):
                 continue
             if point_in_polygon((x, y), poly) > 0:
@@ -304,33 +293,26 @@ def _bboxes_disjoint(a, b) -> bool:
 
 @dataclass(frozen=True)
 class GeneralPositionReport:
-    parallel_violations: tuple  # pairs (i, j) on a cone-boundary slope
+    parallel_count: int  # pairs i < j on a cone-boundary slope
+    first_parallel: Optional[tuple]  # the first such (i, j), or None
     collinear_count: int  # collinear triples i < j < k
     first_collinear: Optional[tuple]  # the first such (i, j, k), or None
 
     @property
     def ok(self) -> bool:
-        return not self.parallel_violations and not self.collinear_count
+        return not self.parallel_count and not self.collinear_count
 
 
 def check_general_position(scene: Scene) -> GeneralPositionReport:
-    """Flag vertex pairs on lines of slope {0, +sqrt3, -sqrt3} and count
-    collinear vertex triples, keeping the first. All tests are exact.
+    """Count vertex pairs on lines of slope {0, +sqrt3, -sqrt3} and
+    collinear vertex triples, keeping the first of each. All tests are
+    exact, and one pass over the pairs decides both. An integer offset
+    (dx, dy) never has slope +-sqrt3, so only dy == 0 can flag a pair.
     Triples are counted per apex and direction, never listed, so even
     collinear input takes O(n^2) time."""
     pts = scene.ipoints
     n = len(pts)
-    parallel = []
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            dx = pts[j][0] - xi
-            dy = pts[j][1] - yi
-            # dy*dy == 3*dx*dx has no nonzero rational solutions but the
-            # test keeps the predicate honest for any exact input.
-            if dy == 0 or dy * dy == 3 * dx * dx:
-                parallel.append((i, j))
-
+    parallel, first_pair = 0, None
     count, first = 0, None
     for i in range(n):
         xi, yi = pts[i]
@@ -338,6 +320,10 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
         for j in range(i + 1, n):
             dx = pts[j][0] - xi
             dy = pts[j][1] - yi
+            if dy == 0:
+                parallel += 1
+                if first_pair is None:
+                    first_pair = (i, j)
             g = math.gcd(dx, dy)
             if g == 0:
                 continue  # duplicate point; reported by validate
@@ -354,7 +340,7 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
                 if first is None:
                     first = (i, members[0], members[1])
 
-    return GeneralPositionReport(tuple(parallel), count, first)
+    return GeneralPositionReport(parallel, first_pair, count, first)
 
 
 # --- perturbation ------------------------------------------------------------

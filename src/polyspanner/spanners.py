@@ -58,7 +58,7 @@ def _require_general_position(scene: Scene) -> None:
     if not report.ok:
         raise GeneralPositionError(
             f"scene is not in general position: "
-            f"{len(report.parallel_violations)} boundary-parallel pair(s), "
+            f"{report.parallel_count} boundary-parallel pair(s), "
             f"{report.collinear_count} collinear triple(s)"
         )
 
@@ -68,11 +68,12 @@ def _edge(u: int, v: int) -> tuple:
 
 
 def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
-    ax, ay = scene.ipoint(apex)
+    pts = scene.ipoints
+    ax, ay = pts[apex]
     best = None
     best_d = None
     for v in members:
-        vx, vy = scene.ipoint(v)
+        vx, vy = pts[v]
         d = (vx - ax, vy - ay)
         if best is None or key_compare(label, d, best_d) < 0:
             best = v
@@ -192,12 +193,10 @@ class Charge:
 
 
 class ChargeLedger:
-    """Charges grouped by the subcone that pays for them, plus the
-    read-only canonical-sequence table they were computed from."""
+    """Charges grouped by the subcone that pays for them."""
 
     def __init__(self):
         self.by_subcone: dict[SubconeRef, list] = {}
-        self.table: Mapping = {}
 
     def add(self, ref: SubconeRef, charge: Charge) -> None:
         self.by_subcone.setdefault(ref, []).append(charge)
@@ -264,8 +263,7 @@ def compute_charges(
     """
     index = ConeIndex.of(scene, index)
     ledger = ChargeLedger()
-    ledger.table = canonical_sequences(scene, ginf, index)
-    for seq in ledger.table.values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         u = seq.apex
         j = seq.subcone.label.index
         e = _edge(u, seq.closest)
@@ -344,7 +342,7 @@ def g7_transform(
     current after each application."""
     index = ConeIndex.of(scene, index)
     ledger = compute_charges(scene, ginf, index)
-    table = ledger.table
+    table = canonical_sequences(scene, ginf, index)
 
     def closest_in_own_subcone(apex: int, member: int) -> bool:
         seq = table.get(index.subcone_of(apex, member))

@@ -10,7 +10,7 @@ this package targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .geom import (
 )
 from .scene import Scene, check_general_position, validate
 from .spanners import GRAPH_NAMES, build_all, canonical_sequences, compute_charges
-from .visibility import Graph, visibility_graph
+from .visibility import Graph
 
 REL_TOL = 1e-9
 
@@ -65,8 +65,6 @@ def distance_matrix(scene: Scene, g: Graph) -> np.ndarray:
 class StretchReport:
     max_ratio: float
     witness_pair: Optional[tuple]
-    sub_dist: np.ndarray = field(repr=False)
-    base_dist: np.ndarray = field(repr=False)
 
     def within(self, bound: float) -> bool:
         return self.max_ratio <= bound * (1.0 + REL_TOL)
@@ -76,34 +74,29 @@ def stretch_factor(
     scene: Scene,
     sub: Graph,
     base: Graph,
-    sub_dist: Optional[np.ndarray] = None,
-    base_dist: Optional[np.ndarray] = None,
+    sub_dist: np.ndarray,
+    base_dist: np.ndarray,
 ) -> StretchReport:
-    """Largest d_sub(x,y) / d_base(x,y) over pairs connected in base.
+    """Largest d_sub(x,y) / d_base(x,y) over pairs connected in base,
+    read from the two graphs' ``distance_matrix``.
 
     A pair disconnected in sub but connected in base yields an infinite
-    ratio. Precomputed distance matrices may be passed in.
+    ratio.
     """
     if sub.n != scene.n or base.n != scene.n:
         raise ValueError("graphs must share the scene's vertex set")
-    if sub_dist is None:
-        sub_dist = distance_matrix(scene, sub)
-    if base_dist is None:
-        base_dist = distance_matrix(scene, base)
     n = scene.n
     if n < 2:
-        return StretchReport(1.0, None, sub_dist, base_dist)
+        return StretchReport(1.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         comparable = np.isfinite(base_dist) & (base_dist > 0)
         ratios = np.where(comparable, sub_dist / base_dist, 0.0)
     iu, ju = np.triu_indices(n, k=1)
     vals = ratios[iu, ju]
     if vals.size == 0 or not comparable[iu, ju].any():
-        return StretchReport(1.0, None, sub_dist, base_dist)
+        return StretchReport(1.0, None)
     k = int(np.argmax(vals))
-    return StretchReport(
-        float(vals[k]), (int(iu[k]), int(ju[k])), sub_dist, base_dist
-    )
+    return StretchReport(float(vals[k]), (int(iu[k]), int(ju[k])))
 
 
 # --- planarity and degrees --------------------------------------------------
@@ -157,12 +150,11 @@ def check_planarity(scene: Scene, g: Graph) -> PlanarityReport:
         hi_x = max(pts[a][0], pts[b][0])
         lo_y = min(pts[a][1], pts[b][1])
         hi_y = max(pts[a][1], pts[b][1])
-        for oi in range(len(scene.obstacles)):
-            bx0, by0, bx1, by1 = scene.ibbox(oi)
+        for oi, (bx0, by0, bx1, by1) in enumerate(scene.ibboxes):
             if hi_x < bx0 or bx1 < lo_x or hi_y < by0 or by1 < lo_y:
                 continue
             if segment_properly_intersects_polygon(
-                pts[a], pts[b], scene.ipolygon(oi)
+                pts[a], pts[b], scene.ipolygons[oi]
             ):
                 conflicts.append(((a, b), oi))
     return PlanarityReport(tuple(crossings), tuple(conflicts))
@@ -211,25 +203,22 @@ _BISECTORS = (
 def check_per_edge_bound_ginf(
     scene: Scene,
     ginf: Graph,
-    vis: Optional[Graph] = None,
-    ginf_dist: Optional[np.ndarray] = None,
+    vis: Graph,
+    ginf_dist: np.ndarray,
     index: Optional[ConeIndex] = None,
 ) -> WitnessReport:
     """Every visibility edge (u, v), read from the endpoint whose
     positive cone holds the other, has a ginf path no longer than the
-    angle-dependent factor times the Euclidean distance.
+    angle-dependent factor times the Euclidean distance; ginf_dist is
+    ginf's ``distance_matrix``.
 
-    The apex is picked by ``subcone_of``, so an edge on a cone boundary
-    or into an obstacle wedge raises ValueError. The angle is
+    The apex is picked by ``ConeIndex.subcone_of``, so an edge on a cone
+    boundary or into an obstacle wedge raises ValueError. The angle is
     atan2(|b x s|, b . s), where b is the cone's unit bisector from the
     three-entry table ``_BISECTORS`` and s is the float offset from the
     apex to the far endpoint.
     """
     index = ConeIndex.of(scene, index)
-    if vis is None:
-        vis = visibility_graph(scene)
-    if ginf_dist is None:
-        ginf_dist = distance_matrix(scene, ginf)
     bad = []
     for u, v in vis.sorted_edges():
         ref = index.subcone_of(u, v)
@@ -332,15 +321,14 @@ def _oracle_key(sector: int, dx, dy) -> tuple:
 
 
 def _oracle_visible(scene: Scene, u: int, v: int) -> bool:
-    a = scene.ipoint(u)
-    b = scene.ipoint(v)
+    a = scene.ipoints[u]
+    b = scene.ipoints[v]
     sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
     sy0, sy1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-    for oi in range(len(scene.obstacles)):
-        bx0, by0, bx1, by1 = scene.ibbox(oi)
+    for (bx0, by0, bx1, by1), poly in zip(scene.ibboxes, scene.ipolygons):
         if sx1 < bx0 or bx1 < sx0 or sy1 < by0 or by1 < sy0:
             continue  # the closed boxes are disjoint
-        if segment_properly_intersects_polygon(a, b, scene.ipolygon(oi)):
+        if segment_properly_intersects_polygon(a, b, poly):
             return False
     return True
 
@@ -352,10 +340,10 @@ def _oracle_wedge_side(scene: Scene, u: int, dx, dy, sector: int) -> int:
     nb = scene.boundary_neighbors(u)
     if nb is None:
         return 0
-    ux, uy = scene.ipoint(u)
+    ux, uy = scene.ipoints[u]
     prev_i, next_i = nb
-    nx, ny = scene.ipoint(next_i)
-    px, py = scene.ipoint(prev_i)
+    nx, ny = scene.ipoints[next_i]
+    px, py = scene.ipoints[prev_i]
     dn = (nx - ux, ny - uy)
     dp = (px - ux, py - uy)
     try:
@@ -384,14 +372,15 @@ def oracle_g_infinity(scene: Scene) -> Graph:
     report = check_general_position(scene)
     if not report.ok:
         raise ValueError("scene is not in general position")
+    pts = scene.ipoints
     edges = set()
     for u in range(scene.n):
-        ux, uy = scene.ipoint(u)
+        ux, uy = pts[u]
         best: dict[tuple, tuple] = {}
         for v in range(scene.n):
             if v == u:
                 continue
-            vx, vy = scene.ipoint(v)
+            vx, vy = pts[v]
             dx, dy = vx - ux, vy - uy
             sector = _oracle_sector(dx, dy)
             if sector not in (1, 3, 5):
@@ -457,7 +446,7 @@ def run_verification(
         CheckOutcome(
             "general-position",
             gp.ok,
-            f"{len(gp.parallel_violations)} parallel pair(s), "
+            f"{gp.parallel_count} parallel pair(s), "
             f"{gp.collinear_count} collinear triple(s)",
         )
     )

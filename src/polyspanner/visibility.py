@@ -78,11 +78,10 @@ def _clear_of_obstacles(scene: Scene, a, b) -> bool:
     """True iff the open segment ab misses every obstacle interior."""
     sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
     sy0, sy1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-    for oi in range(len(scene.obstacles)):
-        bx0, by0, bx1, by1 = scene.ibbox(oi)
+    for (bx0, by0, bx1, by1), poly in zip(scene.ibboxes, scene.ipolygons):
         if sx1 < bx0 or bx1 < sx0 or sy1 < by0 or by1 < sy0:
             continue
-        if segment_properly_intersects_polygon(a, b, scene.ipolygon(oi)):
+        if segment_properly_intersects_polygon(a, b, poly):
             return False
     return True
 

@@ -1,9 +1,11 @@
-"""Reference subcone classification: every call from scratch.
+"""Reference cone and subcone classification: every call from scratch.
 
 This is the original implementation of ``subcone_of`` and ``subcones``.
 Each call recomputes the apex's obstacle wedge and split label. The
-library now memoises those per run in ``cones.ConeIndex``; the
-differential tests in ``test_cone_index.py`` compare the two.
+library memoises those per run in ``cones.ConeIndex``; the differential
+tests in ``test_cone_index.py`` compare the two. ``cone_of`` names the
+cone of one point as seen from another, for tests that work with bare
+points instead of scene vertices.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from polyspanner.cones import (
 from polyspanner.geom import cross
 
 
+def cone_of(apex, p) -> ConeLabel:
+    """Cone of apex containing p. Raises on boundary directions."""
+    return _SECTOR_LABEL[direction_sector(p[0] - apex[0], p[1] - apex[1])]
+
+
 def obstacle_wedge(scene, vi: int):
     """Directions (d_next, d_prev) of the boundary edges leaving vertex
     vi, or None when vi is not an obstacle corner. The obstacle interior
@@ -33,9 +40,9 @@ def obstacle_wedge(scene, vi: int):
     if nb is None:
         return None
     prev_i, next_i = nb
-    px, py = scene.ipoint(vi)
-    nx, ny = scene.ipoint(next_i)
-    qx, qy = scene.ipoint(prev_i)
+    px, py = scene.ipoints[vi]
+    nx, ny = scene.ipoints[next_i]
+    qx, qy = scene.ipoints[prev_i]
     return (nx - px, ny - py), (qx - px, qy - py)
 
 
@@ -70,8 +77,8 @@ def subcone_of(scene, apex: int, p: int) -> SubconeRef:
     visible vertex and raise ValueError; directions along a wedge edge
     classify with the free region they bound.
     """
-    ax, ay = scene.ipoint(apex)
-    px, py = scene.ipoint(p)
+    ax, ay = scene.ipoints[apex]
+    px, py = scene.ipoints[p]
     dx, dy = px - ax, py - ay
     label = _SECTOR_LABEL[direction_sector(dx, dy)]
     if split_cone_label(scene, apex) != label:

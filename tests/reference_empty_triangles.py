@@ -29,17 +29,17 @@ def check_empty_triangles(
     for seq in canonical_sequences(scene, ginf, index).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs():
-            tri = [scene.ipoint(u), scene.ipoint(p), scene.ipoint(q)]
+            tri = [scene.ipoints[u], scene.ipoints[p], scene.ipoints[q]]
             if orient(*tri) == CW:
                 tri.reverse()
             for w in range(scene.n):
                 if w in (u, p, q):
                     continue
-                if point_in_polygon(scene.ipoint(w), tri) > 0:
+                if point_in_polygon(scene.ipoints[w], tri) > 0:
                     bad.append((u, p, q, "vertex", w))
             for a, b in scene.obstacle_edges():
                 if segment_properly_intersects_polygon(
-                    scene.ipoint(a), scene.ipoint(b), tri
+                    scene.ipoints[a], scene.ipoints[b], tri
                 ):
                     bad.append((u, p, q, "obstacle-edge", (a, b)))
     return WitnessReport(tuple(bad))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from polyspanner.cones import ConeLabel, cone_of, subcone_of
+from polyspanner.cones import ConeIndex, ConeLabel
 from polyspanner.geom import Rational, sqrt3_sign
 from polyspanner.verify import (
     REL_TOL,
@@ -30,6 +30,8 @@ from polyspanner.verify import (
 )
 from polyspanner.scene import Scene
 from polyspanner.visibility import Graph, visibility_graph
+
+from tests.reference_cones import cone_of
 
 
 @dataclass(frozen=True)
@@ -186,9 +188,10 @@ def check_per_edge_bound_ginf(
         vis = visibility_graph(scene)
     if ginf_dist is None:
         ginf_dist = distance_matrix(scene, ginf)
+    index = ConeIndex(scene)
     bad = []
     for u, v in vis.sorted_edges():
-        ref = subcone_of(scene, u, v)
+        ref = index.subcone_of(u, v)
         apex, far = (u, v) if ref.label.positive else (v, u)
         tri = canonical_triangle(scene.vertices[apex], scene.vertices[far])
         (ax, ay), _, _, (mx, my) = tri.float_points()

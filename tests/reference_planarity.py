@@ -22,7 +22,7 @@ def check_planarity(scene: Scene, g: Graph) -> PlanarityReport:
     """Exhaustive exact pairwise crossing test plus obstacle-interior
     test. Edges sharing an endpoint never count as crossing."""
     edges = g.sorted_edges()
-    pts = [scene.ipoint(i) for i in range(scene.n)]
+    pts = scene.ipoints
     crossings = []
     for i, (a, b) in enumerate(edges):
         for c, d in edges[i + 1 :]:
@@ -37,11 +37,11 @@ def check_planarity(scene: Scene, g: Graph) -> PlanarityReport:
         lo_y = min(pts[a][1], pts[b][1])
         hi_y = max(pts[a][1], pts[b][1])
         for oi in range(len(scene.obstacles)):
-            bx0, by0, bx1, by1 = scene.ibbox(oi)
+            bx0, by0, bx1, by1 = scene.ibboxes[oi]
             if hi_x < bx0 or bx1 < lo_x or hi_y < by0 or by1 < lo_y:
                 continue
             if segment_properly_intersects_polygon(
-                pts[a], pts[b], scene.ipolygon(oi)
+                pts[a], pts[b], scene.ipolygons[oi]
             ):
                 conflicts.append(((a, b), oi))
     return PlanarityReport(tuple(crossings), tuple(conflicts))

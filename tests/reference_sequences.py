@@ -20,11 +20,11 @@ from tests.reference_cones import subcone_of, subcones
 
 
 def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
-    ax, ay = scene.ipoint(apex)
+    ax, ay = scene.ipoints[apex]
     best = None
     best_d = None
     for v in members:
-        vx, vy = scene.ipoint(v)
+        vx, vy = scene.ipoints[v]
         d = (vx - ax, vy - ay)
         if best is None or key_compare(label, d, best_d) < 0:
             best = v

@@ -28,12 +28,12 @@ def visible(scene, u: int, v: int) -> bool:
     """True iff vertices u and v see each other."""
     if u == v:
         return False
-    a = scene.ipoint(u)
-    b = scene.ipoint(v)
+    a = scene.ipoints[u]
+    b = scene.ipoints[v]
     for w in range(scene.n):
-        if w != u and w != v and strictly_inside_segment(scene.ipoint(w), a, b):
+        if w != u and w != v and strictly_inside_segment(scene.ipoints[w], a, b):
             return False
     for oi in range(len(scene.obstacles)):
-        if segment_properly_intersects_polygon(a, b, scene.ipolygon(oi)):
+        if segment_properly_intersects_polygon(a, b, scene.ipolygons[oi]):
             return False
     return True

@@ -268,7 +268,9 @@ def test_criterion_7_subgraph_chain(suite):
 def test_criterion_8_micro_instance(suite):
     inst = next(i for i in suite if i.label == "micro3.json")
     edges_ok = inst.ginf.sorted_edges() == [(0, 1), (1, 2)]
-    rep = stretch_factor(inst.scene, inst.ginf, inst.vis)
+    rep = stretch_factor(
+        inst.scene, inst.ginf, inst.vis, inst.dist("ginf"), inst.dist("vis")
+    )
     value_ok = abs(rep.max_ratio - math.sqrt(2)) < 1e-12
     witness_ok = rep.witness_pair == (0, 2)
     record(

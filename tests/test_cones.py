@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyspanner.cones import (
+    ConeIndex,
     ConeLabel,
     GeneralPositionError,
     SIDE_LEFT,
@@ -12,15 +13,13 @@ from polyspanner.cones import (
     SIDE_WHOLE,
     SubconeRef,
     ccw_sorted,
-    cone_of,
     direction_sector,
     key_compare,
     split_cone_label,
-    subcone_of,
-    subcones,
 )
 from polyspanner.scene import Scene
 
+from tests.reference_cones import cone_of
 from tests.reference_per_edge import canonical_triangle
 
 O = (0, 0)
@@ -49,12 +48,6 @@ def test_cone_labels():
     assert str(cone_of(O, (-4, 1))) == "C2-"
 
 
-def test_cone_label_opposite():
-    lab = ConeLabel(True, 2)
-    assert lab.opposite() == ConeLabel(False, 2)
-    assert lab.opposite().opposite() == lab
-
-
 points = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 
 
@@ -62,7 +55,9 @@ points = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 def test_cone_duality(p, q):
     if p[1] == q[1]:
         return  # shared y puts q on a cone boundary of p
-    assert cone_of(p, q) == cone_of(q, p).opposite()
+    there, back = cone_of(p, q), cone_of(q, p)
+    assert there.index == back.index
+    assert there.positive != back.positive
 
 
 def test_projection_key_values():
@@ -144,8 +139,9 @@ def test_split_cone_label_spike():
 
 def test_subcone_sides_of_split_cone():
     sc = split_scene([(-60, 205), (70, 190)])
-    left = subcone_of(sc, 0, 3)
-    right = subcone_of(sc, 0, 4)
+    index = ConeIndex(sc)
+    left = index.subcone_of(0, 3)
+    right = index.subcone_of(0, 4)
     assert left == SubconeRef(0, ConeLabel(True, 0), SIDE_LEFT)
     assert right == SubconeRef(0, ConeLabel(True, 0), SIDE_RIGHT)
 
@@ -154,30 +150,31 @@ def test_subcone_inside_wedge_raises():
     # direction between the two spike edges: hidden behind the obstacle
     sc = split_scene([(3, 150)])
     with pytest.raises(ValueError):
-        subcone_of(sc, 0, 3)
+        ConeIndex(sc).subcone_of(0, 3)
 
 
 def test_subcone_unsplit_is_whole():
     sc = split_scene([(-60, 205)])
-    ref = subcone_of(sc, 3, 0)
+    ref = ConeIndex(sc).subcone_of(3, 0)
     assert ref.side == SIDE_WHOLE
     assert ref.apex == 3
 
 
 def test_subcones_enumeration():
     sc = split_scene([(-60, 205)])
-    refs = subcones(sc, 0, positive=True)
+    index = ConeIndex(sc)
+    refs = index.subcones(0, positive=True)
     split = [r for r in refs if r.label == ConeLabel(True, 0)]
     assert [r.side for r in split] == [SIDE_RIGHT, SIDE_LEFT]
     whole = [r for r in refs if r.side == SIDE_WHOLE]
     assert len(whole) == 2  # the other two positive cones
-    assert len(subcones(sc, 3, positive=False)) == 3
+    assert len(index.subcones(3, positive=False)) == 3
 
 
 def test_ccw_sorted_within_cone():
     sc = Scene([(0, 0), (3, 14), (-3, 14), (1, 9)])
     out = ccw_sorted(sc, 0, [1, 2, 3])
-    angles = [math.atan2(*reversed(sc.ipoint(i))) for i in out]
+    angles = [math.atan2(*reversed(sc.ipoints[i])) for i in out]
     assert angles == sorted(angles)
     assert out == [1, 3, 2]
 

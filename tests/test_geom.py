@@ -155,7 +155,7 @@ def polygon_and_segment(draw):
     # Doubling puts every edge midpoint on the lattice.
     scene = Scene([(2 * x, 2 * y) for x, y in corners], [range(len(corners))])
     assume(validate(scene).ok)
-    poly = scene.ipolygon(0)
+    poly = scene.ipolygons[0]
     k = len(poly)
     mids = [
         ((poly[i][0] + poly[i - 1][0]) // 2, (poly[i][1] + poly[i - 1][1]) // 2)

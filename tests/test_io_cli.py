@@ -30,8 +30,7 @@ class TestInstanceFormat:
 
     def test_parse_decimal_and_string_forms(self):
         sc = parse_instance(
-            '{"vertices": [[0.5, "2.25"], ["1/3", 4], [9, 1]]}',
-            require_valid=False,
+            '{"vertices": [[0.5, "2.25"], ["1/3", 4], [9, 1]]}'
         )
         assert sc.vertices[0] == (Fraction(1, 2), Fraction(9, 4))
         assert sc.vertices[1] == (Fraction(1, 3), Fraction(4))
@@ -43,7 +42,7 @@ class TestInstanceFormat:
         sc = Scene([(Fraction(1, 3), 0), (Fraction(-7, 2), Fraction(5, 4)), (2, 9)])
         text = write_instance(sc)
         assert '"1/3"' in text and '"-3.5"' in text
-        assert parse_instance(text, require_valid=False) == sc
+        assert parse_instance(text) == sc
 
     def test_output_is_plain_json(self, nonconvex):
         doc = json.loads(write_instance(nonconvex))
@@ -85,16 +84,12 @@ class TestInstanceFormat:
 
     def test_parse_rejects_invalid_scene(self):
         # bowtie obstacle: parses structurally but fails validation
-        text = json.dumps(
-            {
-                "vertices": [[0, 0], [4, 0], [0, 3], [4, 3]],
-                "obstacles": [[0, 1, 2, 3]],
-            }
-        )
+        vertices = [[0, 0], [4, 0], [0, 3], [4, 3]]
+        obstacles = [[0, 1, 2, 3]]
+        text = json.dumps({"vertices": vertices, "obstacles": obstacles})
         with pytest.raises(ParseError, match="validation"):
             parse_instance(text)
-        sc = parse_instance(text, require_valid=False)
-        assert not validate(sc).ok
+        assert not validate(Scene(vertices, obstacles)).ok
 
 
 class TestEdgeList:

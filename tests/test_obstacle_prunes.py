@@ -48,7 +48,7 @@ def _closed_boxes_meet(a, b, poly):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_kernel_decides_inside_without_point_in_polygon(name, monkeypatch):
     scene = load_scene(name)
-    rings = [scene.ipolygon(oi) for oi in range(len(scene.obstacles))]
+    rings = scene.ipolygons
     # Every vertex as a, and midpoints of corner pairs strictly inside
     # the ring, where the kernel's own parity decides the answer.
     starts = []

@@ -1,0 +1,53 @@
+"""Every module-level function and class of the library is reached: it is
+used by name in its own module, imported by another library module, or
+named in a README code block or in the benchmark's Python. A name that
+only tests call belongs under ``tests/``. Reads files only."""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polyspanner"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_by_library() -> set:
+    """(module, name) for every ``from .module import name`` in src."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                out.update((node.module, alias.name) for alias in node.names)
+    return out
+
+
+def _named_outside() -> set:
+    """Identifiers in the README's code blocks and in perfbench/*.py."""
+    readme = (ROOT / "README.md").read_text()
+    texts = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    texts += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    return {word for text in texts for word in re.findall(r"[A-Za-z_]\w*", text)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_name_is_reached(path):
+    tree = ast.parse(path.read_text())
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    used_here = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = _imported_by_library()
+    outside = _named_outside()
+    unreached = [
+        name
+        for name in defined
+        if name not in used_here
+        and (path.stem, name) not in imported
+        and name not in outside
+    ]
+    assert unreached == []

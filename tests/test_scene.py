@@ -21,15 +21,15 @@ def kinds(result):
 def test_scene_normalizes_fractions_and_scale():
     sc = Scene([(Fraction(1, 2), 0), (1, Fraction(3, 4))])
     assert sc.scale == 4
-    assert sc.ipoint(0) == (2, 0)
-    assert sc.ipoint(1) == (4, 3)
+    assert sc.ipoints[0] == (2, 0)
+    assert sc.ipoints[1] == (4, 3)
 
 
 def test_scene_normalizes_ring_orientation():
     cw = Scene([(0, 0), (4, 1), (2, 5)], [[0, 2, 1]])
     ccw = Scene([(0, 0), (4, 1), (2, 5)], [[0, 1, 2]])
     for sc in (cw, ccw):
-        assert polygon_signed_area2(sc.ipolygon(0)) > 0
+        assert polygon_signed_area2(sc.ipolygons[0]) > 0
 
 
 def test_scene_rejects_bad_indices():
@@ -94,7 +94,8 @@ def test_validate_vertex_inside_obstacle():
 def test_general_position_flags_horizontal_pair():
     rep = check_general_position(Scene([(0, 0), (5, 0), (2, 3)]))
     assert not rep.ok
-    assert rep.parallel_violations
+    assert rep.parallel_count == 1
+    assert rep.first_parallel == (0, 1)
 
 
 def test_general_position_flags_collinear_triple():
@@ -115,6 +116,19 @@ def test_general_position_counts_triples_without_listing_them():
     assert rep.collinear_count == math.comb(200, 3) == 1_313_400
     assert rep.first_collinear == (0, 1, 2)
     assert peak < 5_000_000
+
+
+def test_general_position_counts_pairs_without_listing_them():
+    scene = Scene([(i, 7) for i in range(500)])
+    tracemalloc.start()
+    try:
+        rep = check_general_position(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.parallel_count == math.comb(500, 2) == 124_750
+    assert rep.first_parallel == (0, 1)
+    assert peak < 2_000_000
 
 
 def test_general_position_clean(split_cones):

@@ -2,7 +2,7 @@ from tests import reference_sequences
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
-from polyspanner.cones import ConeIndex, ConeLabel, SubconeRef, subcone_of
+from polyspanner.cones import ConeIndex, ConeLabel, SubconeRef
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.spanners import (
     build_g10,
@@ -33,11 +33,12 @@ def test_micro3_graph(micro3):
 def test_ginf_one_edge_per_populated_subcone(split_cones, nonconvex):
     for scene in (split_cones, nonconvex):
         vis, ginf, _, _ = pipeline(scene)
+        index = ConeIndex(scene)
         adj = vis.adjacency()
         for v in range(scene.n):
             chosen = {}
             for u in ginf.neighbors(v):
-                ref = subcone_of(scene, v, u)
+                ref = index.subcone_of(v, u)
                 if not ref.label.positive:
                     continue
                 assert ref not in chosen, f"two picks in {ref}"
@@ -45,7 +46,7 @@ def test_ginf_one_edge_per_populated_subcone(split_cones, nonconvex):
             # every positive subcone with a visible member produced an edge
             populated = set()
             for u in adj[v]:
-                ref = subcone_of(scene, v, u)
+                ref = index.subcone_of(v, u)
                 if ref.label.positive:
                     populated.add(ref)
             assert populated == set(chosen)

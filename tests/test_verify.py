@@ -66,7 +66,8 @@ def test_edge_length_is_bit_identical_to_fraction_differences(coords):
 
 def test_stretch_identity_is_one(nonconvex):
     g = visibility_graph(nonconvex)
-    rep = stretch_factor(nonconvex, g, g)
+    dist = distance_matrix(nonconvex, g)
+    rep = stretch_factor(nonconvex, g, g, dist, dist)
     assert rep.max_ratio == 1.0
     assert rep.within(1.0)
 
@@ -75,7 +76,9 @@ def test_stretch_detour():
     sc = Scene([(0, 0), (10, 1), (11, 11), (1, 10)])
     base = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     sub = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    rep = stretch_factor(sc, sub, base)
+    rep = stretch_factor(
+        sc, sub, base, distance_matrix(sc, sub), distance_matrix(sc, base)
+    )
     detour = edge_length(sc, 0, 1) + edge_length(sc, 1, 2)
     direct = edge_length(sc, 0, 2)
     assert rep.max_ratio == pytest.approx(detour / direct)
@@ -87,7 +90,9 @@ def test_stretch_disconnected_sub_is_infinite():
     sc = Scene([(0, 0), (10, 1), (5, 8)])
     base = Graph(3, [(0, 1), (1, 2), (0, 2)])
     sub = Graph(3, [(0, 1)])
-    rep = stretch_factor(sc, sub, base)
+    rep = stretch_factor(
+        sc, sub, base, distance_matrix(sc, sub), distance_matrix(sc, base)
+    )
     assert math.isinf(rep.max_ratio)
     assert not rep.within(1e9)
 
@@ -102,7 +107,9 @@ def test_per_edge_bound_spot_values():
 def test_per_edge_bound_holds_on_fixture(split_cones):
     vis = visibility_graph(split_cones)
     ginf = build_g_infinity(split_cones, vis)
-    rep = check_per_edge_bound_ginf(split_cones, ginf, vis)
+    rep = check_per_edge_bound_ginf(
+        split_cones, ginf, vis, distance_matrix(split_cones, ginf)
+    )
     assert rep.ok
 
 
@@ -153,7 +160,7 @@ def test_per_edge_bound_negative_control():
     ginf = build_g_infinity(sc, vis)
     assert ginf.edges == {(0, 1), (0, 2), (1, 2)}
     thinned = Graph(3, [(0, 2), (1, 2)])
-    rep = check_per_edge_bound_ginf(sc, thinned, vis)
+    rep = check_per_edge_bound_ginf(sc, thinned, vis, distance_matrix(sc, thinned))
     assert [w[0] for w in rep.witnesses] == [(0, 1)]
     (_, have, bound), = rep.witnesses
     assert have == pytest.approx(edge_length(sc, 0, 2) + edge_length(sc, 1, 2))
@@ -167,7 +174,7 @@ def test_per_edge_bound_rejects_pair_inside_obstacle_wedge():
     sc = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
     vis = Graph(4, [(0, 3)])
     with pytest.raises(ValueError, match="obstacle wedge"):
-        check_per_edge_bound_ginf(sc, vis, vis)
+        check_per_edge_bound_ginf(sc, vis, vis, distance_matrix(sc, vis))
 
 
 def test_planarity_flags_crossing():
@@ -358,7 +365,7 @@ def test_run_verification_detects_crossing_substitute(split_cones):
     vis = visibility_graph(split_cones)
     ginf = build_g_infinity(split_cones, vis)
     g15 = build_g15(split_cones, ginf)
-    pts = [split_cones.ipoint(i) for i in range(split_cones.n)]
+    pts = split_cones.ipoints
     edges = vis.sorted_edges()
     crossing = next(
         (e, f)
