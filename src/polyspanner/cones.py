@@ -75,23 +75,24 @@ class SubconeRef:
 
 
 def direction_sector(dx, dy) -> int:
-    """Sector 0..5 of a nonzero direction; boundary directions raise."""
+    """Sector 0..5 of a nonzero direction; boundary directions raise.
+
+    The boundaries lie on dy = 0 and dy = +-sqrt(3) dx. For rational
+    offsets dy^2 = 3 dx^2 holds only at 0, so dy = 0 is the one boundary
+    a nonzero direction can hit, and the sign of dy^2 - 3 dx^2 tells the
+    steep sectors 1 and 4 from the others.
+    """
     if dx == 0 and dy == 0:
         raise ValueError("zero direction has no cone")
-    c0 = sign(dy)  # against boundary ray at 0 degrees
-    c1 = sqrt3_sign(dy, -dx)  # against ray at 60 degrees
-    c2 = sqrt3_sign(-dy, -dx)  # against ray at 120 degrees
-    if c0 == 0 or c1 == 0 or c2 == 0:
+    if dy == 0:
         raise GeneralPositionError(
             f"direction ({dx}, {dy}) lies on a cone boundary"
         )
-    if c0 > 0:
-        if c1 < 0:
-            return 0
-        return 1 if c2 < 0 else 2
-    if c1 > 0:
-        return 3
-    return 4 if c2 > 0 else 5
+    if dy * dy > 3 * dx * dx:
+        return 1 if dy > 0 else 4
+    if dy > 0:
+        return 0 if dx > 0 else 2
+    return 3 if dx < 0 else 5
 
 
 def _key_parts(label: ConeLabel, dx, dy):

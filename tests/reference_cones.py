@@ -3,9 +3,11 @@
 This is the original implementation of ``subcone_of`` and ``subcones``.
 Each call recomputes the apex's obstacle wedge and split label. The
 library memoises those per run in ``cones.ConeIndex``; the differential
-tests in ``test_cone_index.py`` compare the two. ``cone_of`` names the
-cone of one point as seen from another, for tests that work with bare
-points instead of scene vertices.
+tests in ``test_cone_index.py`` compare the two. ``direction_sector`` is
+the original half-plane form, with two ``sqrt3_sign`` tests per
+direction; ``test_cones.py`` compares the library's integer rule to it.
+``cone_of`` names the cone of one point as seen from another, for tests
+that work with bare points instead of scene vertices.
 """
 
 from __future__ import annotations
@@ -22,9 +24,28 @@ from polyspanner.cones import (
     ConeLabel,
     GeneralPositionError,
     SubconeRef,
-    direction_sector,
 )
-from polyspanner.geom import cross
+from polyspanner.geom import cross, sign, sqrt3_sign
+
+
+def direction_sector(dx, dy) -> int:
+    """Sector 0..5 of a nonzero direction; boundary directions raise."""
+    if dx == 0 and dy == 0:
+        raise ValueError("zero direction has no cone")
+    c0 = sign(dy)  # against boundary ray at 0 degrees
+    c1 = sqrt3_sign(dy, -dx)  # against ray at 60 degrees
+    c2 = sqrt3_sign(-dy, -dx)  # against ray at 120 degrees
+    if c0 == 0 or c1 == 0 or c2 == 0:
+        raise GeneralPositionError(
+            f"direction ({dx}, {dy}) lies on a cone boundary"
+        )
+    if c0 > 0:
+        if c1 < 0:
+            return 0
+        return 1 if c2 < 0 else 2
+    if c1 > 0:
+        return 3
+    return 4 if c2 > 0 else 5
 
 
 def cone_of(apex, p) -> ConeLabel:

@@ -179,10 +179,7 @@ def test_criterion_4_stretch_bounds(suite):
     for inst in suite:
         gs = graphs(inst)
         for sub, base, bound in bounds:
-            rep = stretch_factor(
-                inst.scene, gs[sub], gs[base],
-                inst.dist(sub), inst.dist(base),
-            )
+            rep = stretch_factor(inst.scene, gs[sub], gs[base], inst.dist(sub))
             worst = max(worst, rep.max_ratio / bound)
             if not rep.within(bound):
                 bad.append((inst.label, f"{sub}|{base}", rep.max_ratio))
@@ -201,9 +198,7 @@ def test_criterion_5_per_edge_bound(suite):
     )
     bad = []
     for inst in suite:
-        rep = check_per_edge_bound_ginf(
-            inst.scene, inst.ginf, inst.vis, inst.dist("ginf")
-        )
+        rep = check_per_edge_bound_ginf(inst.scene, inst.vis, inst.dist("ginf"))
         if not rep.ok:
             bad.append((inst.label, rep.witnesses[:2]))
     record(
@@ -268,9 +263,7 @@ def test_criterion_7_subgraph_chain(suite):
 def test_criterion_8_micro_instance(suite):
     inst = next(i for i in suite if i.label == "micro3.json")
     edges_ok = inst.ginf.sorted_edges() == [(0, 1), (1, 2)]
-    rep = stretch_factor(
-        inst.scene, inst.ginf, inst.vis, inst.dist("ginf"), inst.dist("vis")
-    )
+    rep = stretch_factor(inst.scene, inst.ginf, inst.vis, inst.dist("ginf"))
     value_ok = abs(rep.max_ratio - math.sqrt(2)) < 1e-12
     witness_ok = rep.witness_pair == (0, 2)
     record(

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from polyspanner.cones import (
 )
 from polyspanner.scene import Scene
 
+from tests import reference_cones
 from tests.reference_cones import cone_of
 from tests.reference_per_edge import canonical_triangle
 
@@ -37,6 +39,45 @@ def test_direction_sector_boundaries_raise():
             direction_sector(*bad)
     with pytest.raises(ValueError):
         direction_sector(0, 0)
+
+
+def _sector_or_exception(fn, dx, dy):
+    try:
+        return fn(dx, dy)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _sector_probes(rng):
+    """Seeded ints, Fractions, axis directions, and integer and rational
+    directions next to the +-sqrt(3) boundary lines."""
+    for _ in range(3000):
+        yield rng.randint(-50, 50), rng.randint(-50, 50)
+        yield rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30)
+        yield (
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+        )
+    for k in range(-5, 6):
+        yield k, 0
+        yield 0, k
+    for _ in range(2000):
+        dx = rng.choice([-1, 1]) * rng.randint(1, 10**12)
+        # floor(sqrt(3) * |dx|) and the next integer bracket the line.
+        near = math.isqrt(3 * dx * dx)
+        for dy in (near, near + 1):
+            for sy in (1, -1):
+                yield dx, sy * dy
+        den = rng.randint(1, 10**6)
+        yield Fraction(dx, den), Fraction(rng.choice([-1, 1]) * near, den)
+
+
+def test_direction_sector_matches_half_plane_reference():
+    rng = random.Random(20201)
+    for dx, dy in _sector_probes(rng):
+        got = _sector_or_exception(direction_sector, dx, dy)
+        want = _sector_or_exception(reference_cones.direction_sector, dx, dy)
+        assert got == want, (dx, dy)
 
 
 def test_cone_labels():

@@ -11,14 +11,16 @@ from tests import (
     reference_empty_triangles,
     reference_per_edge,
     reference_planarity,
+    reference_stretch,
     reference_visibility,
 )
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
+from polyspanner import verify
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.scene import Scene, check_general_position
-from polyspanner.spanners import build_g15, build_g_infinity
+from polyspanner.spanners import build_all, build_g15, build_g_infinity
 from polyspanner.verify import (
     REL_TOL,
     _oracle_visible,
@@ -67,7 +69,7 @@ def test_edge_length_is_bit_identical_to_fraction_differences(coords):
 def test_stretch_identity_is_one(nonconvex):
     g = visibility_graph(nonconvex)
     dist = distance_matrix(nonconvex, g)
-    rep = stretch_factor(nonconvex, g, g, dist, dist)
+    rep = stretch_factor(nonconvex, g, g, dist)
     assert rep.max_ratio == 1.0
     assert rep.within(1.0)
 
@@ -76,9 +78,7 @@ def test_stretch_detour():
     sc = Scene([(0, 0), (10, 1), (11, 11), (1, 10)])
     base = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     sub = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    rep = stretch_factor(
-        sc, sub, base, distance_matrix(sc, sub), distance_matrix(sc, base)
-    )
+    rep = stretch_factor(sc, sub, base, distance_matrix(sc, sub))
     detour = edge_length(sc, 0, 1) + edge_length(sc, 1, 2)
     direct = edge_length(sc, 0, 2)
     assert rep.max_ratio == pytest.approx(detour / direct)
@@ -90,11 +90,75 @@ def test_stretch_disconnected_sub_is_infinite():
     sc = Scene([(0, 0), (10, 1), (5, 8)])
     base = Graph(3, [(0, 1), (1, 2), (0, 2)])
     sub = Graph(3, [(0, 1)])
-    rep = stretch_factor(
-        sc, sub, base, distance_matrix(sc, sub), distance_matrix(sc, base)
-    )
+    rep = stretch_factor(sc, sub, base, distance_matrix(sc, sub))
     assert math.isinf(rep.max_ratio)
     assert not rep.within(1e9)
+
+
+STRETCH_SPECS = (
+    ("ginf", "vis", 2.0),
+    ("g15", "ginf", 3.0),
+    ("g10", "ginf", 3.0),
+    ("g7", "ginf", 3.0),
+    ("g15", "vis", 6.0),
+    ("g10", "vis", 6.0),
+    ("g7", "vis", 6.0),
+)
+
+
+def _corruptions(g: Graph, vis: Graph):
+    """First edge dropped, every second edge kept, three extra vis edges."""
+    edges = g.sorted_edges()
+    extra = [e for e in vis.sorted_edges() if e not in g.edges][:3]
+    yield Graph(g.n, edges[1:])
+    yield Graph(g.n, edges[::2])
+    yield Graph(g.n, edges + extra)
+
+
+def test_stretch_matches_all_pairs_reference():
+    scenes = [load_scene(name) for name in FIXTURE_NAMES]
+    scenes += [generate(cfg) for cfg in configs()[::7]]
+    compared = 0
+    for sc in scenes:
+        honest, _ = build_all(sc)
+        honest_dists = {k: distance_matrix(sc, g) for k, g in honest.items()}
+        variants = [(honest, honest_dists)]
+        for name in ("ginf", "g15", "g10", "g7"):
+            for bad in _corruptions(honest[name], honest["vis"]):
+                variants.append((
+                    {**honest, name: bad},
+                    {**honest_dists, name: distance_matrix(sc, bad)},
+                ))
+        for graphs, dists in variants:
+            for sub, base, bound in STRETCH_SPECS:
+                got = stretch_factor(sc, graphs[sub], graphs[base], dists[sub])
+                want = reference_stretch.stretch_factor(
+                    sc, graphs[sub], graphs[base], dists[sub], dists[base]
+                )
+                assert got.within(bound) == want.within(bound)
+                assert math.isclose(got.max_ratio, want.max_ratio, rel_tol=1e-12)
+                u, v = got.witness_pair
+                assert graphs[base].has_edge(u, v)
+                ratio = float(dists[sub][u, v]) / edge_length(sc, u, v)
+                assert ratio == got.max_ratio
+                compared += 1
+    assert compared == len(scenes) * 13 * len(STRETCH_SPECS)
+
+
+def test_verification_builds_no_vis_matrix(monkeypatch, split_cones):
+    built = []
+    real = verify.distance_matrix
+
+    def recording(scene, g):
+        built.append(g.edges)
+        return real(scene, g)
+
+    monkeypatch.setattr(verify, "distance_matrix", recording)
+    assert all(o.ok for o in run_verification(split_cones))
+    graphs, _ = build_all(split_cones)
+    spanners = [graphs[k].edges for k in ("ginf", "g15", "g10", "g7")]
+    assert graphs["vis"].edges not in spanners
+    assert built == spanners
 
 
 def test_per_edge_bound_spot_values():
@@ -108,7 +172,7 @@ def test_per_edge_bound_holds_on_fixture(split_cones):
     vis = visibility_graph(split_cones)
     ginf = build_g_infinity(split_cones, vis)
     rep = check_per_edge_bound_ginf(
-        split_cones, ginf, vis, distance_matrix(split_cones, ginf)
+        split_cones, vis, distance_matrix(split_cones, ginf)
     )
     assert rep.ok
 
@@ -141,7 +205,7 @@ def test_per_edge_bound_matches_reference():
             distance_matrix(sc, _thinned(ginf)),
             np.full((sc.n, sc.n), np.inf),
         ):
-            got = check_per_edge_bound_ginf(sc, ginf, vis, dist).witnesses
+            got = check_per_edge_bound_ginf(sc, vis, dist).witnesses
             want = reference_per_edge.check_per_edge_bound_ginf(
                 sc, ginf, vis, dist
             ).witnesses
@@ -160,7 +224,7 @@ def test_per_edge_bound_negative_control():
     ginf = build_g_infinity(sc, vis)
     assert ginf.edges == {(0, 1), (0, 2), (1, 2)}
     thinned = Graph(3, [(0, 2), (1, 2)])
-    rep = check_per_edge_bound_ginf(sc, thinned, vis, distance_matrix(sc, thinned))
+    rep = check_per_edge_bound_ginf(sc, vis, distance_matrix(sc, thinned))
     assert [w[0] for w in rep.witnesses] == [(0, 1)]
     (_, have, bound), = rep.witnesses
     assert have == pytest.approx(edge_length(sc, 0, 2) + edge_length(sc, 1, 2))
@@ -174,7 +238,7 @@ def test_per_edge_bound_rejects_pair_inside_obstacle_wedge():
     sc = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
     vis = Graph(4, [(0, 3)])
     with pytest.raises(ValueError, match="obstacle wedge"):
-        check_per_edge_bound_ginf(sc, vis, vis, distance_matrix(sc, vis))
+        check_per_edge_bound_ginf(sc, vis, distance_matrix(sc, vis))
 
 
 def test_planarity_flags_crossing():
