@@ -13,19 +13,23 @@ two incident boundary edges; the two free angular parts are then
 separate "subcones" (side "right" before the wedge in ccw order, side
 "left" after it). Everything downstream works per subcone.
 
-A run classifies each directed pair once: ``ConeIndex`` memoises every
-vertex's split label, the subcone of each (apex, p) pair and the
-subcone lists, and holds the canonical-sequence table of each distinct
-``ginf`` (filled by ``spanners.canonical_sequences``). Subcone
-membership has no other entry: one index is made per run and passed
-along.
+A run classifies each pair once, both directions from one sector: the
+sector of -d is that of d plus three, so ``ConeIndex`` finds the sector
+of (apex, p) and keeps (sector + 3) mod 6 for (p, apex); only the
+split-label test is per apex. It memoises every vertex's split label,
+the subcone of each directed pair and the subcone lists, and holds the
+canonical-sequence table of each distinct ``ginf`` (filled by
+``spanners.canonical_sequences``). Subcone membership has no other
+entry: one index is made per run and passed along. ``inside_wedge`` is
+the one test of a direction strictly inside an obstacle wedge: the
+index raises on it, and ``visibility`` drops a pair on it before any
+ring scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .geom import cross, sign, sqrt3_sign
 
@@ -34,8 +38,7 @@ class GeneralPositionError(ValueError):
     """A direction lies exactly on a cone boundary (or equivalent tie)."""
 
 
-@dataclass(frozen=True, order=True)
-class ConeLabel:
+class ConeLabel(NamedTuple):
     positive: bool
     index: int  # 0, 1 or 2
 
@@ -61,8 +64,7 @@ SIDE_RIGHT = "right"  # clockwise of the obstacle wedge
 SIDE_LEFT = "left"  # counterclockwise of the obstacle wedge
 
 
-@dataclass(frozen=True, order=True)
-class SubconeRef:
+class SubconeRef(NamedTuple):
     """One free angular region of one cone at one vertex."""
 
     apex: int
@@ -134,6 +136,20 @@ def obstacle_wedge(scene, vi: int):
     return (nx - px, ny - py), (qx - px, qy - py)
 
 
+def inside_wedge(wedge, dx, dy) -> bool:
+    """True iff direction (dx, dy) lies strictly inside the obstacle
+    wedge (d_next, d_prev) of ``obstacle_wedge``: strictly
+    counterclockwise of d_next and strictly clockwise of d_prev. At a
+    convex or straight corner both must hold; at a reflex corner the
+    wedge is wider than pi and either one suffices."""
+    (nx, ny), (px, py) = wedge
+    after_next = nx * dy - ny * dx > 0
+    before_prev = dx * py - dy * px > 0
+    if nx * py - ny * px >= 0:
+        return after_next and before_prev
+    return after_next or before_prev
+
+
 def split_cone_label(scene, vi: int) -> Optional[ConeLabel]:
     """The cone of vi split in two by its obstacle wedge, if any.
 
@@ -161,8 +177,9 @@ def split_cone_label(scene, vi: int) -> Optional[ConeLabel]:
 class ConeIndex:
     """Subcone membership in one scene, memoised for one run.
 
-    Each vertex's split label is computed at most once and each directed
-    pair (apex, p) is classified at most once. ``tables`` maps a ginf
+    Each vertex's split label is computed at most once and each pair is
+    classified at most once per direction, from one sector: the first
+    direction asked keeps the sector of the other. ``tables`` maps a ginf
     edge set to its read-only canonical-sequence table. Make one index
     per run and pass it to every step; never keep it on a ``Scene`` or
     at module level, where its memo would outlive the run that paid for
@@ -175,6 +192,7 @@ class ConeIndex:
         self.tables: dict = {}
         self._split: dict = {}
         self._refs: dict = {}
+        self._sectors: dict = {}  # (apex, p) -> sector, from (p, apex)
         self._subcones: dict = {}
 
     @classmethod
@@ -197,32 +215,38 @@ class ConeIndex:
 
         Directions strictly inside the obstacle wedge are unreachable by
         any visible vertex and raise ValueError; directions along a wedge
-        edge classify with the free region they bound.
+        edge classify with the free region they bound. The sector found
+        here serves (p, apex) too, but p's side is decided only when
+        (p, apex) is asked, so each direction raises exactly where a
+        fresh index would.
         """
         key = (apex, p)
         ref = self._refs.get(key)
-        if ref is None:
-            ref = self._refs[key] = self._classify(apex, p)
-        return ref
-
-    def _classify(self, apex: int, p: int) -> SubconeRef:
+        if ref is not None:
+            return ref
         scene = self.scene
         ax, ay = scene.ipoints[apex]
         px, py = scene.ipoints[p]
         dx, dy = px - ax, py - ay
-        label = _SECTOR_LABEL[direction_sector(dx, dy)]
+        sector = self._sectors.pop(key, None)
+        if sector is None:
+            sector = direction_sector(dx, dy)
+            self._sectors[(p, apex)] = (sector + 3) % 6
+        label = _SECTOR_LABEL[sector]
         if self.split_label(apex) != label:
-            return SubconeRef(apex, label, SIDE_WHOLE)
-        dn, dp = obstacle_wedge(scene, apex)
-        c_n = cross(dx, dy, dn[0], dn[1])
-        if c_n >= 0:  # at or clockwise of d_next
-            return SubconeRef(apex, label, SIDE_RIGHT)
-        c_p = cross(dp[0], dp[1], dx, dy)
-        if c_p >= 0:  # at or counterclockwise of d_prev
-            return SubconeRef(apex, label, SIDE_LEFT)
-        raise ValueError(
-            f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
-        )
+            ref = SubconeRef(apex, label, SIDE_WHOLE)
+        else:
+            wedge = obstacle_wedge(scene, apex)
+            if inside_wedge(wedge, dx, dy):
+                raise ValueError(
+                    f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
+                )
+            dn = wedge[0]
+            # At or clockwise of d_next is right, else at or past d_prev.
+            side = SIDE_RIGHT if cross(dx, dy, dn[0], dn[1]) >= 0 else SIDE_LEFT
+            ref = SubconeRef(apex, label, side)
+        self._refs[key] = ref
+        return ref
 
     def subcones(self, apex: int, positive: bool) -> tuple:
         """All subcone refs of one sign at a vertex, in deterministic order."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from .cones import inside_wedge, obstacle_wedge
 from .geom import segment_properly_intersects_polygon
 from .scene import Scene
 
@@ -89,9 +90,12 @@ def _clear_of_obstacles(scene: Scene, a, b) -> bool:
 def visibility_graph(scene: Scene) -> Graph:
     """All mutually visible vertex pairs, exact on any input. A pair is
     blocked iff a nearer vertex lies on the same gcd-reduced integer ray
-    (one table per apex, O(n^2) in all); unblocked pairs are then tested
-    against each obstacle whose bounding box meets the segment's."""
+    (one table per apex, O(n^2) in all), or its direction leaves either
+    endpoint strictly into that corner's obstacle wedge
+    (``cones.inside_wedge``); only then is the pair tested against each
+    obstacle whose bounding box meets the segment's."""
     pts = scene.ipoints
+    wedges = [obstacle_wedge(scene, u) for u in range(scene.n)]
     edges = []
     for u, (ux, uy) in enumerate(pts):
         rays = []  # per vertex: (reduced direction from u, steps along it)
@@ -101,9 +105,17 @@ def visibility_graph(scene: Scene) -> Graph:
             ray = ((x - ux) // g, (y - uy) // g)
             rays.append((ray, g))
             nearest[ray] = min(g, nearest.get(ray, g))
+        wu = wedges[u]
         for v in range(u + 1, len(pts)):
             ray, g = rays[v]
-            # Unblocked iff no vertex on the same ray is nearer.
-            if nearest[ray] == g and _clear_of_obstacles(scene, pts[u], pts[v]):
+            # Unblocked iff no vertex on the same ray is nearer and the
+            # segment leaves neither endpoint into its own obstacle.
+            if nearest[ray] != g:
+                continue
+            dx, dy = pts[v][0] - ux, pts[v][1] - uy
+            wv = wedges[v]
+            if wu and inside_wedge(wu, dx, dy) or wv and inside_wedge(wv, -dx, -dy):
+                continue
+            if _clear_of_obstacles(scene, pts[u], pts[v]):
                 edges.append((u, v))
     return Graph(scene.n, edges)

@@ -7,7 +7,10 @@ tests in ``test_cone_index.py`` compare the two. ``direction_sector`` is
 the original half-plane form, with two ``sqrt3_sign`` tests per
 direction; ``test_cones.py`` compares the library's integer rule to it.
 ``cone_of`` names the cone of one point as seen from another, for tests
-that work with bare points instead of scene vertices.
+that work with bare points instead of scene vertices. ``inside_wedge``
+restates the library's wedge test by half-planes: it orders directions
+by counterclockwise angle from d_next, with no case split on the
+corner's kind.
 """
 
 from __future__ import annotations
@@ -51,6 +54,25 @@ def direction_sector(dx, dy) -> int:
 def cone_of(apex, p) -> ConeLabel:
     """Cone of apex containing p. Raises on boundary directions."""
     return _SECTOR_LABEL[direction_sector(p[0] - apex[0], p[1] - apex[1])]
+
+
+def inside_wedge(wedge, dx, dy) -> bool:
+    """True iff (dx, dy) is strictly inside the counterclockwise sweep
+    from d_next to d_prev: its angle from d_next is positive and smaller
+    than d_prev's. Each angle is first placed in the open-left half-plane
+    of d_next (half 0, with d_next itself) or the other (half 1)."""
+    (nx, ny), prev = wedge
+
+    def half(v):
+        c = cross(nx, ny, v[0], v[1])
+        return 0 if c > 0 or c == 0 and nx * v[0] + ny * v[1] > 0 else 1
+
+    d = (dx, dy)
+    if d == (0, 0) or cross(nx, ny, dx, dy) == 0 and nx * dx + ny * dy > 0:
+        return False  # no direction, or along d_next
+    if half(d) != half(prev):
+        return half(d) < half(prev)
+    return cross(dx, dy, prev[0], prev[1]) > 0
 
 
 def obstacle_wedge(scene, vi: int):

@@ -46,20 +46,41 @@ RING = Scene([(0, 0), (5, 1), (2, 7)], [(0, 1, 0)])
 SPIKE = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
 
 
-@pytest.mark.parametrize(
+RAISING = pytest.mark.parametrize(
     "scene, apex, p",
     [(RING, 0, 2), (SPIKE, 0, 3), (Scene([(0, 0), (5, 0)]), 0, 1)],
     ids=["zero-wedge-edge", "into-wedge", "cone-boundary"],
 )
-def test_index_raises_what_reference_raises(scene, apex, p):
+
+
+def _assert_raises_as_reference(index, apex, p):
     with pytest.raises(ValueError) as want:
-        reference_cones.subcone_of(scene, apex, p)
-    index = ConeIndex(scene)
+        reference_cones.subcone_of(index.scene, apex, p)
     for _ in range(2):  # a failure is not memoised
         with pytest.raises(ValueError) as got:
             index.subcone_of(apex, p)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+@RAISING
+def test_index_raises_what_reference_raises(scene, apex, p):
+    _assert_raises_as_reference(ConeIndex(scene), apex, p)
+
+
+@RAISING
+def test_reverse_direction_first_changes_nothing(scene, apex, p):
+    # (p, apex) keeps its sector for (apex, p), which must still raise
+    # as a fresh index does; on the ring and the spike (p, apex) itself
+    # classifies, although the other end cannot.
+    index = ConeIndex(scene)
+    try:
+        want = reference_cones.subcone_of(scene, p, apex)
+    except ValueError:
+        _assert_raises_as_reference(index, p, apex)
+    else:
+        assert index.subcone_of(p, apex) == want
+    _assert_raises_as_reference(index, apex, p)
 
 
 def test_index_subcones_raise_what_reference_raises():
@@ -70,6 +91,26 @@ def test_index_subcones_raise_what_reference_raises():
         with pytest.raises(ValueError) as got:
             index.subcones(0, positive)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_ginf_finds_one_sector_per_visible_pair(name, monkeypatch):
+    # Split labels first, so every sector counted is a pair's.
+    scene = load_scene(name)
+    vis = visibility_graph(scene)
+    index = ConeIndex(scene)
+    for v in range(scene.n):
+        index.split_label(v)
+    calls = []
+    real = cones.direction_sector
+
+    def probe(dx, dy):
+        calls.append((dx, dy))
+        return real(dx, dy)
+
+    monkeypatch.setattr(cones, "direction_sector", probe)
+    build_g_infinity(scene, vis, index)
+    assert 0 < len(calls) <= vis.m
 
 
 def test_index_belongs_to_one_scene():

@@ -15,9 +15,11 @@ from polyspanner.cones import (
     SubconeRef,
     ccw_sorted,
     direction_sector,
+    inside_wedge,
     key_compare,
     split_cone_label,
 )
+from polyspanner.geom import cross
 from polyspanner.scene import Scene
 
 from tests import reference_cones
@@ -194,6 +196,20 @@ def test_subcone_inside_wedge_raises():
         ConeIndex(sc).subcone_of(0, 3)
 
 
+def test_reverse_into_wedge_still_raises():
+    # 3 sees 0 in a whole cone, but from the spike's corner 0 the
+    # direction to 3 lies inside the wedge: the sector kept from (3, 0)
+    # must not classify (0, 3).
+    index = ConeIndex(split_scene([(3, 150)]))
+    assert str(index.subcone_of(3, 0)) == "C0-@3"
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            index.subcone_of(0, 3)
+        assert str(exc.value) == (
+            "vertex 3 lies strictly inside the obstacle wedge at vertex 0"
+        )
+
+
 def test_subcone_unsplit_is_whole():
     sc = split_scene([(-60, 205)])
     ref = ConeIndex(sc).subcone_of(3, 0)
@@ -224,3 +240,78 @@ def test_subcone_ref_str():
     ref = SubconeRef(5, ConeLabel(True, 0), SIDE_RIGHT)
     assert str(ref) == "C0+@5/right"
     assert str(SubconeRef(2, ConeLabel(False, 1))) == "C1-@2"
+
+
+def test_subcone_ref_repr():
+    assert repr(SubconeRef(5, ConeLabel(True, 0), SIDE_RIGHT)) == (
+        "SubconeRef(apex=5, label=ConeLabel(positive=True, index=0), side='right')"
+    )
+    assert repr(SubconeRef(2, ConeLabel(False, 1))) == (
+        "SubconeRef(apex=2, label=ConeLabel(positive=False, index=1), side='whole')"
+    )
+
+
+def test_subcone_refs_sort_by_apex_label_side():
+    # The order g7_transform walks ledger.by_subcone in: apex, then
+    # negative before positive, cone index, then side by name.
+    want = [
+        SubconeRef(1, ConeLabel(False, 2)),
+        SubconeRef(1, ConeLabel(True, 0), SIDE_LEFT),
+        SubconeRef(1, ConeLabel(True, 0), SIDE_RIGHT),
+        SubconeRef(1, ConeLabel(True, 1)),
+        SubconeRef(4, ConeLabel(False, 0), SIDE_LEFT),
+        SubconeRef(4, ConeLabel(False, 0), SIDE_RIGHT),
+        SubconeRef(4, ConeLabel(False, 1)),
+        SubconeRef(10, ConeLabel(True, 2)),
+    ]
+    shuffled = want[:]
+    random.Random(7).shuffle(shuffled)
+    assert sorted(shuffled) == want
+    assert sorted({ref: None for ref in shuffled}) == want
+
+
+def test_subcone_refs_are_values():
+    a = SubconeRef(3, ConeLabel(True, 1), SIDE_LEFT)
+    b = SubconeRef(3, ConeLabel(True, 1), SIDE_LEFT)
+    assert a == b and hash(a) == hash(b) and len({a: 1, b: 2}) == 1
+    assert a != SubconeRef(3, ConeLabel(True, 1), SIDE_RIGHT)
+    for obj, field in ((a, "apex"), (a, "side"), (a.label, "index")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+
+
+def _wedge_probes(rng):
+    """Seeded wedges (d_next, d_prev) and directions: small ints, where
+    straight corners and directions along d_next, d_prev and their
+    opposites are common, and large ints."""
+    for bound in (3, 10**30):
+        for _ in range(4000):
+            dn, dp, d = (
+                (rng.randint(-bound, bound), rng.randint(-bound, bound))
+                for _ in range(3)
+            )
+            if dn != (0, 0) and dp != (0, 0):
+                yield dn, dp, d
+    for _ in range(2000):
+        dn = (rng.randint(-9, 9), rng.randint(1, 9))
+        dp = (rng.randint(-9, 9), rng.randint(1, 9))
+        k = rng.randint(1, 4)
+        for base in (dn, dp):
+            for s in (k, -k):
+                yield dn, dp, (s * base[0], s * base[1])
+
+
+def test_inside_wedge_matches_half_plane_reference():
+    rng = random.Random(20202)
+    kinds = {"convex": 0, "straight": 0, "reflex": 0}
+    along = 0
+    for dn, dp, d in _wedge_probes(rng):
+        c = cross(*dn, *dp)
+        if c:
+            kinds["convex" if c > 0 else "reflex"] += 1
+        elif dn[0] * dp[0] + dn[1] * dp[1] < 0:
+            kinds["straight"] += 1
+        along += d != (0, 0) and (cross(*dn, *d) == 0 or cross(*dp, *d) == 0)
+        got = inside_wedge((dn, dp), *d)
+        assert got == reference_cones.inside_wedge((dn, dp), *d), (dn, dp, d)
+    assert min(kinds.values()) > 100 and along > 1000

@@ -1,16 +1,20 @@
-"""The obstacle tests stay one pass each, behind exact box prunes.
+"""The obstacle tests stay one pass each, behind exact box prunes, and
+``visibility_graph`` decides a pair at its endpoint wedges before any.
 
 Counters replace the names that ``geom``, ``visibility`` and ``verify``
-call, so bringing back the kernel's point-in-polygon fall-through or
-dropping a box prune fails here, although every output would stay the
-same.
+call, so bringing back the kernel's point-in-polygon fall-through,
+dropping a box prune or dropping the wedge shortcut fails here,
+although every output would stay the same.
 """
 
 import pytest
 
 from tests.conftest import load_scene
+from tests.reference_cones import inside_wedge
 
 from polyspanner import geom, verify, visibility
+from polyspanner.cones import obstacle_wedge
+from polyspanner.scene import Scene
 from polyspanner.spanners import build_g_infinity
 from polyspanner.verify import check_empty_triangles, oracle_g_infinity
 from polyspanner.visibility import visibility_graph
@@ -82,6 +86,35 @@ def test_segment_tests_only_where_boxes_meet(name, module, run, monkeypatch):
     # fixtures some pair's box misses some obstacle's box.
     pairs = scene.n * (scene.n - 1) // 2
     assert 0 < len(calls) < pairs * len(scene.obstacles)
+
+
+# A spike whose corner comes first, then last, in vertex order: the pair
+# with the free vertex is decided at the corner's wedge as u, then as v.
+SPIKE = [(0, 0), (20, 100), (-5, 101)]
+SPIKES = {
+    "spike-first": Scene(SPIKE + [(3, 150)], [[0, 1, 2]]),
+    "spike-last": Scene([(3, 150)] + SPIKE, [[1, 2, 3]]),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(SPIKES))
+def test_vis_scans_no_pair_decided_at_a_wedge(name, monkeypatch):
+    scene = SPIKES[name] if name in SPIKES else load_scene(name)
+    vertex = {p: v for v, p in enumerate(scene.ipoints)}
+    assert len(vertex) == scene.n
+
+    def leaves_no_wedge(a, b, poly):
+        for p, q in ((a, b), (b, a)):
+            w = obstacle_wedge(scene, vertex[p])
+            if w is not None and inside_wedge(w, q[0] - p[0], q[1] - p[1]):
+                return False
+        return True
+
+    calls = _counted(
+        monkeypatch, visibility, "segment_properly_intersects_polygon", leaves_no_wedge
+    )
+    visibility_graph(scene)
+    assert calls
 
 
 @pytest.mark.parametrize("name", FIXTURES)
