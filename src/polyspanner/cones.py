@@ -19,11 +19,11 @@ of (apex, p) and keeps (sector + 3) mod 6 for (p, apex); only the
 split-label test is per apex. It memoises every vertex's split label,
 the subcone of each directed pair and the subcone lists, and holds the
 canonical-sequence table of each distinct ``ginf`` (filled by
-``spanners.canonical_sequences``). Subcone membership has no other
-entry: one index is made per run and passed along. ``inside_wedge`` is
-the one test of a direction strictly inside an obstacle wedge: the
-index raises on it, and ``visibility`` drops a pair on it before any
-ring scan.
+``spanners.canonical_sequences``) and, once asked, the run's
+general-position report. Neither has another entry: one index is made
+per run and passed along. ``inside_wedge`` is the one test of a
+direction strictly inside an obstacle wedge: the index raises on it,
+and ``visibility`` drops a pair on it before any ring scan.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Optional
 
 from .geom import cross, sign, sqrt3_sign
+from .scene import check_general_position
 
 
 class GeneralPositionError(ValueError):
@@ -194,6 +195,7 @@ class ConeIndex:
         self._refs: dict = {}
         self._sectors: dict = {}  # (apex, p) -> sector, from (p, apex)
         self._subcones: dict = {}
+        self._general_position = None
 
     @classmethod
     def of(cls, scene, index: Optional["ConeIndex"]) -> "ConeIndex":
@@ -203,6 +205,12 @@ class ConeIndex:
         if index.scene is not scene:
             raise ValueError("cone index belongs to another scene")
         return index
+
+    def general_position(self):
+        """``check_general_position`` of the scene, on first call only."""
+        if self._general_position is None:
+            self._general_position = check_general_position(self.scene)
+        return self._general_position
 
     def split_label(self, vi: int) -> Optional[ConeLabel]:
         """``split_cone_label`` of vi."""

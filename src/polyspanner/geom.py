@@ -160,7 +160,7 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
       counted right of it, and a lies on no edge. (If only b is inside,
       ab reaches b through the boundary, where a case above holds.)
     Every corner is read, so callers first skip a ring whose bounding box
-    misses the segment's, as ``visibility`` and ``verify`` do.
+    misses the segment's, as ``Scene.crossed_obstacles`` and the oracle do.
     """
     ax, ay = a[0], a[1]
     dx, dy = b[0] - ax, b[1] - ay

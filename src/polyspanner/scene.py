@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geom import (
     COLLINEAR,
     orient,
     point_in_polygon,
     polygon_signed_area2,
+    segment_properly_intersects_polygon,
     segments_intersect_closed,
 )
 
@@ -101,6 +102,18 @@ class Scene:
     def boundary_neighbors(self, vi: int) -> Optional[tuple]:
         """(prev, next) along the obstacle boundary through vi, if any."""
         return self._boundary_prev_next.get(vi)
+
+    def crossed_obstacles(self, a, b) -> Iterator[int]:
+        """Indices, ascending, of the obstacles whose interior the open
+        segment ab meets, yielded lazily. A ring whose box misses the
+        segment's closed box is skipped unread; it cannot meet ab."""
+        sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+        sy0, sy1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+        for oi, (bx0, by0, bx1, by1) in enumerate(self.ibboxes):
+            if sx1 < bx0 or bx1 < sx0 or sy1 < by0 or by1 < sy0:
+                continue
+            if segment_properly_intersects_polygon(a, b, self.ipolygons[oi]):
+                yield oi
 
     def obstacle_edges(self):
         for oi, ring in enumerate(self.obstacles):

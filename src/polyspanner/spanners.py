@@ -27,8 +27,9 @@ table. ``build_all`` is the single pipeline entry: it runs the chain in
 order and returns all five graphs, which the CLI and ``verify`` use.
 
 Every step takes an optional ``index``, the run's ``cones.ConeIndex``.
-Passing one index through a run classifies each directed pair once and
-builds the table once per distinct ginf; a step called without one
+Passing one index through a run classifies each directed pair once,
+builds the table once per distinct ginf and decides general position
+(asked by ``build_g_infinity`` only) once; a step called without one
 makes its own.
 """
 
@@ -49,18 +50,8 @@ from .cones import (
     ccw_sorted,
     key_compare,
 )
-from .scene import Scene, check_general_position
+from .scene import Scene
 from .visibility import Graph, visibility_graph
-
-
-def _require_general_position(scene: Scene) -> None:
-    report = check_general_position(scene)
-    if not report.ok:
-        raise GeneralPositionError(
-            f"scene is not in general position: "
-            f"{report.parallel_count} boundary-parallel pair(s), "
-            f"{report.collinear_count} collinear triple(s)"
-        )
 
 
 def _edge(u: int, v: int) -> tuple:
@@ -82,14 +73,19 @@ def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
 
 
 def build_g_infinity(
-    scene: Scene, vis: Optional[Graph] = None, index: Optional[ConeIndex] = None
+    scene: Scene, vis: Graph, index: Optional[ConeIndex] = None
 ) -> Graph:
     """One edge per nonempty positive subcone, to the visible vertex
-    with the smallest bisector projection."""
-    _require_general_position(scene)
+    with the smallest bisector projection. Refuses a scene outside
+    general position, as the index reports it."""
     index = ConeIndex.of(scene, index)
-    if vis is None:
-        vis = visibility_graph(scene)
+    report = index.general_position()
+    if not report.ok:
+        raise GeneralPositionError(
+            f"scene is not in general position: "
+            f"{report.parallel_count} boundary-parallel pair(s), "
+            f"{report.collinear_count} collinear triple(s)"
+        )
     edges = set()
     for u in range(scene.n):
         groups: dict[SubconeRef, list] = {}
@@ -181,14 +177,13 @@ class Charge:
     Scenarios: A/B are the two endpoint charges of a closest edge (A at
     the positive end, B at the negative end); C/D are the endpoint
     charges of a canonical-path edge (C lands in the positive cone that
-    contains the path owner, D in an empty negative cone). owner and
-    owner_subcone identify the canonical sequence that created the
-    charge.
+    contains the path owner, D in an empty negative cone). owner_subcone
+    identifies the canonical sequence that created the charge; its apex
+    is the path owner.
     """
 
     edge: tuple
     scenario: str
-    owner: int
     owner_subcone: SubconeRef
 
 
@@ -267,10 +262,10 @@ def compute_charges(
         u = seq.apex
         j = seq.subcone.label.index
         e = _edge(u, seq.closest)
-        ledger.add(seq.subcone, Charge(e, "B", u, seq.subcone))
+        ledger.add(seq.subcone, Charge(e, "B", seq.subcone))
         ledger.add(
             _positive_subcone_containing(index, seq.closest, u),
-            Charge(e, "A", u, seq.subcone),
+            Charge(e, "A", seq.subcone),
         )
         for p, q in seq.consecutive_pairs():
             e = _edge(p, q)
@@ -281,24 +276,24 @@ def compute_charges(
                 # adjacent (ccw) to the cone containing u.
                 ledger.add(
                     _positive_subcone_containing(index, p, u),
-                    Charge(e, "C", u, seq.subcone),
+                    Charge(e, "C", seq.subcone),
                 )
             else:
                 ledger.add(
                     _scenario_d_target(index, p, (j + 1) % 3, SIDE_LEFT),
-                    Charge(e, "D", u, seq.subcone),
+                    Charge(e, "D", seq.subcone),
                 )
             # Looking from q toward its cw predecessor p.
             lab_qp = index.subcone_of(q, p).label
             if not lab_qp.positive:
                 ledger.add(
                     _positive_subcone_containing(index, q, u),
-                    Charge(e, "C", u, seq.subcone),
+                    Charge(e, "C", seq.subcone),
                 )
             else:
                 ledger.add(
                     _scenario_d_target(index, q, (j - 1) % 3, SIDE_RIGHT),
-                    Charge(e, "D", u, seq.subcone),
+                    Charge(e, "D", seq.subcone),
                 )
     return ledger
 
@@ -311,12 +306,11 @@ class Transformation:
     """Record of one double-charge resolution at vertex v.
 
     x and y are the path neighbors of v (x on the side of the path
-    owner's closest vertex). absorbed means only bookkeeping changed;
-    otherwise edge (v, y) was removed, (x, y) added, and possibly
-    (x, w) removed as well.
+    owner's closest vertex; the owner is owner_subcone's apex). absorbed
+    means only bookkeeping changed; otherwise edge (v, y) was removed,
+    (x, y) added, and possibly (x, w) removed as well.
     """
 
-    owner: int
     owner_subcone: SubconeRef
     v: int
     x: int
@@ -355,19 +349,19 @@ def g7_transform(
     for ref in sorted(ledger.by_subcone):
         if not ref.label.positive:
             continue
-        groups: dict[tuple, list] = {}
+        groups: dict[SubconeRef, list] = {}
         for c in ledger.by_subcone[ref]:
             if c.scenario == "C":
-                groups.setdefault((c.owner, c.owner_subcone), []).append(c)
-        for key, cs in sorted(groups.items()):
+                groups.setdefault(c.owner_subcone, []).append(c)
+        for owner_sub, cs in sorted(groups.items()):
             if len(cs) == 2:
-                candidates.append((ref, key))
+                candidates.append((ref, owner_sub))
 
-    for ref, (owner, owner_sub) in candidates:
+    for ref, owner_sub in candidates:
         current = [
             c
             for c in ledger.by_subcone.get(ref, [])
-            if c.scenario == "C" and (c.owner, c.owner_subcone) == (owner, owner_sub)
+            if c.scenario == "C" and c.owner_subcone == owner_sub
         ]
         if len(current) != 2:
             continue  # an earlier application already resolved this cone
@@ -389,15 +383,11 @@ def g7_transform(
 
         if closest_in_own_subcone(v, x):
             ledger.remove(ref, charge_vx)
-            transcript.append(
-                Transformation(owner, owner_sub, v, x, y, absorbed=True)
-            )
+            transcript.append(Transformation(owner_sub, v, x, y, absorbed=True))
             continue
         if closest_in_own_subcone(v, y):
             ledger.remove(ref, charge_vy)
-            transcript.append(
-                Transformation(owner, owner_sub, v, x, y, absorbed=True)
-            )
+            transcript.append(Transformation(owner_sub, v, x, y, absorbed=True))
             continue
 
         # Structural step: (v, y) goes away, (x, y) arrives.
@@ -412,7 +402,7 @@ def g7_transform(
         edges.discard(e_vy)
         edges.add(e_xy)
         for r, c in y_side:
-            ledger.add(r, Charge(e_xy, c.scenario, c.owner, c.owner_subcone))
+            ledger.add(r, Charge(e_xy, c.scenario, c.owner_subcone))
 
         # At x the new edge takes over the slot of (x, w) when that edge
         # is redundant or removable; w is x's neighbor on the canonical
@@ -448,10 +438,9 @@ def g7_transform(
                     ledger.remove_edge(e_xw)
                     edges.discard(e_xw)
                     removed_xw = e_xw
-        ledger.add(slot, Charge(e_xy, "C", v, sub_x))
+        ledger.add(slot, Charge(e_xy, "C", sub_x))
         transcript.append(
             Transformation(
-                owner,
                 owner_sub,
                 v,
                 x,
@@ -476,15 +465,9 @@ def build_g7(
 GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
 
 
-def build_all(
-    scene: Scene,
-    substitutions: Optional[dict] = None,
-    index: Optional[ConeIndex] = None,
-):
-    """The five graphs of the pipeline plus the g7 transformation log,
-    with named graphs optionally replaced by externally supplied ones
-    (replacement happens after honest construction, so downstream
-    graphs are built from the genuine pipeline)."""
+def build_all(scene: Scene, index: Optional[ConeIndex] = None):
+    """The five graphs of the pipeline, by name, plus the g7
+    transformation log, each step built from the one before."""
     index = ConeIndex.of(scene, index)
     vis = visibility_graph(scene)
     ginf = build_g_infinity(scene, vis, index)
@@ -498,10 +481,4 @@ def build_all(
         "g10": g10,
         "g7": g7res.graph,
     }
-    for name, g in (substitutions or {}).items():
-        if name not in graphs:
-            raise ValueError(f"unknown graph name {name!r}")
-        if g.n != scene.n:
-            raise ValueError(f"substituted {name} has {g.n} vertices, scene has {scene.n}")
-        graphs[name] = g
     return graphs, g7res

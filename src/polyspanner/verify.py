@@ -6,6 +6,9 @@ bounds) run in floating point with a relative tolerance of 1e-9, which
 dominates double-precision accumulation error at the coordinate scales
 this package targets. Both are read on the base graph's edges from the
 sub-graph's distance matrix, so the dense ``vis`` graph never needs one.
+``run_verification`` reads general position from its run's
+``ConeIndex``, as ``build_g_infinity`` does; the oracle checks again on
+its own, to stay independent.
 """
 
 from __future__ import annotations
@@ -139,20 +142,10 @@ def check_planarity(scene: Scene, g: Graph) -> PlanarityReport:
             if segments_properly_intersect(pts[a], pts[b], pts[c], pts[d]):
                 found.append(pair)
     crossings = [(edges[i], edges[j]) for i, j in sorted(found)]
-    conflicts = []
-    for a, b in edges:
-        lo_x = min(pts[a][0], pts[b][0])
-        hi_x = max(pts[a][0], pts[b][0])
-        lo_y = min(pts[a][1], pts[b][1])
-        hi_y = max(pts[a][1], pts[b][1])
-        for oi, (bx0, by0, bx1, by1) in enumerate(scene.ibboxes):
-            if hi_x < bx0 or bx1 < lo_x or hi_y < by0 or by1 < lo_y:
-                continue
-            if segment_properly_intersects_polygon(
-                pts[a], pts[b], scene.ipolygons[oi]
-            ):
-                conflicts.append(((a, b), oi))
-    return PlanarityReport(tuple(crossings), tuple(conflicts))
+    conflicts = tuple(
+        ((a, b), oi) for a, b in edges for oi in scene.crossed_obstacles(pts[a], pts[b])
+    )
+    return PlanarityReport(tuple(crossings), conflicts)
 
 
 @dataclass(frozen=True)
@@ -435,7 +428,8 @@ def run_verification(
             "; ".join(v.detail for v in vres.violations[:3]),
         )
     )
-    gp = check_general_position(scene)
+    index = ConeIndex(scene)
+    gp = index.general_position()
     outcomes.append(
         CheckOutcome(
             "general-position",
@@ -447,8 +441,13 @@ def run_verification(
     if not (vres.ok and gp.ok):
         return outcomes
 
-    index = ConeIndex(scene)
-    graphs, g7res = build_all(scene, substitutions, index)
+    graphs, g7res = build_all(scene, index)
+    for name, g in (substitutions or {}).items():
+        if name not in graphs:
+            raise ValueError(f"unknown graph name {name!r}")
+        if g.n != scene.n:
+            raise ValueError(f"substituted {name} has {g.n} vertices, scene has {scene.n}")
+        graphs[name] = g
     vis, ginf = graphs["vis"], graphs["ginf"]
     g15, g10, g7 = graphs["g15"], graphs["g10"], graphs["g7"]
 

@@ -13,7 +13,6 @@ import math
 from typing import Iterable
 
 from .cones import inside_wedge, obstacle_wedge
-from .geom import segment_properly_intersects_polygon
 from .scene import Scene
 
 
@@ -75,25 +74,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _clear_of_obstacles(scene: Scene, a, b) -> bool:
-    """True iff the open segment ab misses every obstacle interior."""
-    sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-    sy0, sy1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-    for (bx0, by0, bx1, by1), poly in zip(scene.ibboxes, scene.ipolygons):
-        if sx1 < bx0 or bx1 < sx0 or sy1 < by0 or by1 < sy0:
-            continue
-        if segment_properly_intersects_polygon(a, b, poly):
-            return False
-    return True
-
-
 def visibility_graph(scene: Scene) -> Graph:
     """All mutually visible vertex pairs, exact on any input. A pair is
     blocked iff a nearer vertex lies on the same gcd-reduced integer ray
     (one table per apex, O(n^2) in all), or its direction leaves either
     endpoint strictly into that corner's obstacle wedge
-    (``cones.inside_wedge``); only then is the pair tested against each
-    obstacle whose bounding box meets the segment's."""
+    (``cones.inside_wedge``); only then is the pair tested against the
+    obstacles, by ``Scene.crossed_obstacles``."""
     pts = scene.ipoints
     wedges = [obstacle_wedge(scene, u) for u in range(scene.n)]
     edges = []
@@ -116,6 +103,6 @@ def visibility_graph(scene: Scene) -> Graph:
             wv = wedges[v]
             if wu and inside_wedge(wu, dx, dy) or wv and inside_wedge(wv, -dx, -dy):
                 continue
-            if _clear_of_obstacles(scene, pts[u], pts[v]):
+            if next(scene.crossed_obstacles(pts[u], pts[v]), None) is None:
                 edges.append((u, v))
     return Graph(scene.n, edges)

@@ -1,16 +1,24 @@
 """The per-run cone index against the reference classification, which
-recomputes every call from scratch, and the guard that one run
-classifies each vertex and builds each canonical-sequence table once."""
+recomputes every call from scratch, and the guards that one run
+classifies each vertex, builds each canonical-sequence table and
+decides general position once."""
 
+import sys
 from collections import Counter
 
 import pytest
 
-from polyspanner import cones, spanners
+from polyspanner import cones, scene as scene_module, spanners
 from polyspanner.cones import ConeIndex
 from polyspanner.generator import generate
 from polyspanner.scene import Scene
-from polyspanner.spanners import build_all, build_g_infinity
+from polyspanner.spanners import (
+    build_all,
+    build_g10,
+    build_g15,
+    build_g7,
+    build_g_infinity,
+)
 from polyspanner.verify import run_verification
 from polyspanner.visibility import Graph, visibility_graph
 
@@ -115,7 +123,7 @@ def test_ginf_finds_one_sector_per_visible_pair(name, monkeypatch):
 
 def test_index_belongs_to_one_scene():
     with pytest.raises(ValueError, match="another scene"):
-        build_g_infinity(SPIKE, None, ConeIndex(RING))
+        build_g_infinity(SPIKE, visibility_graph(SPIKE), ConeIndex(RING))
 
 
 def _dropped_first(g):
@@ -156,3 +164,35 @@ def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
     run_verification(scene, subs)
     assert max(splits.values()) == 1
     assert len(built) == len(set(built)) == tables
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_general_position_checked_once_per_run(monkeypatch, fixture):
+    # Every library binding of check_general_position counts its calls.
+    # A run asks its index once and the oracle once on its own; a fresh
+    # build_g_infinity asks once; the later steps never ask, so an index
+    # that checked eagerly on construction would fail here.
+    scene = load_scene(fixture)
+    vis = visibility_graph(scene)
+    real = scene_module.check_general_position
+    calls = Counter()
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("polyspanner"):
+            continue
+        if getattr(module, "check_general_position", None) is real:
+
+            def probe(sc, name=name):
+                calls[name] += 1
+                return real(sc)
+
+            monkeypatch.setattr(module, "check_general_position", probe)
+    run_verification(scene)
+    assert calls == {"polyspanner.cones": 1, "polyspanner.verify": 1}
+    calls.clear()
+    ginf = build_g_infinity(scene, vis)
+    assert calls == {"polyspanner.cones": 1}
+    calls.clear()
+    g10 = build_g10(scene, ginf)
+    build_g15(scene, ginf)
+    build_g7(scene, ginf, g10)
+    assert not calls

@@ -1,8 +1,8 @@
 """The obstacle tests stay one pass each, behind exact box prunes, and
 ``visibility_graph`` decides a pair at its endpoint wedges before any.
 
-Counters replace the names that ``geom``, ``visibility`` and ``verify``
-call, so bringing back the kernel's point-in-polygon fall-through,
+Counters replace the names that ``geom``, ``scene`` and ``verify`` call,
+so bringing back the kernel's point-in-polygon fall-through,
 dropping a box prune or dropping the wedge shortcut fails here,
 although every output would stay the same.
 """
@@ -12,11 +12,11 @@ import pytest
 from tests.conftest import load_scene
 from tests.reference_cones import inside_wedge
 
-from polyspanner import geom, verify, visibility
+from polyspanner import geom, scene as scene_module, verify
 from polyspanner.cones import obstacle_wedge
 from polyspanner.scene import Scene
 from polyspanner.spanners import build_g_infinity
-from polyspanner.verify import check_empty_triangles, oracle_g_infinity
+from polyspanner.verify import check_empty_triangles, check_planarity, oracle_g_infinity
 from polyspanner.visibility import visibility_graph
 
 FIXTURES = ["nonconvex.json", "split_cones.json"]
@@ -73,15 +73,20 @@ def test_kernel_decides_inside_without_point_in_polygon(name, monkeypatch):
 @pytest.mark.parametrize("name", FIXTURES)
 @pytest.mark.parametrize(
     "module, run",
-    [(verify, oracle_g_infinity), (visibility, visibility_graph)],
-    ids=["oracle", "vis"],
+    [
+        (verify, lambda scene, vis: oracle_g_infinity(scene)),
+        (scene_module, lambda scene, vis: visibility_graph(scene)),
+        (scene_module, check_planarity),
+    ],
+    ids=["oracle", "vis", "planarity"],
 )
 def test_segment_tests_only_where_boxes_meet(name, module, run, monkeypatch):
     scene = load_scene(name)
+    vis = visibility_graph(scene)
     calls = _counted(
         monkeypatch, module, "segment_properly_intersects_polygon", _closed_boxes_meet
     )
-    run(scene)
+    run(scene, vis)
     # Each unordered pair meets each obstacle at most once, and on both
     # fixtures some pair's box misses some obstacle's box.
     pairs = scene.n * (scene.n - 1) // 2
@@ -111,7 +116,7 @@ def test_vis_scans_no_pair_decided_at_a_wedge(name, monkeypatch):
         return True
 
     calls = _counted(
-        monkeypatch, visibility, "segment_properly_intersects_polygon", leaves_no_wedge
+        monkeypatch, scene_module, "segment_properly_intersects_polygon", leaves_no_wedge
     )
     visibility_graph(scene)
     assert calls

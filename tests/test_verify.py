@@ -337,7 +337,7 @@ def test_empty_triangles_match_reference():
     for scene in [load_scene(name) for name in FIXTURE_NAMES] + [
         generate(cfg) for cfg in configs()[::7]
     ]:
-        ginf = build_g_infinity(scene)
+        ginf = build_g_infinity(scene, visibility_graph(scene))
         want = reference_empty_triangles.check_empty_triangles(scene, ginf)
         assert check_empty_triangles(scene, ginf).witnesses == want.witnesses
     for seed in range(20):
@@ -367,7 +367,7 @@ def test_canonical_path_checker_positive(split_cones):
 
 def test_oracle_matches_builder_on_fixtures(micro3, split_cones, nonconvex):
     for scene in (micro3, split_cones, nonconvex):
-        ginf = build_g_infinity(scene)
+        ginf = build_g_infinity(scene, visibility_graph(scene))
         assert oracle_g_infinity(scene) == ginf
 
 
@@ -459,3 +459,16 @@ def test_run_verification_detects_broken_canonical_path(split_cones):
 
 def test_rel_tol_is_tight():
     assert REL_TOL == 1e-9
+
+
+@pytest.mark.parametrize("sub", ["unknown", "wrong-size"])
+def test_bad_substitution_raises(split_cones, sub):
+    n = split_cones.n
+    if sub == "unknown":
+        subs, message = {"g9": Graph(n, [])}, "unknown graph name 'g9'"
+    else:
+        subs = {"g15": Graph(n + 1, [])}
+        message = f"substituted g15 has {n + 1} vertices, scene has {n}"
+    with pytest.raises(ValueError) as exc:
+        run_verification(split_cones, subs)
+    assert str(exc.value) == message
