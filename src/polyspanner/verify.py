@@ -4,22 +4,26 @@ Exact predicates decide planarity, canonical-path membership, and
 triangle emptiness. Metric statements (stretch factors, per-edge path
 bounds) run in floating point with a relative tolerance of 1e-9, which
 dominates double-precision accumulation error at the coordinate scales
-this package targets. Both are read on the base graph's edges from the
-sub-graph's distance matrix, so the dense ``vis`` graph never needs one.
-``run_verification`` reads general position from its run's
-``ConeIndex``, as ``build_g_infinity`` does; the oracle checks again on
-its own, to stay independent.
+this package targets. ``run_verification`` turns each of the five
+graphs into one ``EdgeTable`` (its sorted edges as index arrays, with
+each edge's length) and does the metric work on those arrays: one
+Dijkstra call per spanner for the distance matrix, and the stretch and
+per-edge reads on the base graph's edges, so the dense ``vis`` graph
+never needs a matrix. ``run_verification`` reads general position from
+its run's ``ConeIndex``, as ``build_g_infinity`` does; the oracle
+checks again on its own, to stay independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .cones import ConeIndex
 from .geom import (
@@ -48,18 +52,45 @@ def edge_length(scene: Scene, u: int, v: int) -> float:
     return math.hypot((vx - ux) / s, (vy - uy) / s)
 
 
-def distance_matrix(scene: Scene, g: Graph) -> np.ndarray:
+class EdgeTable(NamedTuple):
+    """One graph on n vertices as arrays: its ``sorted_edges`` as
+    endpoints u < v, and each edge's ``edge_length``."""
+
+    n: int
+    u: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
+
+
+def edge_table(scene: Scene, g: Graph) -> EdgeTable:
+    """g's ``EdgeTable`` on the scene's points, one ``edge_length`` call
+    per edge."""
+    if g.n != scene.n:
+        raise ValueError("graphs must share the scene's vertex set")
+    # Sorting the index arrays gives sorted_edges' order without
+    # building and sorting a list of tuples.
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
+    order = np.lexsort((flat[1::2], flat[0::2]))
+    u, v = flat[0::2][order], flat[1::2][order]
+    length = np.array(
+        [edge_length(scene, a, b) for a, b in zip(u.tolist(), v.tolist())], dtype=float
+    )
+    return EdgeTable(scene.n, u, v, length)
+
+
+def distance_matrix(table: EdgeTable) -> np.ndarray:
     """All-pairs shortest-path distances with Euclidean edge weights,
-    one single-source run per vertex."""
-    n = scene.n
-    rows, cols, data = [], [], []
-    for u, v in g.edges:
-        w = edge_length(scene, u, v)
-        rows.extend((u, v))
-        cols.extend((v, u))
-        data.extend((w, w))
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-    return shortest_path(mat, method="D", directed=False)
+    from one Dijkstra call over all sources. The CSR matrix holds each
+    edge in both directions and the search runs directed, because
+    scipy's undirected mode builds the transpose again on every call."""
+    n = table.n
+    rows = np.concatenate((table.u, table.v))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    cols = np.concatenate((table.v, table.u))[order]
+    data = np.concatenate((table.length, table.length))[order]
+    return dijkstra(csr_matrix((data, cols, indptr), shape=(n, n)), directed=True)
 
 
 # --- stretch ----------------------------------------------------------------
@@ -74,9 +105,7 @@ class StretchReport:
         return self.max_ratio <= bound * (1.0 + REL_TOL)
 
 
-def stretch_factor(
-    scene: Scene, sub: Graph, base: Graph, sub_dist: np.ndarray
-) -> StretchReport:
+def stretch_factor(base: EdgeTable, sub_dist: np.ndarray) -> StretchReport:
     """Largest d_sub(x,y) / d_base(x,y) over pairs connected in base,
     read on base's edges from sub's ``distance_matrix``.
 
@@ -85,16 +114,15 @@ def stretch_factor(
     t * d_base(p0,pk), where t is the largest ratio over base edges. The
     witness is the first base edge, in ``sorted_edges`` order, attaining
     the maximum; an edge whose ends sub does not connect gives an
-    infinite ratio.
+    infinite ratio. An edgeless base reads 1 with no witness.
     """
-    if sub.n != scene.n or base.n != scene.n:
+    if sub_dist.shape != (base.n, base.n):
         raise ValueError("graphs must share the scene's vertex set")
-    best, witness = 1.0, None
-    for u, v in base.sorted_edges():
-        ratio = float(sub_dist[u, v]) / edge_length(scene, u, v)
-        if witness is None or ratio > best:
-            best, witness = ratio, (u, v)
-    return StretchReport(best, witness)
+    if not len(base.length):
+        return StretchReport(1.0, None)
+    ratios = sub_dist[base.u, base.v] / base.length
+    k = int(np.argmax(ratios))
+    return StretchReport(float(ratios[k]), (int(base.u[k]), int(base.v[k])))
 
 
 # --- planarity and degrees --------------------------------------------------
@@ -174,51 +202,61 @@ class WitnessReport:
         return not self.witnesses
 
 
-def per_edge_bound(theta: float) -> float:
+def per_edge_bound(theta):
     """Path-length factor sqrt(3)*cos(theta) + sin(theta) for the angle
-    between the pair's segment and its cone bisector."""
-    return math.sqrt(3.0) * math.cos(theta) + math.sin(theta)
+    between the pair's segment and its cone bisector; theta may be an
+    array."""
+    return math.sqrt(3.0) * np.cos(theta) + np.sin(theta)
 
 
-# Unit bisectors of the positive cones C0+, C1+, C2+, indexed by cone.
-_BISECTORS = (
+# Unit bisectors of the positive cones C0+, C1+, C2+, one row per cone.
+_BISECTORS = np.array([
     (0.0, 1.0),
     (-math.sqrt(3.0) / 2, -0.5),
     (math.sqrt(3.0) / 2, -0.5),
-)
+])
 
 
 def check_per_edge_bound_ginf(
     scene: Scene,
-    vis: Graph,
+    vis: EdgeTable,
     ginf_dist: np.ndarray,
     index: Optional[ConeIndex] = None,
 ) -> WitnessReport:
     """Every visibility edge (u, v), read from the endpoint whose
     positive cone holds the other, has a ginf path no longer than the
-    angle-dependent factor times the Euclidean distance; ginf_dist is
-    ginf's ``distance_matrix``.
+    angle-dependent factor times the Euclidean distance; vis is the
+    visibility graph's ``edge_table`` and ginf_dist is ginf's
+    ``distance_matrix``.
 
-    The apex is picked by ``ConeIndex.subcone_of``, so an edge on a cone
-    boundary or into an obstacle wedge raises ValueError. The angle is
-    atan2(|b x s|, b . s), where b is the cone's unit bisector from the
-    three-entry table ``_BISECTORS`` and s is the float offset from the
-    apex to the far endpoint.
+    The apex is picked by ``ConeIndex.subcone_of``, one edge at a time
+    in ``sorted_edges`` order, so an edge on a cone boundary or into an
+    obstacle wedge raises ValueError. The angle is atan2(|b x s|, b . s),
+    where b is the cone's unit bisector from ``_BISECTORS`` and s is the
+    float offset from the apex to the far endpoint: exact integer
+    differences divided by the scale, as in ``edge_length``. Witnesses
+    come out in ``sorted_edges`` order.
     """
     index = ConeIndex.of(scene, index)
-    bad = []
-    for u, v in vis.sorted_edges():
-        ref = index.subcone_of(u, v)
-        apex, far = (u, v) if ref.label.positive else (v, u)
-        bx, by = _BISECTORS[ref.label.index]
-        (ax, ay), (fx, fy) = scene.ipoints[apex], scene.ipoints[far]
-        sx, sy = (fx - ax) / scene.scale, (fy - ay) / scene.scale
-        theta = math.atan2(abs(bx * sy - by * sx), bx * sx + by * sy)
-        bound = per_edge_bound(theta) * edge_length(scene, u, v)
-        have = float(ginf_dist[u, v])
-        if have > bound * (1.0 + REL_TOL):
-            bad.append(((u, v), have, bound))
-    return WitnessReport(tuple(bad))
+    pts, scale = scene.ipoints, scene.scale
+    cones, sx, sy = [], [], []
+    for u, v in zip(vis.u.tolist(), vis.v.tolist()):
+        label = index.subcone_of(u, v).label
+        apex, far = (u, v) if label.positive else (v, u)
+        (ax, ay), (fx, fy) = pts[apex], pts[far]
+        cones.append(label.index)
+        sx.append((fx - ax) / scale)
+        sy.append((fy - ay) / scale)
+    bx, by = _BISECTORS[np.array(cones, dtype=np.intp)].T
+    sx, sy = np.array(sx, dtype=float), np.array(sy, dtype=float)
+    theta = np.arctan2(np.abs(bx * sy - by * sx), bx * sx + by * sy)
+    bound = per_edge_bound(theta) * vis.length
+    have = ginf_dist[vis.u, vis.v]
+    over = np.flatnonzero(have > bound * (1.0 + REL_TOL))
+    return WitnessReport(tuple(
+        ((int(vis.u[k]), int(vis.v[k])), float(have[k]), float(bound[k]))
+        for k in over
+    ))
 
 
 # --- structural property checks ----------------------------------------------
@@ -549,8 +587,9 @@ def run_verification(
         ):
             outcomes.append(CheckOutcome(name, False, str(exc)))
 
+    tables = {name: edge_table(scene, g) for name, g in graphs.items()}
     dists = {
-        name: distance_matrix(scene, graphs[name])
+        name: distance_matrix(tables[name])
         for name in ("ginf", "g15", "g10", "g7")
     }
     stretch_specs = (
@@ -563,9 +602,7 @@ def run_verification(
         ("g7", "vis", 6.0),
     )
     for sub_name, base_name, bound in stretch_specs:
-        rep = stretch_factor(
-            scene, graphs[sub_name], graphs[base_name], dists[sub_name]
-        )
+        rep = stretch_factor(tables[base_name], dists[sub_name])
         outcomes.append(
             CheckOutcome(
                 f"stretch({sub_name}|{base_name}<={bound:g})",
@@ -585,7 +622,7 @@ def run_verification(
 
     witness_check(
         "per-edge-bound(ginf|vis)",
-        lambda: check_per_edge_bound_ginf(scene, vis, dists["ginf"], index),
+        lambda: check_per_edge_bound_ginf(scene, tables["vis"], dists["ginf"], index),
         lambda ws: f"{len(ws)} edge(s) over bound: {[w[0] for w in ws[:4]]}",
     )
     witness_check(

@@ -26,6 +26,7 @@ from polyspanner.verify import (
     WitnessReport,
     distance_matrix,
     edge_length,
+    edge_table,
     per_edge_bound,
 )
 from polyspanner.scene import Scene
@@ -187,7 +188,7 @@ def check_per_edge_bound_ginf(
     if vis is None:
         vis = visibility_graph(scene)
     if ginf_dist is None:
-        ginf_dist = distance_matrix(scene, ginf)
+        ginf_dist = distance_matrix(edge_table(scene, ginf))
     index = ConeIndex(scene)
     bad = []
     for u, v in vis.sorted_edges():

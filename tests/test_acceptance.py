@@ -31,6 +31,7 @@ from polyspanner.verify import (
     check_per_edge_bound_ginf,
     check_planarity,
     distance_matrix,
+    edge_table,
     oracle_g_infinity,
     per_edge_bound,
     run_verification,
@@ -68,13 +69,19 @@ class Instance:
     g15: Graph
     g10: Graph
     g7res: object
+    tables: dict = field(default_factory=dict)
     dists: dict = field(default_factory=dict)
+
+    def table(self, name):
+        if name not in self.tables:
+            g = {"vis": self.vis, "ginf": self.ginf, "g15": self.g15,
+                 "g10": self.g10, "g7": self.g7res.graph}[name]
+            self.tables[name] = edge_table(self.scene, g)
+        return self.tables[name]
 
     def dist(self, name):
         if name not in self.dists:
-            g = {"vis": self.vis, "ginf": self.ginf, "g15": self.g15,
-                 "g10": self.g10, "g7": self.g7res.graph}[name]
-            self.dists[name] = distance_matrix(self.scene, g)
+            self.dists[name] = distance_matrix(self.table(name))
         return self.dists[name]
 
 
@@ -170,16 +177,11 @@ def test_criterion_4_stretch_bounds(suite):
         ("g10", "vis", 6.0),
         ("g7", "vis", 6.0),
     ]
-    graphs = lambda inst: {
-        "vis": inst.vis, "ginf": inst.ginf, "g15": inst.g15,
-        "g10": inst.g10, "g7": inst.g7res.graph,
-    }
     bad = []
     worst = 0.0
     for inst in suite:
-        gs = graphs(inst)
         for sub, base, bound in bounds:
-            rep = stretch_factor(inst.scene, gs[sub], gs[base], inst.dist(sub))
+            rep = stretch_factor(inst.table(base), inst.dist(sub))
             worst = max(worst, rep.max_ratio / bound)
             if not rep.within(bound):
                 bad.append((inst.label, f"{sub}|{base}", rep.max_ratio))
@@ -198,7 +200,7 @@ def test_criterion_5_per_edge_bound(suite):
     )
     bad = []
     for inst in suite:
-        rep = check_per_edge_bound_ginf(inst.scene, inst.vis, inst.dist("ginf"))
+        rep = check_per_edge_bound_ginf(inst.scene, inst.table("vis"), inst.dist("ginf"))
         if not rep.ok:
             bad.append((inst.label, rep.witnesses[:2]))
     record(
@@ -263,7 +265,7 @@ def test_criterion_7_subgraph_chain(suite):
 def test_criterion_8_micro_instance(suite):
     inst = next(i for i in suite if i.label == "micro3.json")
     edges_ok = inst.ginf.sorted_edges() == [(0, 1), (1, 2)]
-    rep = stretch_factor(inst.scene, inst.ginf, inst.vis, inst.dist("ginf"))
+    rep = stretch_factor(inst.table("vis"), inst.dist("ginf"))
     value_ok = abs(rep.max_ratio - math.sqrt(2)) < 1e-12
     witness_ok = rep.witness_pair == (0, 2)
     record(

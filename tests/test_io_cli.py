@@ -391,7 +391,10 @@ class TestCli:
         assert out == ""
         assert "Traceback" not in err
         (line,) = err.splitlines()
-        assert line.startswith("verify: coordinate too large for a float")
+        assert line == (
+            "verify: coordinate too large for a float "
+            "(integer division result too large for a float)"
+        )
 
     def test_gen_infeasible_is_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--n", "4", "--obstacles", "2",

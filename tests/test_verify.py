@@ -31,6 +31,7 @@ from polyspanner.verify import (
     degree_report,
     distance_matrix,
     edge_length,
+    edge_table,
     oracle_g_infinity,
     per_edge_bound,
     run_verification,
@@ -39,10 +40,14 @@ from polyspanner.verify import (
 from polyspanner.visibility import Graph, visibility_graph
 
 
+def _dist(sc: Scene, g: Graph) -> np.ndarray:
+    return distance_matrix(edge_table(sc, g))
+
+
 def test_distance_matrix_triangle():
     sc = Scene([(0, 0), (3, 4), (6, 1)])
     g = Graph(3, [(0, 1), (1, 2)])
-    d = distance_matrix(sc, g)
+    d = _dist(sc, g)
     assert d[0, 1] == pytest.approx(5.0)
     assert d[0, 2] == pytest.approx(5.0 + math.sqrt(18))
     assert d[0, 0] == 0.0
@@ -66,19 +71,33 @@ def test_edge_length_is_bit_identical_to_fraction_differences(coords):
     assert edge_length(sc, 1, 0).hex() == want.hex()
 
 
-def test_stretch_identity_is_one(nonconvex):
-    g = visibility_graph(nonconvex)
-    dist = distance_matrix(nonconvex, g)
-    rep = stretch_factor(nonconvex, g, g, dist)
-    assert rep.max_ratio == 1.0
-    assert rep.within(1.0)
+# Scenes of 0, 1 and 2 points; each case pairs a scene with its own vis
+# and with the edgeless graph on its vertices.
+TINY = {"n0": Scene([]), "n1": Scene([(0, 0)]), "n2": Scene([(0, 0), (1, 3)])}
+
+
+def _graph_cases(fixture):
+    scenes = {fixture: load_scene(f"{fixture}.json"), **TINY}
+    for name, sc in scenes.items():
+        yield f"{name}-vis", sc, visibility_graph(sc)
+        yield f"{name}-edgeless", sc, Graph(sc.n)
+
+
+def test_stretch_identity_is_one():
+    for case, sc, g in _graph_cases("nonconvex"):
+        dist = _dist(sc, g)
+        assert dist.shape == (sc.n, sc.n), case
+        rep = stretch_factor(edge_table(sc, g), dist)
+        assert rep.max_ratio == 1.0, case
+        assert rep.within(1.0), case
+        assert rep.witness_pair == (g.sorted_edges()[0] if g.m else None), case
 
 
 def test_stretch_detour():
     sc = Scene([(0, 0), (10, 1), (11, 11), (1, 10)])
     base = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     sub = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    rep = stretch_factor(sc, sub, base, distance_matrix(sc, sub))
+    rep = stretch_factor(edge_table(sc, base), _dist(sc, sub))
     detour = edge_length(sc, 0, 1) + edge_length(sc, 1, 2)
     direct = edge_length(sc, 0, 2)
     assert rep.max_ratio == pytest.approx(detour / direct)
@@ -90,9 +109,32 @@ def test_stretch_disconnected_sub_is_infinite():
     sc = Scene([(0, 0), (10, 1), (5, 8)])
     base = Graph(3, [(0, 1), (1, 2), (0, 2)])
     sub = Graph(3, [(0, 1)])
-    rep = stretch_factor(sc, sub, base, distance_matrix(sc, sub))
+    rep = stretch_factor(edge_table(sc, base), _dist(sc, sub))
     assert math.isinf(rep.max_ratio)
     assert not rep.within(1e9)
+
+
+def test_witnesses_are_first_in_sorted_order():
+    # Mirrored detours a-b-c and d-e-f give (0, 2) and (3, 5) the same
+    # ratio sqrt(5)/2, bit for bit; the witness is the first of them.
+    sc = Scene([(0, 0), (2, 1), (4, 0), (0, 10), (2, 9), (4, 10)])
+    base = edge_table(sc, Graph(6, [(3, 5), (0, 2), (4, 5), (3, 4), (1, 2), (0, 1)]))
+    sub = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    dist = _dist(sc, sub)
+    assert dist[0, 2] / edge_length(sc, 0, 2) == dist[3, 5] / edge_length(sc, 3, 5)
+    rep = stretch_factor(base, dist)
+    assert rep.max_ratio == pytest.approx(math.sqrt(5) / 2)
+    assert rep.witness_pair == (0, 2)
+    # Without (1, 2), both (0, 2) and (1, 2) read inf.
+    rep = stretch_factor(base, _dist(sc, Graph(6, [(0, 1), (3, 4), (4, 5)])))
+    assert math.isinf(rep.max_ratio)
+    assert rep.witness_pair == (0, 2)
+    # Per-edge witnesses follow sorted_edges whichever endpoint is the apex.
+    sc = Scene([(0, 0), (1, 10), (20, 5), (9, 14), (12, -3)])
+    vis = visibility_graph(sc)
+    assert vis.m == 10
+    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), np.full((5, 5), np.inf))
+    assert [w[0] for w in rep.witnesses] == vis.sorted_edges()
 
 
 STRETCH_SPECS = (
@@ -121,17 +163,17 @@ def test_stretch_matches_all_pairs_reference():
     compared = 0
     for sc in scenes:
         honest, _ = build_all(sc)
-        honest_dists = {k: distance_matrix(sc, g) for k, g in honest.items()}
+        honest_dists = {k: _dist(sc, g) for k, g in honest.items()}
         variants = [(honest, honest_dists)]
         for name in ("ginf", "g15", "g10", "g7"):
             for bad in _corruptions(honest[name], honest["vis"]):
                 variants.append((
                     {**honest, name: bad},
-                    {**honest_dists, name: distance_matrix(sc, bad)},
+                    {**honest_dists, name: _dist(sc, bad)},
                 ))
         for graphs, dists in variants:
             for sub, base, bound in STRETCH_SPECS:
-                got = stretch_factor(sc, graphs[sub], graphs[base], dists[sub])
+                got = stretch_factor(edge_table(sc, graphs[base]), dists[sub])
                 want = reference_stretch.stretch_factor(
                     sc, graphs[sub], graphs[base], dists[sub], dists[base]
                 )
@@ -149,9 +191,9 @@ def test_verification_builds_no_vis_matrix(monkeypatch, split_cones):
     built = []
     real = verify.distance_matrix
 
-    def recording(scene, g):
-        built.append(g.edges)
-        return real(scene, g)
+    def recording(table):
+        built.append(frozenset(zip(table.u.tolist(), table.v.tolist())))
+        return real(table)
 
     monkeypatch.setattr(verify, "distance_matrix", recording)
     assert all(o.ok for o in run_verification(split_cones))
@@ -161,6 +203,22 @@ def test_verification_builds_no_vis_matrix(monkeypatch, split_cones):
     assert built == spanners
 
 
+@pytest.mark.parametrize("name", ["split_cones.json", "g7_structural.json"])
+def test_verification_reads_each_edge_length_once(monkeypatch, name):
+    sc = load_scene(name)
+    calls = []
+    real = verify.edge_length
+
+    def counting(scene, u, v):
+        calls.append((u, v))
+        return real(scene, u, v)
+
+    monkeypatch.setattr(verify, "edge_length", counting)
+    assert all(o.ok for o in run_verification(sc))
+    graphs, _ = build_all(sc)
+    assert 0 < len(calls) <= sum(g.m for g in graphs.values())
+
+
 def test_per_edge_bound_spot_values():
     assert per_edge_bound(0.0) == pytest.approx(math.sqrt(3), rel=1e-12)
     assert per_edge_bound(math.pi / 6) == pytest.approx(2.0, rel=1e-12)
@@ -168,13 +226,11 @@ def test_per_edge_bound_spot_values():
     assert math.sqrt(3) < per_edge_bound(0.2) < 2.0
 
 
-def test_per_edge_bound_holds_on_fixture(split_cones):
-    vis = visibility_graph(split_cones)
-    ginf = build_g_infinity(split_cones, vis)
-    rep = check_per_edge_bound_ginf(
-        split_cones, vis, distance_matrix(split_cones, ginf)
-    )
-    assert rep.ok
+def test_per_edge_bound_holds_on_fixture():
+    for case, sc, vis in _graph_cases("split_cones"):
+        ginf = build_g_infinity(sc, vis)
+        rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, ginf))
+        assert rep.witnesses == (), case
 
 
 # A fixed seventh of the acceptance configurations: the reference builds
@@ -201,11 +257,11 @@ def test_per_edge_bound_matches_reference():
         # The all-inf matrix, last, turns every visible pair into a
         # witness, so every bound is compared.
         for dist in (
-            distance_matrix(sc, ginf),
-            distance_matrix(sc, _thinned(ginf)),
+            _dist(sc, ginf),
+            _dist(sc, _thinned(ginf)),
             np.full((sc.n, sc.n), np.inf),
         ):
-            got = check_per_edge_bound_ginf(sc, vis, dist).witnesses
+            got = check_per_edge_bound_ginf(sc, edge_table(sc, vis), dist).witnesses
             want = reference_per_edge.check_per_edge_bound_ginf(
                 sc, ginf, vis, dist
             ).witnesses
@@ -224,7 +280,7 @@ def test_per_edge_bound_negative_control():
     ginf = build_g_infinity(sc, vis)
     assert ginf.edges == {(0, 1), (0, 2), (1, 2)}
     thinned = Graph(3, [(0, 2), (1, 2)])
-    rep = check_per_edge_bound_ginf(sc, vis, distance_matrix(sc, thinned))
+    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, thinned))
     assert [w[0] for w in rep.witnesses] == [(0, 1)]
     (_, have, bound), = rep.witnesses
     assert have == pytest.approx(edge_length(sc, 0, 2) + edge_length(sc, 1, 2))
@@ -238,7 +294,7 @@ def test_per_edge_bound_rejects_pair_inside_obstacle_wedge():
     sc = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
     vis = Graph(4, [(0, 3)])
     with pytest.raises(ValueError, match="obstacle wedge"):
-        check_per_edge_bound_ginf(sc, vis, distance_matrix(sc, vis))
+        check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, vis))
 
 
 def test_planarity_flags_crossing():
