@@ -18,10 +18,10 @@ sector of -d is that of d plus three, so ``ConeIndex`` finds the sector
 of (apex, p) and keeps (sector + 3) mod 6 for (p, apex); only the
 split-label test is per apex. It memoises every vertex's split label,
 the subcone of each directed pair and the subcone lists, and holds the
-canonical-sequence table of each distinct ``ginf`` (filled by
-``spanners.canonical_sequences``) and, once asked, the run's
-general-position report. Neither has another entry: one index is made
-per run and passed along. ``inside_wedge`` is the one test of a
+canonical-sequence and charge tables of each distinct ``ginf`` (filled
+by ``spanners.canonical_sequences`` and ``compute_charges``) and, once
+asked, the run's general-position report. None has another entry: one
+index is made per run and passed along. ``inside_wedge`` is the one test of a
 direction strictly inside an obstacle wedge: the index raises on it,
 and ``visibility`` drops a pair on it before any ring scan.
 """
@@ -180,17 +180,18 @@ class ConeIndex:
 
     Each vertex's split label is computed at most once and each pair is
     classified at most once per direction, from one sector: the first
-    direction asked keeps the sector of the other. ``tables`` maps a ginf
-    edge set to its read-only canonical-sequence table. Make one index
-    per run and pass it to every step; never keep it on a ``Scene`` or
-    at module level, where its memo would outlive the run that paid for
-    it. A computation that raises is not memoised, so a repeated call
-    raises again.
+    direction asked keeps the sector of the other. ``tables`` and
+    ``charges`` map a ginf edge set to its read-only canonical-sequence
+    and charge tables. Make one index per run and pass it to every step;
+    never keep it on a ``Scene`` or at module level, where its memo
+    would outlive the run that paid for it. A computation that raises
+    is not memoised, so a repeated call raises again.
     """
 
     def __init__(self, scene):
         self.scene = scene
         self.tables: dict = {}
+        self.charges: dict = {}
         self._split: dict = {}
         self._refs: dict = {}
         self._sectors: dict = {}  # (apex, p) -> sector, from (p, apex)

@@ -21,16 +21,20 @@ decisions cover each edge exactly once.
 
 ``canonical_sequences`` builds those per-subcone facts in one pass: the
 ccw-ordered ginf neighbors of every nonempty negative subcone and its
-closest member. The degree-15, degree-10 and degree-7 steps, the
-charging ledger and the structural checks in ``verify`` all read that
-table. ``build_all`` is the single pipeline entry: it runs the chain in
-order and returns all five graphs, which the CLI and ``verify`` use.
+closest member. The degree-15, degree-10 and degree-7 steps, the charge
+table and the structural checks in ``verify`` all read that table.
+``compute_charges`` turns it into the charge table, the charges of each
+g10 edge by paying subcone; ``g7_transform`` rewires a private copy.
+``build_all`` is the single pipeline entry: it runs the chain in order
+and returns all five graphs, which the CLI and ``verify`` use.
 
-Every step takes an optional ``index``, the run's ``cones.ConeIndex``.
-Passing one index through a run classifies each directed pair once,
-builds the table once per distinct ginf and decides general position
-(asked by ``build_g_infinity`` only) once; a step called without one
-makes its own.
+Both tables are built once per ginf edge set on the run's
+``cones.ConeIndex`` and shared read-only, so ``canonical_sequences``,
+``compute_charges`` and ``g7_transform`` take the index as a required
+argument. The build steps take an optional one and make their own
+without it, so each can be called alone; passing one index through a
+run classifies each directed pair once and decides general position
+(asked by ``build_g_infinity`` only) once.
 """
 
 from __future__ import annotations
@@ -114,13 +118,12 @@ class CanonicalSequence:
 
 
 def canonical_sequences(
-    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+    scene: Scene, ginf: Graph, index: ConeIndex
 ) -> Mapping[SubconeRef, CanonicalSequence]:
     """The canonical sequence of every nonempty negative subcone of
     ginf, keyed by subcone: apexes in index order, each apex's subcones
     in ``subcones`` order. Built once per ginf edge set and index, then
     shared read-only."""
-    index = ConeIndex.of(scene, index)
     table = index.tables.get(ginf.edges)
     if table is None:
         table = MappingProxyType(_sequence_table(scene, ginf, index))
@@ -148,7 +151,7 @@ def build_g15(
     """Keep the two angular extremes and the projection-closest edge of
     every negative subcone."""
     edges = set()
-    for seq in canonical_sequences(scene, ginf, index).values():
+    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
         for v in (seq.vertices[0], seq.vertices[-1], seq.closest):
             edges.add(_edge(seq.apex, v))
     return Graph(scene.n, edges)
@@ -160,14 +163,14 @@ def build_g10(
     """Keep the closest edge of every negative subcone plus the
     canonical path joining consecutive sequence members."""
     edges = set()
-    for seq in canonical_sequences(scene, ginf, index).values():
+    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
         edges.add(_edge(seq.apex, seq.closest))
         for p, q in seq.consecutive_pairs():
             edges.add(_edge(p, q))
     return Graph(scene.n, edges)
 
 
-# --- the charging ledger ----------------------------------------------------
+# --- the charge table --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -185,46 +188,6 @@ class Charge:
     edge: tuple
     scenario: str
     owner_subcone: SubconeRef
-
-
-class ChargeLedger:
-    """Charges grouped by the subcone that pays for them."""
-
-    def __init__(self):
-        self.by_subcone: dict[SubconeRef, list] = {}
-
-    def add(self, ref: SubconeRef, charge: Charge) -> None:
-        self.by_subcone.setdefault(ref, []).append(charge)
-
-    def remove(self, ref: SubconeRef, charge: Charge) -> None:
-        self.by_subcone[ref].remove(charge)
-        if not self.by_subcone[ref]:
-            del self.by_subcone[ref]
-
-    def remove_edge(self, edge: tuple) -> None:
-        for ref in list(self.by_subcone):
-            kept = [c for c in self.by_subcone[ref] if c.edge != edge]
-            if kept:
-                self.by_subcone[ref] = kept
-            else:
-                del self.by_subcone[ref]
-
-    def charges_of_edge(self, edge: tuple) -> list:
-        out = []
-        for ref, charges in self.by_subcone.items():
-            for c in charges:
-                if c.edge == edge:
-                    out.append((ref, c))
-        return out
-
-    def vertex_totals(self, n: int) -> list:
-        totals = [0] * n
-        for ref, charges in self.by_subcone.items():
-            totals[ref.apex] += len(charges)
-        return totals
-
-    def items(self):
-        return self.by_subcone.items()
 
 
 def _positive_subcone_containing(index: ConeIndex, apex: int, v: int) -> SubconeRef:
@@ -245,10 +208,12 @@ def _scenario_d_target(index: ConeIndex, vertex: int, cone: int, side_hint: str)
 
 
 def compute_charges(
-    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
-) -> ChargeLedger:
-    """Charge every edge of g10, the degree-10 graph of ginf, to
-    subcones of both endpoints.
+    scene: Scene, ginf: Graph, index: ConeIndex
+) -> Mapping[SubconeRef, tuple]:
+    """The charge table of ginf: each paying subcone to the tuple of
+    its charges, for every edge of g10, the degree-10 graph of ginf.
+    Built once per ginf edge set and index, then shared read-only; a
+    build that raises ValueError is not kept.
 
     Closest edges pay scenario B at the sequence owner and scenario A at
     the chosen vertex. A canonical-path edge lies in a negative cone of
@@ -256,14 +221,25 @@ def compute_charges(
     the owner) and a positive cone of the other (scenario D, charged to
     the adjacent empty negative cone).
     """
-    index = ConeIndex.of(scene, index)
-    ledger = ChargeLedger()
+    table = index.charges.get(ginf.edges)
+    if table is None:
+        table = MappingProxyType(_charge_table(scene, ginf, index))
+        index.charges[ginf.edges] = table
+    return table
+
+
+def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
+    charges: dict[SubconeRef, list] = {}
+
+    def add(ref: SubconeRef, charge: Charge) -> None:
+        charges.setdefault(ref, []).append(charge)
+
     for seq in canonical_sequences(scene, ginf, index).values():
         u = seq.apex
         j = seq.subcone.label.index
         e = _edge(u, seq.closest)
-        ledger.add(seq.subcone, Charge(e, "B", seq.subcone))
-        ledger.add(
+        add(seq.subcone, Charge(e, "B", seq.subcone))
+        add(
             _positive_subcone_containing(index, seq.closest, u),
             Charge(e, "A", seq.subcone),
         )
@@ -274,28 +250,28 @@ def compute_charges(
             if not lab_pq.positive:
                 # scenario C at p; the edge sits in the negative cone
                 # adjacent (ccw) to the cone containing u.
-                ledger.add(
+                add(
                     _positive_subcone_containing(index, p, u),
                     Charge(e, "C", seq.subcone),
                 )
             else:
-                ledger.add(
+                add(
                     _scenario_d_target(index, p, (j + 1) % 3, SIDE_LEFT),
                     Charge(e, "D", seq.subcone),
                 )
             # Looking from q toward its cw predecessor p.
             lab_qp = index.subcone_of(q, p).label
             if not lab_qp.positive:
-                ledger.add(
+                add(
                     _positive_subcone_containing(index, q, u),
                     Charge(e, "C", seq.subcone),
                 )
             else:
-                ledger.add(
+                add(
                     _scenario_d_target(index, q, (j - 1) % 3, SIDE_RIGHT),
                     Charge(e, "D", seq.subcone),
                 )
-    return ledger
+    return {ref: tuple(cs) for ref, cs in charges.items()}
 
 
 # --- the degree-7 transformation ---------------------------------------------
@@ -329,14 +305,20 @@ class G7Result:
 
 
 def g7_transform(
-    scene: Scene, ginf: Graph, g10: Graph, index: Optional[ConeIndex] = None
+    scene: Scene, ginf: Graph, g10: Graph, index: ConeIndex
 ) -> G7Result:
     """Resolve every positive subcone charged twice by one canonical
-    path, scanning vertices in index order and keeping the ledger
-    current after each application."""
-    index = ConeIndex.of(scene, index)
-    ledger = compute_charges(scene, ginf, index)
+    path, scanning vertices in index order and keeping a private copy
+    of the charge table current after each application; the shared
+    table is left as built."""
+    charges = {
+        ref: list(cs) for ref, cs in compute_charges(scene, ginf, index).items()
+    }
     table = canonical_sequences(scene, ginf, index)
+
+    def drop_edge(edge: tuple) -> None:
+        for cs in charges.values():
+            cs[:] = [c for c in cs if c.edge != edge]
 
     def closest_in_own_subcone(apex: int, member: int) -> bool:
         seq = table.get(index.subcone_of(apex, member))
@@ -346,11 +328,11 @@ def g7_transform(
     transcript = []
 
     candidates = []
-    for ref in sorted(ledger.by_subcone):
+    for ref in sorted(charges):
         if not ref.label.positive:
             continue
         groups: dict[SubconeRef, list] = {}
-        for c in ledger.by_subcone[ref]:
+        for c in charges[ref]:
             if c.scenario == "C":
                 groups.setdefault(c.owner_subcone, []).append(c)
         for owner_sub, cs in sorted(groups.items()):
@@ -360,7 +342,7 @@ def g7_transform(
     for ref, owner_sub in candidates:
         current = [
             c
-            for c in ledger.by_subcone.get(ref, [])
+            for c in charges[ref]
             if c.scenario == "C" and c.owner_subcone == owner_sub
         ]
         if len(current) != 2:
@@ -382,11 +364,11 @@ def g7_transform(
             continue  # an overlapping application already rewired one edge
 
         if closest_in_own_subcone(v, x):
-            ledger.remove(ref, charge_vx)
+            charges[ref].remove(charge_vx)
             transcript.append(Transformation(owner_sub, v, x, y, absorbed=True))
             continue
         if closest_in_own_subcone(v, y):
-            ledger.remove(ref, charge_vy)
+            charges[ref].remove(charge_vy)
             transcript.append(Transformation(owner_sub, v, x, y, absorbed=True))
             continue
 
@@ -395,14 +377,16 @@ def g7_transform(
         e_xy = _edge(x, y)
         y_side = [
             (r, c)
-            for r, c in ledger.charges_of_edge(e_vy)
+            for r, cs in charges.items()
             if r.apex == y
+            for c in cs
+            if c.edge == e_vy
         ]
-        ledger.remove_edge(e_vy)
+        drop_edge(e_vy)
         edges.discard(e_vy)
         edges.add(e_xy)
         for r, c in y_side:
-            ledger.add(r, Charge(e_xy, c.scenario, c.owner_subcone))
+            charges.setdefault(r, []).append(Charge(e_xy, c.scenario, c.owner_subcone))
 
         # At x the new edge takes over the slot of (x, w) when that edge
         # is redundant or removable; w is x's neighbor on the canonical
@@ -429,16 +413,19 @@ def g7_transform(
                 e_xw = _edge(x, w)
                 if closest_in_own_subcone(x, w):
                     # (x, w) was double counted at x; free its path charge.
-                    for r, c in ledger.charges_of_edge(e_xw):
-                        if r == slot and c.scenario == "C":
-                            ledger.remove(r, c)
-                            uncharged_xw = e_xw
-                            break
+                    freed = [
+                        c
+                        for c in charges.get(slot, [])
+                        if c.edge == e_xw and c.scenario == "C"
+                    ]
+                    if freed:
+                        charges[slot].remove(freed[0])
+                        uncharged_xw = e_xw
                 else:
-                    ledger.remove_edge(e_xw)
+                    drop_edge(e_xw)
                     edges.discard(e_xw)
                     removed_xw = e_xw
-        ledger.add(slot, Charge(e_xy, "C", sub_x))
+        charges.setdefault(slot, []).append(Charge(e_xy, "C", sub_x))
         transcript.append(
             Transformation(
                 owner_sub,
@@ -459,7 +446,7 @@ def g7_transform(
 def build_g7(
     scene: Scene, ginf: Graph, g10: Graph, index: Optional[ConeIndex] = None
 ) -> Graph:
-    return g7_transform(scene, ginf, g10, index).graph
+    return g7_transform(scene, ginf, g10, ConeIndex.of(scene, index)).graph
 
 
 GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")

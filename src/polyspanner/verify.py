@@ -267,7 +267,7 @@ def check_canonical_paths(
 ) -> WitnessReport:
     """Consecutive canonical-sequence members are joined by a g15 edge."""
     missing = []
-    for seq in canonical_sequences(scene, ginf, index).values():
+    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
         for p, q in seq.consecutive_pairs():
             if not g15.has_edge(p, q):
                 missing.append((seq.apex, p, q))
@@ -288,7 +288,7 @@ def check_empty_triangles(
         a, b = pts[e[0]], pts[e[1]]
         edges.append((e, a, b, min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])))
     bad = []
-    for seq in canonical_sequences(scene, ginf, index).values():
+    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs():
             tri = [pts[u], pts[p], pts[q]]
@@ -543,17 +543,19 @@ def run_verification(
         )
 
     try:
-        ledger = compute_charges(scene, ginf, index)
-        totals = ledger.vertex_totals(scene.n)
+        charges = compute_charges(scene, ginf, index)
+        totals = [0] * scene.n
+        for ref, cs in charges.items():
+            totals[ref.apex] += len(cs)
         uncovered = [v for v in range(scene.n) if totals[v] < g10.degree(v)]
         neg_over = [
             (str(ref), len(cs))
-            for ref, cs in ledger.items()
+            for ref, cs in charges.items()
             if not ref.label.positive and len(cs) > 1
         ]
         pos_over = [
             (str(ref), len(cs))
-            for ref, cs in ledger.items()
+            for ref, cs in charges.items()
             if ref.label.positive and len(cs) > 2
         ]
         outcomes.append(

@@ -26,7 +26,7 @@ def check_empty_triangles(
     members contains no vertex in its open interior and no obstacle
     piece crosses into it."""
     bad = []
-    for seq in canonical_sequences(scene, ginf, index).values():
+    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs():
             tri = [scene.ipoints[u], scene.ipoints[p], scene.ipoints[q]]

@@ -15,6 +15,7 @@ import pytest
 from tests.conftest import FIXTURES, fixture_text, load_scene
 
 from polyspanner.cli import main
+from polyspanner.cones import ConeIndex
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.io import parse_edge_list
 from polyspanner.spanners import (
@@ -90,7 +91,7 @@ def _build(label, scene):
     ginf = build_g_infinity(scene, vis)
     g15 = build_g15(scene, ginf)
     g10 = build_g10(scene, ginf)
-    g7res = g7_transform(scene, ginf, g10)
+    g7res = g7_transform(scene, ginf, g10, ConeIndex(scene))
     return Instance(label, scene, vis, ginf, g15, g10, g7res)
 
 
@@ -151,12 +152,14 @@ def test_criterion_3_degree_bounds_and_charges(suite):
             bad.append((inst.label, "g10"))
         if inst.g7res.graph.max_degree() > 7:
             bad.append((inst.label, "g7"))
-        ledger = compute_charges(inst.scene, inst.ginf)
-        totals = ledger.vertex_totals(inst.scene.n)
+        ledger = compute_charges(inst.scene, inst.ginf, ConeIndex(inst.scene))
+        totals = [0] * inst.scene.n
+        for ref, charges in ledger.items():
+            totals[ref.apex] += len(charges)
         for v in range(inst.scene.n):
             if totals[v] < inst.g10.degree(v):
                 bad.append((inst.label, f"undercharged {v}"))
-        for ref, charges in ledger.by_subcone.items():
+        for ref, charges in ledger.items():
             cap = 2 if ref.label.positive else 1
             if len(charges) > cap:
                 bad.append((inst.label, f"slot {ref} holds {len(charges)}"))

@@ -1,7 +1,7 @@
 """The per-run cone index against the reference classification, which
 recomputes every call from scratch, and the guards that one run
-classifies each vertex, builds each canonical-sequence table and
-decides general position once."""
+classifies each vertex, builds each canonical-sequence and charge
+table and decides general position once."""
 
 import sys
 from collections import Counter
@@ -10,7 +10,7 @@ import pytest
 
 from polyspanner import cones, scene as scene_module, spanners
 from polyspanner.cones import ConeIndex
-from polyspanner.generator import generate
+from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.scene import Scene
 from polyspanner.spanners import (
     build_all,
@@ -148,8 +148,10 @@ def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
         subs = {name: corrupt(build_all(scene)[0][name])}
     splits = Counter()
     built = []
+    charged = []
     real_split = cones.split_cone_label
     real_table = spanners._sequence_table
+    real_charges = spanners._charge_table
 
     def split_probe(sc, vi):
         splits[vi] += 1
@@ -159,11 +161,40 @@ def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
         built.append(ginf.edges)
         return real_table(sc, ginf, index)
 
+    def charge_probe(sc, ginf, index):
+        charged.append(ginf.edges)
+        return real_charges(sc, ginf, index)
+
     monkeypatch.setattr(cones, "split_cone_label", split_probe)
     monkeypatch.setattr(spanners, "_sequence_table", table_probe)
+    monkeypatch.setattr(spanners, "_charge_table", charge_probe)
     run_verification(scene, subs)
     assert max(splits.values()) == 1
     assert len(built) == len(set(built)) == tables
+    assert len(charged) == len(set(charged)) == tables
+
+
+def test_charge_build_that_raises_is_not_kept():
+    # One extra vis edge in ginf makes the charge build ask for a
+    # direction inside vertex 0's obstacle wedge. It raises each time it
+    # is asked, the index keeps no table, and a run reports the error
+    # as its three charge lines.
+    scene = generate(GeneratorConfig(n_points=20, n_obstacles=2, seed=0))
+    graphs = build_all(scene)[0]
+    assert graphs["vis"].has_edge(0, 6) and not graphs["ginf"].has_edge(0, 6)
+    bad = Graph(scene.n, graphs["ginf"].sorted_edges() + [(0, 6)])
+    index = ConeIndex(scene)
+    message = "vertex 16 lies strictly inside the obstacle wedge at vertex 0"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            spanners.compute_charges(scene, bad, index)
+    assert bad.edges not in index.charges
+    lines = [
+        (o.ok, o.detail)
+        for o in run_verification(scene, {"ginf": bad})
+        if o.name.startswith("charges(")
+    ]
+    assert lines == [(False, message)] * 3
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_NAMES)

@@ -252,7 +252,7 @@ def test_subcone_ref_repr():
 
 
 def test_subcone_refs_sort_by_apex_label_side():
-    # The order g7_transform walks ledger.by_subcone in: apex, then
+    # The order g7_transform walks its charge table in: apex, then
     # negative before positive, cone index, then side by name.
     want = [
         SubconeRef(1, ConeLabel(False, 2)),

@@ -1,3 +1,5 @@
+import pytest
+
 from tests import reference_sequences
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
@@ -73,7 +75,7 @@ def test_split_cones_ginf_edge_list(split_cones):
 
 def test_canonical_sequences_on_split_fixture(split_cones):
     _, ginf, _, _ = pipeline(split_cones)
-    table = canonical_sequences(split_cones, ginf)
+    table = canonical_sequences(split_cones, ginf, ConeIndex(split_cones))
     seq = table[SubconeRef(7, ConeLabel(False, 1))]
     assert seq.vertices == (11, 8, 4)
     assert list(seq.consecutive_pairs()) == [(11, 8), (8, 4)]
@@ -83,7 +85,7 @@ def test_canonical_sequences_on_split_fixture(split_cones):
 
 def test_canonical_sequences_have_no_positive_subcone(split_cones):
     _, ginf, _, _ = pipeline(split_cones)
-    table = canonical_sequences(split_cones, ginf)
+    table = canonical_sequences(split_cones, ginf, ConeIndex(split_cones))
     assert table
     assert not [ref for ref in table if ref.label.positive]
 
@@ -133,7 +135,7 @@ def test_degree_trim_chain(split_cones):
 
 def test_path_edges_survive_in_g10(split_cones):
     _, ginf, _, g10 = pipeline(split_cones)
-    for seq in canonical_sequences(split_cones, ginf).values():
+    for seq in canonical_sequences(split_cones, ginf, ConeIndex(split_cones)).values():
         for p, q in seq.consecutive_pairs():
             assert g10.has_edge(p, q)
 
@@ -141,8 +143,10 @@ def test_path_edges_survive_in_g10(split_cones):
 def test_charges_cover_degree(split_cones, nonconvex):
     for scene in (split_cones, nonconvex):
         _, ginf, _, g10 = pipeline(scene)
-        ledger = compute_charges(scene, ginf)
-        totals = ledger.vertex_totals(scene.n)
+        ledger = compute_charges(scene, ginf, ConeIndex(scene))
+        totals = [0] * scene.n
+        for ref, charges in ledger.items():
+            totals[ref.apex] += len(charges)
         for v in range(scene.n):
             assert totals[v] >= g10.degree(v)
 
@@ -150,16 +154,16 @@ def test_charges_cover_degree(split_cones, nonconvex):
 def test_charge_slot_caps(split_cones, nonconvex):
     for scene in (split_cones, nonconvex):
         _, ginf, _, _ = pipeline(scene)
-        ledger = compute_charges(scene, ginf)
-        for ref, charges in ledger.by_subcone.items():
+        ledger = compute_charges(scene, ginf, ConeIndex(scene))
+        for ref, charges in ledger.items():
             cap = 2 if ref.label.positive else 1
             assert len(charges) <= cap, str(ref)
 
 
 def test_all_scenarios_appear(split_cones):
     _, ginf, _, _ = pipeline(split_cones)
-    ledger = compute_charges(split_cones, ginf)
-    kinds = {c.scenario for cs in ledger.by_subcone.values() for c in cs}
+    ledger = compute_charges(split_cones, ginf, ConeIndex(split_cones))
+    kinds = {c.scenario for _, cs in ledger.items() for c in cs}
     assert kinds == {"A", "B", "C", "D"}
 
 
@@ -167,7 +171,7 @@ def test_absorbed_transformation_keeps_graph():
     # plenty of double charges here, all absorbed without edge surgery
     scene = load_scene("g7_edge_removal.json")
     _, ginf, _, g10 = pipeline(scene)
-    res = g7_transform(scene, ginf, g10)
+    res = g7_transform(scene, ginf, g10, ConeIndex(scene))
     absorbed = [t for t in res.transformations if t.absorbed]
     assert absorbed
     removed = {t.removed_vy for t in res.transformations if not t.absorbed}
@@ -176,10 +180,23 @@ def test_absorbed_transformation_keeps_graph():
     assert set(res.graph.edges) == (set(g10.edges) - removed) | added
 
 
+def _g7_keeps_shared_table(scene, ginf, g10):
+    """g7_transform on an explicit index. It rewires its own copy of the
+    charge table: the index's table is still the one a fresh index
+    builds, and it takes no item assignment."""
+    index = ConeIndex(scene)
+    res = g7_transform(scene, ginf, g10, index)
+    table = compute_charges(scene, ginf, index)
+    assert table == compute_charges(scene, ginf, ConeIndex(scene))
+    with pytest.raises(TypeError):
+        table[next(iter(table))] = ()
+    return res
+
+
 def test_structural_transformation_rewires_path():
     scene = load_scene("g7_structural.json")
     _, ginf, _, g10 = pipeline(scene)
-    res = g7_transform(scene, ginf, g10)
+    res = _g7_keeps_shared_table(scene, ginf, g10)
     structural = [t for t in res.transformations if not t.absorbed]
     assert len(structural) == 1
     t = structural[0]
@@ -195,7 +212,7 @@ def test_structural_transformation_rewires_path():
 def test_transformation_can_remove_crowding_edge():
     scene = load_scene("g7_edge_removal.json")
     _, ginf, _, g10 = pipeline(scene)
-    res = g7_transform(scene, ginf, g10)
+    res = _g7_keeps_shared_table(scene, ginf, g10)
     removals = [t for t in res.transformations if t.removed_xw]
     assert removals
     t = removals[0]
@@ -207,7 +224,7 @@ def test_transformation_can_remove_crowding_edge():
 def test_transformation_can_move_a_charge():
     scene = load_scene("g7_charge_move.json")
     _, ginf, _, g10 = pipeline(scene)
-    res = g7_transform(scene, ginf, g10)
+    res = _g7_keeps_shared_table(scene, ginf, g10)
     moved = [t for t in res.transformations if t.uncharged_xw]
     assert moved
     assert moved[0].uncharged_xw == (20, 56)
