@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cones import GeneralPositionError
+from .cones import ConeIndex, GeneralPositionError
 from .generator import GeneratorConfig, GeneratorError, generate
 from .io import ParseError, parse_edge_list, parse_instance, write_edge_list, write_instance
 from .scene import SceneError, check_general_position, perturb_by_rotation
-from .spanners import GRAPH_NAMES, build_all
+from .spanners import GRAPH_NAMES, pipeline
 from .svg import render_svg
 from .verify import run_verification
-from .visibility import visibility_graph
 
 
 def _read(path: str) -> str:
@@ -36,11 +35,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _build(scene, name: str):
-    """One named graph. vis is exact on any input; the others go through
-    build_all, which refuses a scene outside general position."""
-    if name == "vis":
-        return visibility_graph(scene)
-    return build_all(scene)[0][name]
+    """One named graph, building the chain only up to it. vis is exact
+    on any input; ginf and later refuse a scene outside general
+    position."""
+    for step, built in pipeline(scene, ConeIndex(scene)):
+        if step == name:
+            return built.graph if step == "g7" else built
 
 
 def _cmd_gen(args) -> int:
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         return 2
     except (GeneralPositionError, SceneError, OSError) as exc:
         # Inputs are read inside each command; an OSError that reaches
-        # here is an --out that cannot be written. build_all refuses a
+        # here is an --out that cannot be written. The pipeline refuses a
         # scene outside general position before any output is written.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,8 @@ by ``spanners.canonical_sequences`` and ``compute_charges``) and, once
 asked, the run's general-position report. None has another entry: one
 index is made per run and passed along. ``inside_wedge`` is the one test of a
 direction strictly inside an obstacle wedge: the index raises on it,
-and ``visibility`` drops a pair on it before any ring scan.
+and ``visibility`` runs it elementwise on arrays of pairs at both
+endpoints.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ def inside_wedge(wedge, dx, dy) -> bool:
     wedge (d_next, d_prev) of ``obstacle_wedge``: strictly
     counterclockwise of d_next and strictly clockwise of d_prev. At a
     convex or straight corner both must hold; at a reflex corner the
-    wedge is wider than pi and either one suffices."""
+    wedge is wider than pi and either one suffices. Elementwise, so the
+    entries may also be numpy arrays of one shape."""
     (nx, ny), (px, py) = wedge
     after_next = nx * dy - ny * dx > 0
     before_prev = dx * py - dy * px > 0
-    if nx * py - ny * px >= 0:
-        return after_next and before_prev
-    return after_next or before_prev
+    reflex = nx * py - ny * px < 0
+    return after_next & before_prev | reflex & (after_next | before_prev)
 
 
 def split_cone_label(scene, vi: int) -> Optional[ConeLabel]:

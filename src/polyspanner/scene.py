@@ -106,7 +106,10 @@ class Scene:
     def crossed_obstacles(self, a, b) -> Iterator[int]:
         """Indices, ascending, of the obstacles whose interior the open
         segment ab meets, yielded lazily. A ring whose box misses the
-        segment's closed box is skipped unread; it cannot meet ab."""
+        segment's closed box is skipped unread; it cannot meet ab.
+        Planarity's obstacle conflicts use it for every edge;
+        ``visibility_graph`` only for pairs with an irregular endpoint,
+        which its array tests cannot decide."""
         sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
         sy0, sy1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
         for oi, (bx0, by0, bx1, by1) in enumerate(self.ibboxes):

@@ -25,8 +25,10 @@ closest member. The degree-15, degree-10 and degree-7 steps, the charge
 table and the structural checks in ``verify`` all read that table.
 ``compute_charges`` turns it into the charge table, the charges of each
 g10 edge by paying subcone; ``g7_transform`` rewires a private copy.
-``build_all`` is the single pipeline entry: it runs the chain in order
-and returns all five graphs, which the CLI and ``verify`` use.
+``pipeline`` is the one spelling of the chain's order: it builds the
+graphs lazily, so the CLI stops at the graph it was asked for.
+``build_all`` runs it to the end and returns all five graphs, which
+``verify`` uses.
 
 Both tables are built once per ginf edge set on the run's
 ``cones.ConeIndex`` and shared read-only, so ``canonical_sequences``,
@@ -452,20 +454,25 @@ def build_g7(
 GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
 
 
+def pipeline(scene: Scene, index: ConeIndex):
+    """The chain in order, lazily, each step built from the one before:
+    (name, graph) for vis, ginf, g15 and g10, then ("g7", G7Result).
+    A caller that stops early builds nothing past its graph; vis comes
+    before the general-position check of ``build_g_infinity``."""
+    vis = visibility_graph(scene)
+    yield "vis", vis
+    ginf = build_g_infinity(scene, vis, index)
+    yield "ginf", ginf
+    yield "g15", build_g15(scene, ginf, index)
+    g10 = build_g10(scene, ginf, index)
+    yield "g10", g10
+    yield "g7", g7_transform(scene, ginf, g10, index)
+
+
 def build_all(scene: Scene, index: Optional[ConeIndex] = None):
     """The five graphs of the pipeline, by name, plus the g7
-    transformation log, each step built from the one before."""
-    index = ConeIndex.of(scene, index)
-    vis = visibility_graph(scene)
-    ginf = build_g_infinity(scene, vis, index)
-    g15 = build_g15(scene, ginf, index)
-    g10 = build_g10(scene, ginf, index)
-    g7res = g7_transform(scene, ginf, g10, index)
-    graphs = {
-        "vis": vis,
-        "ginf": ginf,
-        "g15": g15,
-        "g10": g10,
-        "g7": g7res.graph,
-    }
+    transformation log."""
+    graphs = dict(pipeline(scene, ConeIndex.of(scene, index)))
+    g7res = graphs["g7"]
+    graphs["g7"] = g7res.graph
     return graphs, g7res

@@ -3,9 +3,10 @@
 This is the original ``visibility.visible`` with the obstacle loop of
 the oracle's ``_oracle_visible``: a vertex strictly inside the segment
 blocks it, and every obstacle is tested with no bounding-box prune.
-The library decides visibility only in ``visibility_graph``, by a
-per-apex ray table and a box prune; ``test_visibility.py`` compares the
-two on scenes in and out of general position.
+The library decides visibility only in ``visibility_graph``, by one
+exact array pass per scene; ``test_visibility.py`` compares the two on
+scenes in and out of general position, on arbitrary rings and on both
+sides of the int64 guard.
 """
 
 from __future__ import annotations

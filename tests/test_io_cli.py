@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tests.conftest import fixture_text, load_scene
 from tests.reference_visibility import visible
 
+from polyspanner import spanners
 from polyspanner.cli import main
 from polyspanner.generator import GeneratorConfig, GeneratorError, generate
 from polyspanner.io import (
@@ -17,7 +19,14 @@ from polyspanner.io import (
     write_instance,
 )
 from polyspanner.scene import Scene, validate
-from polyspanner.spanners import build_g7, build_g10, build_g15, build_g_infinity
+from polyspanner.spanners import (
+    GRAPH_NAMES,
+    build_all,
+    build_g7,
+    build_g10,
+    build_g15,
+    build_g_infinity,
+)
 from polyspanner.svg import render_svg
 from polyspanner.visibility import Graph, visibility_graph
 
@@ -220,6 +229,26 @@ class TestCli:
             "g7": build_g7(scene, ginf, g10),
         }[name]
         assert parse_edge_list(out.read_text()) == expected
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_build_stops_at_its_graph(self, instance_file, tmp_path, name, monkeypatch):
+        # Each step is counted where the pipeline looks it up; compute_charges
+        # runs inside g7_transform.
+        steps = ("visibility_graph", "build_g_infinity", "build_g15", "build_g10",
+                 "g7_transform", "compute_charges")
+        expected = write_edge_list(build_all(load_scene("split_cones.json"))[0][name])
+        calls = Counter()
+        for step in steps:
+            real = getattr(spanners, step)
+            monkeypatch.setattr(
+                spanners, step, lambda *a, _s=step, _f=real: calls.update([_s]) or _f(*a)
+            )
+        out = tmp_path / f"{name}.edges"
+        assert main(["build", "--graph", name, "--in", str(instance_file),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == expected
+        built = {"vis": 1, "ginf": 2, "g15": 3, "g10": 4, "g7": 6}[name]
+        assert calls == Counter(steps[:built])
 
     def test_verify_corrupted_substitution(self, instance_file, tmp_path, capsys):
         edges = tmp_path / "ginf.edges"

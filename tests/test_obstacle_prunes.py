@@ -1,9 +1,11 @@
 """The obstacle tests stay one pass each, behind exact box prunes, and
-``visibility_graph`` decides a pair at its endpoint wedges before any.
+``visibility_graph`` sends the kernel only the pairs its array tests
+cannot decide, after their endpoint wedges.
 
 Counters replace the names that ``geom``, ``scene`` and ``verify`` call,
 so bringing back the kernel's point-in-polygon fall-through,
-dropping a box prune or dropping the wedge shortcut fails here,
+dropping a box prune, dropping the wedge test before the kernel or
+sending ``vis`` pairs in general position to the kernel fails here,
 although every output would stay the same.
 """
 
@@ -70,18 +72,36 @@ def test_kernel_decides_inside_without_point_in_polygon(name, monkeypatch):
     oracle_g_infinity(scene)
 
 
+def _mean(*points):
+    return tuple(sum(c) / len(points) for c in zip(*points))
+
+
+def _irregular(name):
+    """A fixture plus a free vertex on the first edge of obstacle 0 and
+    one strictly inside it: the pairs at those two vertices are the
+    ones ``visibility_graph`` still sends to the kernel."""
+    scene = load_scene(name)
+    ring = [scene.vertices[i] for i in scene.obstacles[0]]
+    inside = next(
+        m
+        for m in (_mean(p, q, r) for p in ring for q in ring for r in ring)
+        if geom.point_in_polygon(m, ring) > 0
+    )
+    return Scene([*scene.vertices, _mean(ring[0], ring[1]), inside], scene.obstacles)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 @pytest.mark.parametrize(
-    "module, run",
+    "module, make, run",
     [
-        (verify, lambda scene, vis: oracle_g_infinity(scene)),
-        (scene_module, lambda scene, vis: visibility_graph(scene)),
-        (scene_module, check_planarity),
+        (verify, load_scene, lambda scene, vis: oracle_g_infinity(scene)),
+        (scene_module, _irregular, lambda scene, vis: visibility_graph(scene)),
+        (scene_module, load_scene, check_planarity),
     ],
     ids=["oracle", "vis", "planarity"],
 )
-def test_segment_tests_only_where_boxes_meet(name, module, run, monkeypatch):
-    scene = load_scene(name)
+def test_segment_tests_only_where_boxes_meet(name, module, make, run, monkeypatch):
+    scene = make(name)
     vis = visibility_graph(scene)
     calls = _counted(
         monkeypatch, module, "segment_properly_intersects_polygon", _closed_boxes_meet
@@ -93,18 +113,25 @@ def test_segment_tests_only_where_boxes_meet(name, module, run, monkeypatch):
     assert 0 < len(calls) < pairs * len(scene.obstacles)
 
 
-# A spike whose corner comes first, then last, in vertex order: the pair
-# with the free vertex is decided at the corner's wedge as u, then as v.
+# A spike whose corner comes first, then last, in vertex order. ODD holds
+# a vertex on the spike's first edge and one strictly inside it, so the
+# pairs at them reach the kernel; the corner's wedge decides some first,
+# with the corner as u, then as v.
 SPIKE = [(0, 0), (20, 100), (-5, 101)]
+ODD = [(10, 50), (5, 67)]
 SPIKES = {
     "spike-first": Scene(SPIKE + [(3, 150)], [[0, 1, 2]]),
     "spike-last": Scene([(3, 150)] + SPIKE, [[1, 2, 3]]),
+}
+ODD_SPIKES = {
+    "spike-first": Scene(SPIKE + [(3, 150)] + ODD, [[0, 1, 2]]),
+    "spike-last": Scene(ODD + [(3, 150)] + SPIKE, [[3, 4, 5]]),
 }
 
 
 @pytest.mark.parametrize("name", FIXTURES + list(SPIKES))
 def test_vis_scans_no_pair_decided_at_a_wedge(name, monkeypatch):
-    scene = SPIKES[name] if name in SPIKES else load_scene(name)
+    scene = ODD_SPIKES[name] if name in SPIKES else _irregular(name)
     vertex = {p: v for v, p in enumerate(scene.ipoints)}
     assert len(vertex) == scene.n
 
@@ -120,6 +147,15 @@ def test_vis_scans_no_pair_decided_at_a_wedge(name, monkeypatch):
     )
     visibility_graph(scene)
     assert calls
+
+
+def test_vis_calls_no_kernel_in_general_position(monkeypatch):
+    calls = _counted(
+        monkeypatch, scene_module, "segment_properly_intersects_polygon", lambda *args: True
+    )
+    for scene in [load_scene(name) for name in FIXTURES] + list(SPIKES.values()):
+        visibility_graph(scene)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", FIXTURES)

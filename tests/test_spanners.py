@@ -4,6 +4,7 @@ from tests import reference_sequences
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
+from polyspanner import spanners
 from polyspanner.cones import ConeIndex, ConeLabel, SubconeRef
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.spanners import (
@@ -239,3 +240,8 @@ def test_build_g7_on_generated_instances():
         assert g7.max_degree() <= 7
         assert g10.max_degree() <= 10
         assert g15.max_degree() <= 15
+
+
+def test_pipeline_builds_in_graph_name_order(split_cones):
+    steps = spanners.pipeline(split_cones, ConeIndex(split_cones))
+    assert tuple(name for name, _ in steps) == spanners.GRAPH_NAMES

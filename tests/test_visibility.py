@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from polyspanner.scene import Scene
-from polyspanner.visibility import Graph, visibility_graph
+from polyspanner import visibility
+from polyspanner.generator import GeneratorConfig, generate
+from polyspanner.scene import Scene, perturb_by_rotation
+from polyspanner.visibility import INT64_GUARD, Graph, visibility_graph
 
 from tests.reference_visibility import visible
 
@@ -120,3 +122,88 @@ def test_grazing_corner_does_not_block():
     sq = [(0, 0), (10, 1), (11, 11), (1, 10)]
     sc = Scene(sq + [(-5, -6), (16, 2)], [[0, 1, 2, 3]])
     assert visible(sc, 4, 5)
+
+
+# --- the array pass against the pairwise reference ---------------------------
+
+
+def _matches_reference(sc):
+    g = visibility_graph(sc)
+    pairs = [(u, v) for u in range(sc.n) for v in range(u + 1, sc.n)]
+    assert g.edges == {(u, v) for u, v in pairs if visible(sc, u, v)}
+    return g
+
+
+def _scaled(sc, factor):
+    return Scene([(x * factor, y * factor) for x, y in sc.vertices], sc.obstacles)
+
+
+@st.composite
+def grid_scenes(draw):
+    """Points on a 7x7 grid, duplicates allowed, with up to three rings
+    of arbitrary indices: non-simple, overlapping and shared-corner
+    rings, repeated corners, and free vertices on edges or inside rings,
+    which are the endpoints the array tests leave to the kernel."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=12))
+    index = st.integers(0, len(pts) - 1)
+    rings = draw(st.lists(st.lists(index, min_size=1, max_size=6), max_size=3))
+    return Scene(pts, rings)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(grid_scenes())
+# One scene per kind of irregular endpoint, each blocking a pair that
+# the array tests alone would pass: two vertices inside a ring, two on
+# its edges, a corner repeated in one ring, a free duplicate of a
+# corner, and a corner shared by two rings.
+@example(Scene(NOTCHED + [(3, 3), (5, 3)], [range(5)]))
+@example(Scene(NOTCHED + [(4, 2), (6, 4)], [range(5)]))
+@example(Scene([(0, 0), (2, 2), (3, 1), (2, 1)], [[1, 2, 1, 0]]))
+@example(Scene([(0, 0), (0, 0), (0, 1), (2, 1), (3, 1)], [[0, 4, 1, 2]]))
+@example(Scene([(0, 0), (0, 1), (3, 3), (3, 0)], [[1, 3, 2], [0, 3, 1, 2]]))
+def test_visibility_graph_matches_reference_on_arbitrary_rings(sc):
+    g = _matches_reference(sc)
+    # A rational rotation keeps every orientation; scaling by 2^40
+    # takes the Python-int arrays.
+    assert visibility_graph(perturb_by_rotation(sc, 3)) == g
+    assert visibility_graph(_scaled(sc, 2**40)) == g
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.integers(0, 10**6), st.integers(2, 40))
+def test_visibility_graph_matches_reference_after_rotation(seed, k):
+    config = GeneratorConfig(n_points=16, n_obstacles=2, obstacle_size=5, extent=10_000, seed=seed)
+    sc = generate(config)
+    assert _matches_reference(perturb_by_rotation(sc, k)) == visibility_graph(sc)
+
+
+def test_visibility_graph_matches_reference_past_int64():
+    sc = generate(GeneratorConfig(n_points=24, n_obstacles=3, obstacle_size=5, seed=7))
+    big = _scaled(sc, 2**40)
+    assert max(abs(c) for p in big.ipoints for c in p) > INT64_GUARD
+    assert _matches_reference(big) == visibility_graph(sc)
+
+
+@pytest.mark.parametrize("top", [INT64_GUARD - 1, INT64_GUARD], ids=["int64", "python-int"])
+def test_visibility_graph_matches_reference_at_the_int64_guard(top):
+    # A generated scene stretched over [-top, top] plus two corners of
+    # that square: on the int64 side the determinants come near 2^63.
+    sc = generate(GeneratorConfig(n_points=20, n_obstacles=3, obstacle_size=5, extent=1000, seed=11))
+    s = top // 1000
+    pts = [(2 * s * x - top, 2 * s * y - top) for x, y in sc.ipoints]
+    wide = Scene(pts + [(top, top), (-top, 1 - top)], sc.obstacles)
+    assert max(abs(c) for p in wide.ipoints for c in p) == top
+    _matches_reference(wide)
+
+
+def test_visibility_graph_same_in_small_blocks(monkeypatch):
+    # Blocks of a few elements split the apexes and the pairs at every
+    # boundary; a free vertex inside obstacle 0 sends some pairs to the
+    # kernel in each block.
+    sc = generate(GeneratorConfig(n_points=20, n_obstacles=2, obstacle_size=5, extent=1000, seed=4))
+    ring = [sc.vertices[i] for i in sc.obstacles[0]]
+    inside = tuple(sum(c) / len(ring) for c in zip(*ring))
+    sc = Scene([*sc.vertices, inside], sc.obstacles)
+    expected = _matches_reference(sc)
+    monkeypatch.setattr(visibility, "BLOCK", 50)
+    assert visibility_graph(sc) == expected
