@@ -13,27 +13,44 @@ two incident boundary edges; the two free angular parts are then
 separate "subcones" (side "right" before the wedge in ccw order, side
 "left" after it). Everything downstream works per subcone.
 
-A run classifies each pair once, both directions from one sector: the
-sector of -d is that of d plus three, so ``ConeIndex`` finds the sector
-of (apex, p) and keeps (sector + 3) mod 6 for (p, apex); only the
-split-label test is per apex. It memoises every vertex's split label,
-the subcone of each directed pair and the subcone lists, and holds the
+``classify`` decides a whole scene in one exact integer array pass:
+each vertex's split label, then each ordered pair's code, 3 * sector +
+side, or a marker for a pair whose classification raises. A run's
+``ConeIndex`` makes that pass on its first subcone question and answers
+every later one from the apex's row of codes and one ``SubconeRef``
+per apex and code, made when first asked. It also holds the
 canonical-sequence and charge tables of each distinct ``ginf`` (filled
 by ``spanners.canonical_sequences`` and ``compute_charges``) and, once
 asked, the run's general-position report. None has another entry: one
-index is made per run and passed along. ``inside_wedge`` is the one test of a
-direction strictly inside an obstacle wedge: the index raises on it,
-and ``visibility`` runs it elementwise on arrays of pairs at both
-endpoints.
+index is made per run and passed along. ``inside_wedge`` is the one
+test of a direction strictly inside an obstacle wedge; ``classify`` and
+``visibility`` run it elementwise. ``exact_dtype`` is the one switch
+between int64 arrays and Python-int arrays, at ``INT64_GUARD``.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .geom import cross, sign, sqrt3_sign
 from .scene import check_general_position
+
+# Below this bound on |coordinate| coordinate differences stay under
+# 2^30, so 3 dx^2, every 2x2 determinant of differences and the
+# ``key_bounds`` (under 2^52) fit in int64; at or above it the arrays
+# hold Python ints.
+INT64_GUARD = 1 << 29
+
+
+def exact_dtype(points) -> type:
+    """np.int64 when every |coordinate| of the integer points is below
+    ``INT64_GUARD``, else object, for arrays of Python ints."""
+    coords = [c for p in points for c in p]
+    small = -INT64_GUARD < min(coords, default=0) and max(coords, default=0) < INT64_GUARD
+    return np.int64 if small else object
 
 
 class GeneralPositionError(ValueError):
@@ -65,6 +82,16 @@ SIDE_WHOLE = "whole"
 SIDE_RIGHT = "right"  # clockwise of the obstacle wedge
 SIDE_LEFT = "left"  # counterclockwise of the obstacle wedge
 
+# A pair that classifies has code 3 * sector + side, the side indexing
+# _SIDES; one that raises has a marker code at or above N_REFS.
+_SIDES = (SIDE_WHOLE, SIDE_RIGHT, SIDE_LEFT)
+N_REFS = 3 * len(_SECTOR_LABEL)
+ZERO, BOUNDARY, SPLIT_RAISES, IN_WEDGE = range(N_REFS, N_REFS + 4)
+# A vertex's split: the sector of its split cone, or one of these.
+NO_SPLIT = -1
+
+_ZERO_DIRECTION = "zero direction has no cone"
+
 
 class SubconeRef(NamedTuple):
     """One free angular region of one cone at one vertex."""
@@ -84,10 +111,11 @@ def direction_sector(dx, dy) -> int:
     The boundaries lie on dy = 0 and dy = +-sqrt(3) dx. For rational
     offsets dy^2 = 3 dx^2 holds only at 0, so dy = 0 is the one boundary
     a nonzero direction can hit, and the sign of dy^2 - 3 dx^2 tells the
-    steep sectors 1 and 4 from the others.
+    steep sectors 1 and 4 from the others. ``classify`` applies the same
+    rule to arrays; the index calls this only to raise for a marked pair.
     """
     if dx == 0 and dy == 0:
-        raise ValueError("zero direction has no cone")
+        raise ValueError(_ZERO_DIRECTION)
     if dy == 0:
         raise GeneralPositionError(
             f"direction ({dx}, {dy}) lies on a cone boundary"
@@ -99,8 +127,20 @@ def direction_sector(dx, dy) -> int:
     return 3 if dx < 0 else 5
 
 
+# The sector of a direction with dy != 0, indexed by the three bits
+# (dy > 0, dx > 0, dy^2 > 3 dx^2); dx = 0 is always steep.
+_SECTOR_BY_SIGNS = np.array([3, 4, 5, 4, 2, 1, 0, 1])
+
+
+def _sectors(dx, dy) -> np.ndarray:
+    """``direction_sector`` elementwise, for arrays of directions with
+    dy != 0; the others get some sector, which the caller overrides."""
+    return _SECTOR_BY_SIGNS[(dy > 0) * 4 + (dx > 0) * 2 + (dy * dy > 3 * dx * dx)]
+
+
 def _key_parts(label: ConeLabel, dx, dy):
-    """Rational pair (a, b) with doubled bisector projection a + b*sqrt3."""
+    """Rational pair (a, b) with doubled bisector projection a + b*sqrt3.
+    Elementwise on arrays; inside the cone a >= 0 and b >= 0."""
     if label.positive:
         if label.index == 0:  # bisector (0, 1)
             return 2 * dy, 0
@@ -119,6 +159,22 @@ def key_compare(label: ConeLabel, d1, d2) -> int:
     a1, b1 = _key_parts(label, d1[0], d1[1])
     a2, b2 = _key_parts(label, d2[0], d2[1])
     return sqrt3_sign(a1 - a2, b1 - b2)
+
+
+# sqrt(3) lies strictly between these two ratios over KEY_SCALE.
+KEY_SCALE, SQRT3_BELOW, SQRT3_ABOVE = 10**6, 1732050, 1732051
+
+
+def key_bounds(sector, dx, dy):
+    """Integer arrays lo, hi with lo <= KEY_SCALE * key <= hi for the
+    doubled bisector projection a + b*sqrt3 of each direction in the
+    cone of its sector. As a, b >= 0 there, hi - lo = b, and the bounds
+    are strict when b > 0."""
+    a, b = np.empty_like(dx), np.empty_like(dx)
+    for s, label in enumerate(_SECTOR_LABEL):
+        at = sector == s
+        a[at], b[at] = _key_parts(label, dx[at], dy[at])
+    return a * KEY_SCALE + b * SQRT3_BELOW, a * KEY_SCALE + b * SQRT3_ABOVE
 
 
 # --- obstacle wedges and subcones -----------------------------------------
@@ -152,51 +208,93 @@ def inside_wedge(wedge, dx, dy) -> bool:
     return after_next & before_prev | reflex & (after_next | before_prev)
 
 
-def split_cone_label(scene, vi: int) -> Optional[ConeLabel]:
-    """The cone of vi split in two by its obstacle wedge, if any.
+class Classification(NamedTuple):
+    """The array pass of one scene."""
+
+    xy: np.ndarray  # n x 2 coordinates, of ``exact_dtype``
+    split: list  # per vertex: sector of its split cone, NO_SPLIT or SPLIT_RAISES
+    codes: np.ndarray  # n x n int8, the code of (apex, p) at [apex, p]
+
+
+def classify(scene) -> Classification:
+    """Every vertex's split label and every ordered pair's code.
 
     A cone splits only when both incident edge directions fall strictly
     inside it and the wedge occupies the middle (d_next clockwise of
     d_prev within the cone). A wedge that covers the cone except for a
     notch between the edges leaves a single free region: not a split.
+    An edge on a cone boundary splits nothing; a zero-length edge makes
+    the split raise (unless d_next, tested first, lies on a boundary).
+
+    A pair's marker follows the order in which its classification
+    raises: a zero direction, then one on a cone boundary, then an apex
+    whose split raises, then a direction strictly inside the wedge of
+    a split apex. Along a wedge edge a direction takes the free side
+    that the edge bounds.
     """
-    w = obstacle_wedge(scene, vi)
-    if w is None:
-        return None
-    dn, dp = w
-    try:
-        sn = direction_sector(dn[0], dn[1])
-        sp = direction_sector(dp[0], dp[1])
-    except GeneralPositionError:
-        return None  # edge on a cone boundary: treat as non-splitting
-    if sn != sp:
-        return None
-    if cross(dn[0], dn[1], dp[0], dp[1]) <= 0:
-        return None
-    return _SECTOR_LABEL[sn]
+    n = scene.n
+    dtype = exact_dtype(scene.ipoints)
+    xy = np.array(scene.ipoints, dtype=dtype).reshape(n, 2)
+    # The wedge of ``obstacle_wedge`` at each corner; a free vertex gets
+    # two zero edges, inside which no direction lies.
+    ends = [scene.boundary_neighbors(v) for v in range(n)]
+    corner = np.array([e is not None for e in ends], dtype=bool)
+    prev_i, next_i = np.array([e or (v, v) for v, e in enumerate(ends)], dtype=np.intp).reshape(n, 2).T
+    nx, ny = (xy[next_i] - xy).T
+    px, py = (xy[prev_i] - xy).T
+    raises = corner & ((nx == 0) & (ny == 0) | (ny != 0) & (px == 0) & (py == 0))
+    sector = _sectors(nx, ny)
+    splits = corner & (ny != 0) & (py != 0) & (sector == _sectors(px, py))
+    splits &= nx * py - ny * px > 0
+    split = np.where(raises, SPLIT_RAISES, np.where(splits, sector, NO_SPLIT))
+
+    dx, dy = xy[None, :, 0] - xy[:, None, 0], xy[None, :, 1] - xy[:, None, 1]
+    sector = _sectors(dx, dy)
+    codes = 3 * sector
+    a, b = np.nonzero(sector == split[:, None])
+    ddx, ddy = dx[a, b], dy[a, b]
+    side = np.where(cross(ddx, ddy, nx[a], ny[a]) >= 0, 1, 2)
+    inside = inside_wedge(((nx[a], ny[a]), (px[a], py[a])), ddx, ddy)
+    codes[a, b] = np.where(inside, IN_WEDGE, codes[a, b] + side)
+    codes[raises] = SPLIT_RAISES
+    flat = dy == 0
+    codes[flat] = BOUNDARY
+    codes[flat & (dx == 0)] = ZERO
+    return Classification(xy, split.tolist(), codes.astype(np.int8))
+
+
+# The codes of the subcones of one sign, in label order, by the split.
+_SUBCONE_CODES = {
+    positive: {
+        split: tuple(
+            code
+            for s in (_SECTOR_LABEL.index(label) for label in labels)
+            for code in ((3 * s + 1, 3 * s + 2) if s == split else (3 * s,))
+        )
+        for split in range(NO_SPLIT, len(_SECTOR_LABEL))
+    }
+    for positive, labels in ((True, POSITIVE_LABELS), (False, NEGATIVE_LABELS))
+}
+POSITIVE_SECTOR = np.array([label.positive for label in _SECTOR_LABEL])
 
 
 class ConeIndex:
-    """Subcone membership in one scene, memoised for one run.
+    """Subcone membership in one scene, classified once for one run.
 
-    Each vertex's split label is computed at most once and each pair is
-    classified at most once per direction, from one sector: the first
-    direction asked keeps the sector of the other. ``tables`` and
-    ``charges`` map a ginf edge set to its read-only canonical-sequence
-    and charge tables. Make one index per run and pass it to every step;
-    never keep it on a ``Scene`` or at module level, where its memo
-    would outlive the run that paid for it. A computation that raises
-    is not memoised, so a repeated call raises again.
+    The first subcone question runs ``classify``; ``subcone_of`` then
+    reads the pair's code from its apex's row and the code's
+    ``SubconeRef``, made on first use. ``tables`` and ``charges`` map a
+    ginf edge set to its read-only canonical-sequence and charge
+    tables. Make one index per run and pass it to every step; never
+    keep it on a ``Scene`` or at module level, where its memo would
+    outlive the run that paid for it. A question that raises is asked
+    again each time, so a repeated call raises again.
     """
 
     def __init__(self, scene):
         self.scene = scene
         self.tables: dict = {}
         self.charges: dict = {}
-        self._split: dict = {}
-        self._refs: dict = {}
-        self._sectors: dict = {}  # (apex, p) -> sector, from (p, apex)
-        self._subcones: dict = {}
         self._general_position = None
 
     @classmethod
@@ -214,64 +312,80 @@ class ConeIndex:
             self._general_position = check_general_position(self.scene)
         return self._general_position
 
+    @cached_property
+    def classification(self) -> Classification:
+        """``classify`` of the scene, on first use only."""
+        return classify(self.scene)
+
+    @cached_property
+    def _rows(self) -> list:
+        return self.classification.codes.tolist()
+
+    @cached_property
+    def _refs(self) -> list:
+        # Per apex, the SubconeRef of each code that has been asked.
+        return [[None] * N_REFS for _ in range(self.scene.n)]
+
     def split_label(self, vi: int) -> Optional[ConeLabel]:
-        """``split_cone_label`` of vi."""
-        if vi not in self._split:
-            self._split[vi] = split_cone_label(self.scene, vi)
-        return self._split[vi]
+        """The cone of vi split in two by its obstacle wedge, if any."""
+        s = self.classification.split[vi]
+        if s == SPLIT_RAISES:
+            raise ValueError(_ZERO_DIRECTION)  # a zero-length wedge edge
+        return None if s == NO_SPLIT else _SECTOR_LABEL[s]
 
     def subcone_of(self, apex: int, p: int) -> SubconeRef:
         """Subcone of vertex apex containing vertex p.
 
         Directions strictly inside the obstacle wedge are unreachable by
         any visible vertex and raise ValueError; directions along a wedge
-        edge classify with the free region they bound. The sector found
-        here serves (p, apex) too, but p's side is decided only when
-        (p, apex) is asked, so each direction raises exactly where a
-        fresh index would.
+        edge classify with the free region they bound.
         """
-        key = (apex, p)
-        ref = self._refs.get(key)
-        if ref is not None:
-            return ref
-        scene = self.scene
-        ax, ay = scene.ipoints[apex]
-        px, py = scene.ipoints[p]
-        dx, dy = px - ax, py - ay
-        sector = self._sectors.pop(key, None)
-        if sector is None:
-            sector = direction_sector(dx, dy)
-            self._sectors[(p, apex)] = (sector + 3) % 6
-        label = _SECTOR_LABEL[sector]
-        if self.split_label(apex) != label:
-            ref = SubconeRef(apex, label, SIDE_WHOLE)
-        else:
-            wedge = obstacle_wedge(scene, apex)
-            if inside_wedge(wedge, dx, dy):
-                raise ValueError(
-                    f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
-                )
-            dn = wedge[0]
-            # At or clockwise of d_next is right, else at or past d_prev.
-            side = SIDE_RIGHT if cross(dx, dy, dn[0], dn[1]) >= 0 else SIDE_LEFT
-            ref = SubconeRef(apex, label, side)
-        self._refs[key] = ref
+        code = self._rows[apex][p]
+        if code >= N_REFS:
+            self._refuse(apex, p)
+        return self._refs[apex][code] or self._ref(apex, code)
+
+    def _ref(self, apex: int, code: int) -> SubconeRef:
+        ref = SubconeRef(apex, _SECTOR_LABEL[code // 3], _SIDES[code % 3])
+        self._refs[apex][code] = ref
         return ref
+
+    def _refuse(self, apex: int, p: int):
+        """Raise what classifying the marked pair (apex, p) raises."""
+        ax, ay = self.scene.ipoints[apex]
+        px, py = self.scene.ipoints[p]
+        direction_sector(px - ax, py - ay)  # a zero or boundary direction
+        self.split_label(apex)
+        raise ValueError(
+            f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
+        )
+
+    def negative_groups(self, apex: int, members) -> list:
+        """(ref, its members) for each negative subcone of apex that
+        holds any of members, in ``subcones`` order, members in the
+        order given. Raises as ``subcone_of`` for the first member it
+        cannot classify, then as ``subcones``."""
+        row = self._rows[apex]
+        groups: dict = {}
+        for v in members:
+            code = row[v]
+            if code >= N_REFS:
+                self._refuse(apex, v)
+            groups.setdefault(code, []).append(v)
+        self.split_label(apex)
+        refs = self._refs[apex]
+        return [
+            (refs[c] or self._ref(apex, c), groups[c])
+            for c in _SUBCONE_CODES[False][self.classification.split[apex]]
+            if c in groups
+        ]
 
     def subcones(self, apex: int, positive: bool) -> tuple:
         """All subcone refs of one sign at a vertex, in deterministic order."""
-        key = (apex, positive)
-        if key not in self._subcones:
-            split = self.split_label(apex)
-            out = []
-            for label in POSITIVE_LABELS if positive else NEGATIVE_LABELS:
-                if label == split:
-                    out.append(SubconeRef(apex, label, SIDE_RIGHT))
-                    out.append(SubconeRef(apex, label, SIDE_LEFT))
-                else:
-                    out.append(SubconeRef(apex, label, SIDE_WHOLE))
-            self._subcones[key] = tuple(out)
-        return self._subcones[key]
+        self.split_label(apex)
+        refs = self._refs[apex]
+        codes = _SUBCONE_CODES[positive][self.classification.split[apex]]
+        return tuple(refs[c] or self._ref(apex, c) for c in codes)
 
 
 def ccw_sorted(scene, apex: int, members: Iterable[int]) -> list:

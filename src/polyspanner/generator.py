@@ -10,11 +10,12 @@ impossible, so distinct y values rule out all forbidden directions).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .geom import orient, point_in_polygon
-from .scene import Scene, check_general_position, validate
+from .scene import Scene, check_general_position
 
 
 class GeneratorError(RuntimeError):
@@ -72,13 +73,24 @@ class _PointPool:
         self.used_y = set()
 
     def admissible(self, p):
+        """A fresh y, and no accepted pair collinear with p: the
+        gcd-reduced, sign-normalised directions from p to the accepted
+        points are nonzero and pairwise distinct."""
         if p[1] in self.used_y:
             return False
-        pts = self.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if orient(pts[i], pts[j], p) == 0:
-                    return False
+        px, py = p
+        rays = set()
+        for qx, qy in self.points:
+            dx, dy = qx - px, qy - py
+            g = math.gcd(dx, dy)
+            if g == 0:
+                return False
+            if dy < 0 or dy == 0 and dx < 0:
+                g = -g
+            ray = (dx // g, dy // g)
+            if ray in rays:
+                return False
+            rays.add(ray)
         return True
 
     def add(self, p):
@@ -155,7 +167,7 @@ def generate(config: GeneratorConfig) -> Scene:
 
     ring_indices = [list(range(s, s + ln)) for s, ln in rings]
     scene = Scene(pool.points, ring_indices)
-    if not validate(scene).ok:
+    if not scene.validation().ok:
         raise GeneratorError("generated scene failed validation")
     if not check_general_position(scene).ok:
         raise GeneratorError("generated scene failed general position")

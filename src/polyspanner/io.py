@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .scene import Scene, SceneError, validate
+from .scene import Scene, SceneError
 from .visibility import Graph
 
 
@@ -101,7 +101,7 @@ def parse_instance(text: str) -> Scene:
         scene = Scene(vertices, obstacles)
     except SceneError as exc:
         raise ParseError(str(exc))
-    res = validate(scene)
+    res = scene.validation()
     if not res.ok:
         head = "; ".join(v.detail for v in res.violations[:3])
         raise ParseError(f"scene failed validation: {head}")

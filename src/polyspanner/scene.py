@@ -41,6 +41,7 @@ class Scene:
         "ipolygons",
         "ibboxes",
         "_boundary_prev_next",
+        "_validation",
     )
 
     def __init__(self, vertices: Sequence, obstacles: Sequence = ()):
@@ -92,6 +93,7 @@ class Scene:
             )
             for poly in self.ipolygons
         )
+        self._validation = None
 
     # -- basic accessors -----------------------------------------------
 
@@ -117,6 +119,14 @@ class Scene:
                 continue
             if segment_properly_intersects_polygon(a, b, self.ipolygons[oi]):
                 yield oi
+
+    def validation(self) -> "ValidationResult":
+        """``validate`` of this scene, on first call only. The scene is
+        immutable, so parsing, generating and verifying it share one
+        report."""
+        if self._validation is None:
+            self._validation = validate(self)
+        return self._validation
 
     def obstacle_edges(self):
         for oi, ring in enumerate(self.obstacles):

@@ -30,22 +30,31 @@ graphs lazily, so the CLI stops at the graph it was asked for.
 ``build_all`` runs it to the end and returns all five graphs, which
 ``verify`` uses.
 
-Both tables are built once per ginf edge set on the run's
-``cones.ConeIndex`` and shared read-only, so ``canonical_sequences``,
+Every per-pair cone fact comes from the run's ``cones.ConeIndex``,
+which classifies all ordered pairs of the scene in one array pass:
+``build_g_infinity`` reads its code matrix for vis's edges in bulk,
+and the later steps ask ``subcone_of`` and ``negative_groups``, which
+read the same codes. Both tables are built once per ginf edge set on the
+index and shared read-only, so ``canonical_sequences``,
 ``compute_charges`` and ``g7_transform`` take the index as a required
 argument. The build steps take an optional one and make their own
 without it, so each can be called alone; passing one index through a
-run classifies each directed pair once and decides general position
-(asked by ``build_g_infinity`` only) once.
+run classifies the scene once and decides general position (asked by
+``build_g_infinity`` only) once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .cones import (
+    N_REFS,
+    POSITIVE_SECTOR,
     ConeIndex,
     ConeLabel,
     GeneralPositionError,
@@ -54,6 +63,7 @@ from .cones import (
     SIDE_WHOLE,
     SubconeRef,
     ccw_sorted,
+    key_bounds,
     key_compare,
 )
 from .scene import Scene
@@ -83,7 +93,12 @@ def build_g_infinity(
 ) -> Graph:
     """One edge per nonempty positive subcone, to the visible vertex
     with the smallest bisector projection. Refuses a scene outside
-    general position, as the index reports it."""
+    general position, as the index reports it.
+
+    vis's edges, in both directions, are grouped by apex and subcone
+    code as arrays. Within a group only the members whose lower key
+    bound reaches the group's least upper bound can be closest; a group
+    left with several settles them by ``key_compare``, in vertex order."""
     index = ConeIndex.of(scene, index)
     report = index.general_position()
     if not report.ok:
@@ -92,15 +107,32 @@ def build_g_infinity(
             f"{report.parallel_count} boundary-parallel pair(s), "
             f"{report.collinear_count} collinear triple(s)"
         )
-    edges = set()
-    for u in range(scene.n):
-        groups: dict[SubconeRef, list] = {}
-        for v in vis.neighbors(u):
-            ref = index.subcone_of(u, v)
-            if ref.label.positive:
-                groups.setdefault(ref, []).append(v)
-        for ref, members in groups.items():
-            edges.add(_edge(u, _closest(scene, u, ref.label, members)))
+    xy, _, codes = index.classification
+    pairs = np.fromiter(chain.from_iterable(vis.edges), np.intp, 2 * vis.m).reshape(-1, 2)
+    a = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    b = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    code = codes[a, b]
+    marked = code >= N_REFS
+    if marked.any():
+        i = np.lexsort((b[marked], a[marked]))[0]
+        index.subcone_of(int(a[marked][i]), int(b[marked][i]))  # raises
+    positive = POSITIVE_SECTOR[code // 3]
+    a, b, code = a[positive], b[positive], code[positive]
+    if not a.size:
+        return Graph(scene.n)
+    order = np.lexsort((b, code, a))
+    a, b, code = a[order], b[order], code[order]
+    lo, hi = key_bounds(code // 3, xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
+    first = np.r_[True, (a[1:] != a[:-1]) | (code[1:] != code[:-1])]
+    start, group = np.flatnonzero(first), np.cumsum(first) - 1
+    alive = np.flatnonzero(lo <= np.minimum.reduceat(hi, start)[group])
+    single = np.bincount(group[alive], minlength=start.size)[group[alive]] == 1
+    edges = list(zip(a[alive[single]].tolist(), b[alive[single]].tolist()))
+    contested: dict = {}
+    for u, v in zip(a[alive[~single]].tolist(), b[alive[~single]].tolist()):
+        contested.setdefault(index.subcone_of(u, v), []).append(v)
+    for ref, members in contested.items():
+        edges.append((ref.apex, _closest(scene, ref.apex, ref.label, members)))
     return Graph(scene.n, edges)
 
 
@@ -136,14 +168,13 @@ def canonical_sequences(
 def _sequence_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
     table = {}
     for apex in range(scene.n):
-        groups: dict[SubconeRef, list] = {}
-        for v in ginf.neighbors(apex):
-            groups.setdefault(index.subcone_of(apex, v), []).append(v)
-        for ref in index.subcones(apex, positive=False):
-            if ref in groups:
-                members = tuple(ccw_sorted(scene, apex, groups[ref]))
+        for ref, members in index.negative_groups(apex, ginf.neighbors(apex)):
+            if len(members) == 1:
+                closest = members[0]
+            else:
+                members = ccw_sorted(scene, apex, members)
                 closest = _closest(scene, apex, ref.label, members)
-                table[ref] = CanonicalSequence(apex, ref, members, closest)
+            table[ref] = CanonicalSequence(apex, ref, tuple(members), closest)
     return table
 
 

@@ -36,7 +36,7 @@ from .geom import (
     sign,
     sqrt3_sign,
 )
-from .scene import Scene, check_general_position, validate
+from .scene import Scene, check_general_position
 from .spanners import build_all, canonical_sequences, compute_charges
 from .visibility import Graph
 
@@ -458,7 +458,7 @@ def run_verification(
     list surfaces as failed checks."""
     outcomes: list[CheckOutcome] = []
 
-    vres = validate(scene)
+    vres = scene.validation()
     outcomes.append(
         CheckOutcome(
             "scene-valid",

@@ -19,13 +19,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .cones import inside_wedge, obstacle_wedge
+from .cones import exact_dtype, inside_wedge, obstacle_wedge
 from .geom import cross
 from .scene import Scene
 
-# Below this bound on |coordinate| every 2x2 determinant of coordinate
-# differences fits in int64; at or above it the arrays hold Python ints.
-INT64_GUARD = 1 << 30
 # Elements per array in one block of pairs, so memory stays bounded; at
 # n = 480 with 48 obstacles 2^16 ran faster than 2^20 and held less.
 BLOCK = 1 << 16
@@ -136,15 +133,13 @@ def visibility_graph(scene: Scene) -> Graph:
     its own single one (a shared or repeated corner, or a duplicate
     point). Pairs with an irregular endpoint keep the kernel, through
     ``Scene.crossed_obstacles``; valid scenes in general position have
-    none. The arrays are int64 when every |coordinate| is below
-    ``INT64_GUARD``, so every 2x2 determinant fits, and Python ints
-    otherwise; only signs of determinants are multiplied or compared.
+    none. The arrays are of ``cones.exact_dtype``: int64 below its
+    guard, where every 2x2 determinant fits, and Python ints otherwise;
+    only signs of determinants are multiplied or compared.
     Pairs go through in blocks of about ``BLOCK`` elements."""
     n = scene.n
     pts = scene.ipoints
-    coords = [c for p in pts for c in p]
-    small = -INT64_GUARD < min(coords, default=0) and max(coords, default=0) < INT64_GUARD
-    dtype = np.int64 if small else object
+    dtype = exact_dtype(pts)
     xy = np.array(pts, dtype=dtype).reshape(n, 2)
     x, y = xy[:, 0], xy[:, 1]
     none = ((0, 0), (0, 0))  # a free vertex: no direction is inside

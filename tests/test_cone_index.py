@@ -1,15 +1,16 @@
 """The per-run cone index against the reference classification, which
 recomputes every call from scratch, and the guards that one run
-classifies each vertex, builds each canonical-sequence and charge
+classifies each scene once, builds each canonical-sequence and charge
 table and decides general position once."""
 
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from polyspanner import cones, scene as scene_module, spanners
-from polyspanner.cones import ConeIndex
+from polyspanner.cones import INT64_GUARD, ConeIndex, exact_dtype, key_bounds
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.scene import Scene
 from polyspanner.spanners import (
@@ -19,7 +20,7 @@ from polyspanner.spanners import (
     build_g7,
     build_g_infinity,
 )
-from polyspanner.verify import run_verification
+from polyspanner.verify import oracle_g_infinity, run_verification
 from polyspanner.visibility import Graph, visibility_graph
 
 from tests import reference_cones
@@ -27,25 +28,42 @@ from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
 
+def _reference_or_error(scene, apex, p):
+    try:
+        return reference_cones.subcone_of(scene, apex, p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _index_or_error(index, apex, p):
+    try:
+        return index.subcone_of(apex, p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 def test_index_matches_reference_classification():
-    # Every ordered vis and ginf pair of the six fixtures and of every
-    # seventh acceptance configuration, plus every subcone list.
+    # Every ordered pair u != v of the six fixtures and of every seventh
+    # acceptance configuration, the raising ones included, plus every
+    # split label and subcone list.
     scenes = [load_scene(name) for name in FIXTURE_NAMES]
     scenes += [generate(cfg) for cfg in configs()[::7]]
+    raised = 0
     for scene in scenes:
-        vis = visibility_graph(scene)
         index = ConeIndex(scene)
-        for g in (vis, build_g_infinity(scene, vis, index)):
-            for u in range(scene.n):
-                for v in g.neighbors(u):
-                    want = reference_cones.subcone_of(scene, u, v)
-                    assert index.subcone_of(u, v) == want
+        for u in range(scene.n):
+            for v in range(scene.n):
+                if u != v:
+                    want = _reference_or_error(scene, u, v)
+                    raised += isinstance(want, tuple)
+                    assert _index_or_error(index, u, v) == want, (u, v)
         for apex in range(scene.n):
             split = reference_cones.split_cone_label(scene, apex)
             assert index.split_label(apex) == split
             for positive in (True, False):
                 want = reference_cones.subcones(scene, apex, positive)
                 assert list(index.subcones(apex, positive)) == want
+    assert raised > 0
 
 
 # A ring that repeats vertex 0 gives it a zero-length wedge edge; Scene
@@ -102,23 +120,29 @@ def test_index_subcones_raise_what_reference_raises():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_ginf_finds_one_sector_per_visible_pair(name, monkeypatch):
-    # Split labels first, so every sector counted is a pair's.
+def test_one_array_pass_per_index(name, monkeypatch):
+    # A run classifies its scene in one array pass, and a valid scene is
+    # built with no scalar direction_sector call: that rule only spells
+    # the errors of marked pairs.
     scene = load_scene(name)
-    vis = visibility_graph(scene)
-    index = ConeIndex(scene)
-    for v in range(scene.n):
-        index.split_label(v)
-    calls = []
-    real = cones.direction_sector
+    passes, sectors = [], []
+    real_classify, real_sector = cones.classify, cones.direction_sector
 
-    def probe(dx, dy):
-        calls.append((dx, dy))
-        return real(dx, dy)
+    def classify_probe(sc):
+        passes.append(sc)
+        return real_classify(sc)
 
-    monkeypatch.setattr(cones, "direction_sector", probe)
-    build_g_infinity(scene, vis, index)
-    assert 0 < len(calls) <= vis.m
+    def sector_probe(dx, dy):
+        sectors.append((dx, dy))
+        return real_sector(dx, dy)
+
+    monkeypatch.setattr(cones, "classify", classify_probe)
+    monkeypatch.setattr(cones, "direction_sector", sector_probe)
+    build_all(scene, ConeIndex(scene))
+    assert passes == [scene] and sectors == []
+    passes.clear()
+    assert all(o.ok for o in run_verification(scene))
+    assert passes == [scene] and sectors == []
 
 
 def test_index_belongs_to_one_scene():
@@ -149,13 +173,14 @@ def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
     splits = Counter()
     built = []
     charged = []
-    real_split = cones.split_cone_label
+    real_classify = cones.classify
     real_table = spanners._sequence_table
     real_charges = spanners._charge_table
 
-    def split_probe(sc, vi):
-        splits[vi] += 1
-        return real_split(sc, vi)
+    def split_probe(sc):
+        # One array pass decides the split label of every vertex.
+        splits.update(range(sc.n))
+        return real_classify(sc)
 
     def table_probe(sc, ginf, index):
         built.append(ginf.edges)
@@ -165,7 +190,7 @@ def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
         charged.append(ginf.edges)
         return real_charges(sc, ginf, index)
 
-    monkeypatch.setattr(cones, "split_cone_label", split_probe)
+    monkeypatch.setattr(cones, "classify", split_probe)
     monkeypatch.setattr(spanners, "_sequence_table", table_probe)
     monkeypatch.setattr(spanners, "_charge_table", charge_probe)
     run_verification(scene, subs)
@@ -195,6 +220,18 @@ def test_charge_build_that_raises_is_not_kept():
         if o.name.startswith("charges(")
     ]
     assert lines == [(False, message)] * 3
+
+
+def test_ginf_raises_for_a_vis_pair_it_cannot_classify():
+    # Vertex 16 lies inside vertex 0's obstacle wedge; a vis that holds
+    # the pair anyway makes ginf raise as subcone_of does, every time.
+    scene = generate(GeneratorConfig(n_points=20, n_obstacles=2, seed=0))
+    vis = visibility_graph(scene)
+    bad = Graph(scene.n, vis.sorted_edges() + [(0, 16)])
+    index = ConeIndex(scene)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="vertex 16 lies strictly inside the obstacle wedge at vertex 0"):
+            build_g_infinity(scene, bad, index)
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
@@ -227,3 +264,65 @@ def test_general_position_checked_once_per_run(monkeypatch, fixture):
     build_g15(scene, ginf)
     build_g7(scene, ginf, g10)
     assert not calls
+
+
+def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
+    # In C2+ of vertex 0 the key is -dy + dx*sqrt3. Vertex 2 sits
+    # (-2131, -3691) from vertex 1, and 3691/2131 is within 1.3e-7 below
+    # sqrt3: its key is smaller by about 2.7e-4, yet its lower bound is
+    # the larger one, so only key_compare can tell the two apart.
+    scene = Scene([(0, 0), (100_000, -100_000), (97_869, -103_691)])
+    index = ConeIndex(scene)
+    code = index.classification.codes[0, 1:]
+    assert code[0] == code[1] == 3 * 5
+    dx, dy = index.classification.xy[1:].T
+    lo, hi = key_bounds(code // 3, dx, dy)
+    assert lo[0] < lo[1] <= hi[1] and lo[1] <= hi[0]
+    settled = []
+    real = spanners.key_compare
+
+    def probe(label, d1, d2):
+        settled.append((d1, d2))
+        return real(label, d1, d2)
+
+    monkeypatch.setattr(spanners, "key_compare", probe)
+    ginf = build_g_infinity(scene, visibility_graph(scene), index)
+    assert settled
+    assert ginf == oracle_g_infinity(scene)
+    assert ginf.has_edge(0, 2) and not ginf.has_edge(0, 1)
+
+
+def _at_top(scene, top):
+    # The scene stretched by 2s and moved so that its largest coordinate
+    # is exactly top; for two tops with one s the scenes differ by a
+    # translation, which changes no cone, no key order and no sight line.
+    s = INT64_GUARD // 1000 - 1
+    pts = [(2 * s * x, 2 * s * y) for x, y in scene.ipoints]
+    shift = top - max(c for p in pts for c in p)
+    return Scene([(x + shift, y + shift) for x, y in pts], scene.obstacles)
+
+
+def test_same_codes_and_graphs_across_the_int64_guard():
+    # Seed 9 has two split corners and nine pairs inside their wedges.
+    base = generate(GeneratorConfig(n_points=20, n_obstacles=3, obstacle_size=5, extent=1000, seed=9))
+    results = []
+    for top, dtype in ((INT64_GUARD - 1, np.int64), (INT64_GUARD, object)):
+        scene = _at_top(base, top)
+        assert max(abs(c) for p in scene.ipoints for c in p) == top
+        index = ConeIndex(scene)
+        graphs = build_all(scene, index)[0]
+        assert index.classification.xy.dtype == dtype
+        assert (index.classification.codes == cones.IN_WEDGE).sum() == 9
+        results.append((index.classification.codes, [graphs[g].edges for g in ("ginf", "g15", "g10", "g7")]))
+    (codes_a, graphs_a), (codes_b, graphs_b) = results
+    assert np.array_equal(codes_a, codes_b)
+    assert graphs_a == graphs_b
+
+
+def test_generated_scenes_take_the_int64_path():
+    # The default extent, 10^6, is far below the guard: a silent switch
+    # to Python-int arrays would show only as a slower benchmark.
+    for cfg in configs()[::10]:
+        scene = generate(cfg)
+        assert exact_dtype(scene.ipoints) is np.int64
+        assert ConeIndex(scene).classification.xy.dtype == np.int64

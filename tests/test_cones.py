@@ -17,7 +17,6 @@ from polyspanner.cones import (
     direction_sector,
     inside_wedge,
     key_compare,
-    split_cone_label,
 )
 from polyspanner.geom import cross
 from polyspanner.scene import Scene
@@ -173,11 +172,11 @@ def split_scene(extra):
 
 def test_split_cone_label_spike():
     sc = split_scene([(-60, 205), (70, 190)])
-    lab = split_cone_label(sc, 0)
-    assert lab == ConeLabel(True, 0)
+    index = ConeIndex(sc)
+    assert index.split_label(0) == ConeLabel(True, 0)
     # free vertices and non-apex corners are unsplit
-    assert split_cone_label(sc, 3) is None
-    assert split_cone_label(sc, 1) is None
+    assert index.split_label(3) is None
+    assert index.split_label(1) is None
 
 
 def test_subcone_sides_of_split_cone():

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from tests.conftest import fixture_text, load_scene
 from tests.reference_visibility import visible
 
-from polyspanner import spanners
+from polyspanner import scene as scene_module, spanners
 from polyspanner.cli import main
 from polyspanner.generator import GeneratorConfig, GeneratorError, generate
 from polyspanner.io import (
@@ -263,6 +264,18 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL oracle-equivalence(ginf)" in out
+
+    def test_verify_validates_the_scene_once(self, instance_file, monkeypatch, capsys):
+        # Parsing rejects an invalid scene and run_verification reports
+        # its scene-valid line from the same report.
+        real = scene_module.validate
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyspanner") and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", lambda sc: calls.append(sc) or real(sc))
+        assert main(["verify", "--in", str(instance_file)]) == 0
+        assert len(calls) == 1
+        assert "PASS scene-valid" in capsys.readouterr().out
 
     def test_verify_mismatched_substitution_flags(self, instance_file, capsys):
         rc = main(["verify", "--in", str(instance_file), "--graph", "ginf"])

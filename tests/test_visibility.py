@@ -2,9 +2,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyspanner import visibility
+from polyspanner.cones import INT64_GUARD
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.scene import Scene, perturb_by_rotation
-from polyspanner.visibility import INT64_GUARD, Graph, visibility_graph
+from polyspanner.visibility import Graph, visibility_graph
 
 from tests.reference_visibility import visible
 
@@ -187,7 +188,7 @@ def test_visibility_graph_matches_reference_past_int64():
 @pytest.mark.parametrize("top", [INT64_GUARD - 1, INT64_GUARD], ids=["int64", "python-int"])
 def test_visibility_graph_matches_reference_at_the_int64_guard(top):
     # A generated scene stretched over [-top, top] plus two corners of
-    # that square: on the int64 side the determinants come near 2^63.
+    # that square: on the int64 side the determinants come near 2^61.
     sc = generate(GeneratorConfig(n_points=20, n_obstacles=3, obstacle_size=5, extent=1000, seed=11))
     s = top // 1000
     pts = [(2 * s * x - top, 2 * s * y - top) for x, y in sc.ipoints]
