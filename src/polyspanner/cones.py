@@ -22,10 +22,12 @@ per apex and code, made when first asked. It also holds the
 canonical-sequence and charge tables of each distinct ``ginf`` (filled
 by ``spanners.canonical_sequences`` and ``compute_charges``) and, once
 asked, the run's general-position report. None has another entry: one
-index is made per run and passed along. ``inside_wedge`` is the one
-test of a direction strictly inside an obstacle wedge; ``classify`` and
-``visibility`` run it elementwise. ``exact_dtype`` is the one switch
-between int64 arrays and Python-int arrays, at ``INT64_GUARD``.
+index is made per run, handed to ``spanners.build_g_infinity`` and
+carried by the ginf it returns to the later steps. ``inside_wedge`` is
+the one test of a direction strictly inside an obstacle wedge;
+``classify`` and ``visibility`` run it elementwise. ``exact_dtype`` is
+the one switch between int64 arrays and Python-int arrays, at
+``INT64_GUARD``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .geom import cross, sign, sqrt3_sign
 from .scene import check_general_position
 
 # Below this bound on |coordinate| coordinate differences stay under
-# 2^30, so 3 dx^2, every 2x2 determinant of differences and the
-# ``key_bounds`` (under 2^52) fit in int64; at or above it the arrays
-# hold Python ints.
+# 2^30, so 3 dx^2, every 2x2 determinant of differences, the
+# ``key_bounds`` (under 2^52) and the packed directions of
+# ``scene.check_general_position`` (under 2^62) fit in int64; at or
+# above it the arrays hold Python ints.
 INT64_GUARD = 1 << 29
 
 
@@ -285,10 +288,13 @@ class ConeIndex:
     reads the pair's code from its apex's row and the code's
     ``SubconeRef``, made on first use. ``tables`` and ``charges`` map a
     ginf edge set to its read-only canonical-sequence and charge
-    tables. Make one index per run and pass it to every step; never
-    keep it on a ``Scene`` or at module level, where its memo would
-    outlive the run that paid for it. A question that raises is asked
-    again each time, so a repeated call raises again.
+    tables. Make one index per run and pass it to
+    ``spanners.build_g_infinity``: the ginf it returns carries the index
+    as ``Graph.index``, and the later build steps read it from there, so
+    the index lives exactly as long as that ginf. Never keep it on a
+    ``Scene`` or at module level, where its memo would outlive the run
+    that paid for it. A question that raises is asked again each time,
+    so a repeated call raises again.
     """
 
     def __init__(self, scene):

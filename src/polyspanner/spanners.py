@@ -37,10 +37,13 @@ and the later steps ask ``subcone_of`` and ``negative_groups``, which
 read the same codes. Both tables are built once per ginf edge set on the
 index and shared read-only, so ``canonical_sequences``,
 ``compute_charges`` and ``g7_transform`` take the index as a required
-argument. The build steps take an optional one and make their own
-without it, so each can be called alone; passing one index through a
-run classifies the scene once and decides general position (asked by
-``build_g_infinity`` only) once.
+argument. ``build_g_infinity`` takes an optional one, makes its own
+without it, and returns a ginf that carries it as ``Graph.index``;
+``build_g15``, ``build_g10`` and ``build_g7`` read the index from their
+ginf, and make a fresh one only for a ginf that carries none or one of
+another scene. So a chain of steps called alone classifies the scene,
+builds each table and decides general position once, and the index
+lives exactly as long as its ginf.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def build_g_infinity(
 ) -> Graph:
     """One edge per nonempty positive subcone, to the visible vertex
     with the smallest bisector projection. Refuses a scene outside
-    general position, as the index reports it.
+    general position, as the index reports it. The graph returned
+    carries the index as ``Graph.index``, for the later steps.
 
     vis's edges, in both directions, are grouped by apex and subcone
     code as arrays. Within a group only the members whose lower key
@@ -118,12 +122,11 @@ def build_g_infinity(
         index.subcone_of(int(a[marked][i]), int(b[marked][i]))  # raises
     positive = POSITIVE_SECTOR[code // 3]
     a, b, code = a[positive], b[positive], code[positive]
-    if not a.size:
-        return Graph(scene.n)
     order = np.lexsort((b, code, a))
     a, b, code = a[order], b[order], code[order]
     lo, hi = key_bounds(code // 3, xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
-    first = np.r_[True, (a[1:] != a[:-1]) | (code[1:] != code[:-1])]
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (code[1:] != code[:-1])
     start, group = np.flatnonzero(first), np.cumsum(first) - 1
     alive = np.flatnonzero(lo <= np.minimum.reduceat(hi, start)[group])
     single = np.bincount(group[alive], minlength=start.size)[group[alive]] == 1
@@ -133,7 +136,16 @@ def build_g_infinity(
         contested.setdefault(index.subcone_of(u, v), []).append(v)
     for ref, members in contested.items():
         edges.append((ref.apex, _closest(scene, ref.apex, ref.label, members)))
-    return Graph(scene.n, edges)
+    ginf = Graph(scene.n, edges)
+    ginf.index = index
+    return ginf
+
+
+def _index_of(scene: Scene, ginf: Graph) -> ConeIndex:
+    """The index that built ginf, or a fresh one of scene when ginf
+    carries none or one of another scene."""
+    index = ginf.index
+    return index if index is not None and index.scene is scene else ConeIndex(scene)
 
 
 @dataclass(frozen=True)
@@ -178,25 +190,21 @@ def _sequence_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
     return table
 
 
-def build_g15(
-    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
-) -> Graph:
+def build_g15(scene: Scene, ginf: Graph) -> Graph:
     """Keep the two angular extremes and the projection-closest edge of
     every negative subcone."""
     edges = set()
-    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
+    for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
         for v in (seq.vertices[0], seq.vertices[-1], seq.closest):
             edges.add(_edge(seq.apex, v))
     return Graph(scene.n, edges)
 
 
-def build_g10(
-    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
-) -> Graph:
+def build_g10(scene: Scene, ginf: Graph) -> Graph:
     """Keep the closest edge of every negative subcone plus the
     canonical path joining consecutive sequence members."""
     edges = set()
-    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
+    for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
         edges.add(_edge(seq.apex, seq.closest))
         for p, q in seq.consecutive_pairs():
             edges.add(_edge(p, q))
@@ -476,10 +484,8 @@ def g7_transform(
     return G7Result(Graph(scene.n, edges), tuple(transcript))
 
 
-def build_g7(
-    scene: Scene, ginf: Graph, g10: Graph, index: Optional[ConeIndex] = None
-) -> Graph:
-    return g7_transform(scene, ginf, g10, ConeIndex.of(scene, index)).graph
+def build_g7(scene: Scene, ginf: Graph, g10: Graph) -> Graph:
+    return g7_transform(scene, ginf, g10, _index_of(scene, ginf)).graph
 
 
 GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
@@ -489,13 +495,15 @@ def pipeline(scene: Scene, index: ConeIndex):
     """The chain in order, lazily, each step built from the one before:
     (name, graph) for vis, ginf, g15 and g10, then ("g7", G7Result).
     A caller that stops early builds nothing past its graph; vis comes
-    before the general-position check of ``build_g_infinity``."""
+    before the general-position check of ``build_g_infinity``. The
+    index goes to ``build_g_infinity``; the later steps read it from
+    the ginf it returns."""
     vis = visibility_graph(scene)
     yield "vis", vis
     ginf = build_g_infinity(scene, vis, index)
     yield "ginf", ginf
-    yield "g15", build_g15(scene, ginf, index)
-    g10 = build_g10(scene, ginf, index)
+    yield "g15", build_g15(scene, ginf)
+    g10 = build_g10(scene, ginf)
     yield "g10", g10
     yield "g7", g7_transform(scene, ginf, g10, index)
 

@@ -21,17 +21,18 @@ import numpy as np
 
 from .cones import exact_dtype, inside_wedge, obstacle_wedge
 from .geom import cross
-from .scene import Scene
-
-# Elements per array in one block of pairs, so memory stays bounded; at
-# n = 480 with 48 obstacles 2^16 ran faster than 2^20 and held less.
-BLOCK = 1 << 16
+from .scene import BLOCK, Scene
 
 
 class Graph:
-    """Undirected graph on vertices 0..n-1 with a frozen edge set."""
+    """Undirected graph on vertices 0..n-1 with a frozen edge set.
 
-    __slots__ = ("n", "edges", "_adj")
+    ``index`` is the ``cones.ConeIndex`` that built the graph, set by
+    ``spanners.build_g_infinity`` on the ginf it returns and None on
+    every other graph; it lives as long as the graph and takes no part
+    in equality or hashing."""
+
+    __slots__ = ("n", "edges", "index", "_adj")
 
     def __init__(self, n: int, edges: Iterable = ()):
         norm = set()
@@ -43,6 +44,7 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
+        self.index = None
         self._adj = None
 
     @property

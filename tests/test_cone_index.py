@@ -12,6 +12,7 @@ import pytest
 from polyspanner import cones, scene as scene_module, spanners
 from polyspanner.cones import INT64_GUARD, ConeIndex, exact_dtype, key_bounds
 from polyspanner.generator import GeneratorConfig, generate
+from polyspanner.io import parse_edge_list, write_edge_list
 from polyspanner.scene import Scene
 from polyspanner.spanners import (
     build_all,
@@ -326,3 +327,96 @@ def test_generated_scenes_take_the_int64_path():
         scene = generate(cfg)
         assert exact_dtype(scene.ipoints) is np.int64
         assert ConeIndex(scene).classification.xy.dtype == np.int64
+
+
+def _count_chain_work(monkeypatch):
+    """Calls of the four once-per-index builds, by name, with the scene
+    each was asked for."""
+    calls = {name: [] for name in ("classify", "sequences", "charges", "general_position")}
+    for module, attr, name in (
+        (cones, "classify", "classify"),
+        (spanners, "_sequence_table", "sequences"),
+        (spanners, "_charge_table", "charges"),
+        (cones, "check_general_position", "general_position"),
+    ):
+        real = getattr(module, attr)
+
+        def probe(sc, *args, real=real, name=name):
+            calls[name].append(sc)
+            return real(sc, *args)
+
+        monkeypatch.setattr(module, attr, probe)
+    return calls
+
+
+def _readme_chain(scene):
+    vis = visibility_graph(scene)
+    ginf = build_g_infinity(scene, vis)
+    g15 = build_g15(scene, ginf)
+    g10 = build_g10(scene, ginf)
+    return ginf, g15, g10, build_g7(scene, ginf, g10)
+
+
+@pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
+def test_steps_called_alone_share_the_index_of_their_ginf(monkeypatch, fixture):
+    # The README's chain, each step called without an index, classifies,
+    # sequences, charges and checks general position once; the three
+    # later steps read the index their ginf carries.
+    scene = load_scene(fixture)
+    calls = _count_chain_work(monkeypatch)
+    ginf, *later = _readme_chain(scene)
+    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 1)
+    assert ginf.index.scene is scene
+    assert all(g.index is None for g in later)
+    assert [g.edges for g in later] == [build_all(scene)[0][name].edges for name in ("g15", "g10", "g7")]
+
+
+def test_a_second_chain_classifies_again(monkeypatch):
+    # Nothing is kept on the scene or at module level: the index lives
+    # as long as its ginf, so a second chain does all of its own work.
+    scene = load_scene("split_cones.json")
+    calls = _count_chain_work(monkeypatch)
+    first = _readme_chain(scene)
+    second = _readme_chain(scene)
+    assert first == second
+    assert first[0].index is not second[0].index
+    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 2)
+
+
+def test_a_ginf_of_another_scene_gets_a_fresh_index(monkeypatch):
+    # A translated copy has the same n and the same graphs, but the
+    # ginf built on the original carries the original's index: the
+    # steps on the copy make their own instead of raising.
+    scene = load_scene("g7_structural.json")
+    moved = Scene([(x + 7, y - 3) for x, y in scene.vertices], scene.obstacles)
+    ginf = build_g_infinity(scene, visibility_graph(scene))
+    fresh = _readme_chain(moved)
+    calls = _count_chain_work(monkeypatch)
+    g15 = build_g15(moved, ginf)
+    g10 = build_g10(moved, ginf)
+    g7 = build_g7(moved, ginf, g10)
+    assert (g15, g10, g7) == fresh[1:]
+    assert calls["classify"] == [moved] * 3
+    assert ginf.index.scene is scene
+
+
+def test_graphs_built_elsewhere_carry_no_index():
+    scene = load_scene("split_cones.json")
+    ginf = build_g_infinity(scene, visibility_graph(scene))
+    assert ginf.index is not None
+    assert Graph(scene.n, ginf.edges).index is None
+    assert parse_edge_list(write_edge_list(ginf)).index is None
+
+
+def test_the_carried_index_is_not_part_of_equality():
+    scene = load_scene("split_cones.json")
+    vis = visibility_graph(scene)
+    graphs = [
+        build_g_infinity(scene, vis),
+        build_g_infinity(scene, vis, ConeIndex(scene)),
+        Graph(scene.n, build_g_infinity(scene, vis).edges),
+    ]
+    assert graphs[0].index is not graphs[1].index and graphs[2].index is None
+    assert graphs[0] == graphs[1] == graphs[2]
+    assert len({hash(g) for g in graphs}) == 1
+    assert len(set(graphs)) == 1

@@ -1,9 +1,15 @@
+import dataclasses
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from polyspanner import scene as scene_module
+from polyspanner.cones import INT64_GUARD, exact_dtype
+from polyspanner.generator import generate
 from polyspanner.geom import polygon_signed_area2
 from polyspanner.scene import (
     Scene,
@@ -12,6 +18,10 @@ from polyspanner.scene import (
     perturb_by_rotation,
     validate,
 )
+
+from tests import reference_general_position
+from tests.conftest import load_scene
+from tests.test_acceptance import FIXTURE_NAMES, configs
 
 
 def kinds(result):
@@ -133,6 +143,60 @@ def test_general_position_counts_pairs_without_listing_them():
 
 def test_general_position_clean(split_cones):
     assert check_general_position(split_cones).ok
+
+
+def _same_report_as_reference(scene):
+    got = dataclasses.astuple(check_general_position(scene))
+    assert got == dataclasses.astuple(reference_general_position.check_general_position(scene))
+    return got
+
+
+def test_general_position_matches_reference_on_the_tier1_mix():
+    for scene in [load_scene(name) for name in FIXTURE_NAMES] + [generate(c) for c in configs()]:
+        _same_report_as_reference(scene)
+
+
+def _grid(rng, n, k):
+    # Points of a (2k+1)^2 grid, duplicates allowed: many horizontal
+    # pairs and collinear triples, in every direction.
+    return [(rng.randint(-k, k), rng.randint(-k, k)) for _ in range(n)]
+
+
+def test_general_position_matches_reference_on_small_grids():
+    rng = random.Random(18)
+    reports = [
+        _same_report_as_reference(Scene(_grid(rng, rng.randint(0, 30), rng.randint(1, 6))))
+        for _ in range(400)
+    ]
+    assert sum(r[2] > 0 for r in reports) > 300
+    assert sum(r[0] > 0 for r in reports) > 300
+
+
+@pytest.mark.parametrize("block", [1, 30, 100])
+def test_general_position_matches_reference_in_blocks(monkeypatch, block):
+    # One to a few rows per block: the counts add up over blocks, and
+    # the first pair or triple may come from a later block.
+    monkeypatch.setattr(scene_module, "BLOCK", block)
+    rng = random.Random(block)
+    for _ in range(40):
+        _same_report_as_reference(Scene(_grid(rng, rng.randint(0, 25), 4)))
+
+
+def test_general_position_same_report_across_the_int64_guard():
+    # One grid scene, stretched and moved so that its largest
+    # coordinate is 2^29 - 1 and then 2^29: a translation changes no
+    # direction, so both reports are the same, int64 then Python ints.
+    pts = _grid(random.Random(29), 40, 5)
+    s = INT64_GUARD // 16
+    reports = []
+    for top, dtype in ((INT64_GUARD - 1, np.int64), (INT64_GUARD, object)):
+        shift = top - s * max(c for p in pts for c in p)
+        scene = Scene([(s * x + shift, s * y + shift) for x, y in pts])
+        assert max(abs(c) for p in scene.ipoints for c in p) == top
+        assert exact_dtype(scene.ipoints) is dtype
+        reports.append(_same_report_as_reference(scene))
+    assert reports[0] == reports[1]
+    assert reports[0][0] and reports[0][2]
 
 
 def test_perturb_by_rotation_is_isometry():
