@@ -8,6 +8,7 @@ or render --graph with any graph but vis.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cones import ConeIndex, GeneralPositionError
@@ -137,7 +138,11 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    building it costs more than ten ``parse_args`` calls, and each parse
+    returns a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="polyspanner",
         description="Plane spanners among polygonal obstacles",

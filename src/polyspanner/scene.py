@@ -53,12 +53,15 @@ class Scene:
     )
 
     def __init__(self, vertices: Sequence, obstacles: Sequence = ()):
-        vs = []
-        for v in vertices:
-            x, y = v[0], v[1]
-            vs.append((Fraction(x), Fraction(y)))
-        self.vertices = tuple(vs)
-        n = len(vs)
+        self.vertices = tuple((Fraction(v[0]), Fraction(v[1])) for v in vertices)
+        n = len(self.vertices)
+        # Each coordinate's numerator times scale // its denominator is
+        # the coordinate times scale, exactly and with no Fraction product.
+        self.scale = scale = math.lcm(*{c.denominator for p in self.vertices for c in p})
+        self.ipoints = tuple(
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in self.vertices
+        )
 
         rings = []
         for ring in obstacles:
@@ -68,20 +71,11 @@ class Scene:
             for i in idx:
                 if not 0 <= i < n:
                     raise SceneError(f"obstacle index {i} out of range (n={n})")
-            if len(idx) >= 3 and polygon_signed_area2(
-                [self.vertices[i] for i in idx]
-            ) < 0:
+            # The integer ring's area is the rational one times scale^2.
+            if len(idx) >= 3 and polygon_signed_area2([self.ipoints[i] for i in idx]) < 0:
                 idx = idx[::-1]
             rings.append(idx)
         self.obstacles = tuple(rings)
-
-        denom = 1
-        for x, y in self.vertices:
-            denom = math.lcm(denom, x.denominator, y.denominator)
-        self.scale = denom
-        self.ipoints = tuple(
-            (int(x * denom), int(y * denom)) for x, y in self.vertices
-        )
 
         prev_next: dict[int, tuple] = {}
         for ring in self.obstacles:
@@ -117,7 +111,9 @@ class Scene:
         """Indices, ascending, of the obstacles whose interior the open
         segment ab meets, yielded lazily. A ring whose box misses the
         segment's closed box is skipped unread; it cannot meet ab.
-        Planarity's obstacle conflicts use it for every edge;
+        ``check_planarity`` uses it for every edge of the graph it
+        sweeps, which in ``run_verification`` is the union of the four
+        spanners, so each edge is tested once per run;
         ``visibility_graph`` only for pairs with an irregular endpoint,
         which its array tests cannot decide."""
         sx0, sx1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])

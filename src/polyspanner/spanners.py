@@ -48,7 +48,7 @@ lives exactly as long as its ginf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -152,15 +152,17 @@ def _index_of(scene: Scene, ginf: Graph) -> ConeIndex:
 class CanonicalSequence:
     """Neighbors of the apex inside one negative subcone, in
     counterclockwise order around the apex, and the member with the
-    smallest bisector projection."""
+    smallest bisector projection. ``consecutive_pairs`` holds each
+    member with its successor, built once with the sequence."""
 
     apex: int
     subcone: SubconeRef
     vertices: tuple
     closest: int
+    consecutive_pairs: tuple = field(init=False, repr=False, compare=False)
 
-    def consecutive_pairs(self):
-        return list(zip(self.vertices, self.vertices[1:]))
+    def __post_init__(self):
+        object.__setattr__(self, "consecutive_pairs", tuple(zip(self.vertices, self.vertices[1:])))
 
 
 def canonical_sequences(
@@ -206,7 +208,7 @@ def build_g10(scene: Scene, ginf: Graph) -> Graph:
     edges = set()
     for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
         edges.add(_edge(seq.apex, seq.closest))
-        for p, q in seq.consecutive_pairs():
+        for p, q in seq.consecutive_pairs:
             edges.add(_edge(p, q))
     return Graph(scene.n, edges)
 
@@ -284,7 +286,7 @@ def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
             _positive_subcone_containing(index, seq.closest, u),
             Charge(e, "A", seq.subcone),
         )
-        for p, q in seq.consecutive_pairs():
+        for p, q in seq.consecutive_pairs:
             e = _edge(p, q)
             # Looking from p toward its ccw successor q.
             lab_pq = index.subcone_of(p, q).label

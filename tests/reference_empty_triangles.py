@@ -28,7 +28,7 @@ def check_empty_triangles(
     bad = []
     for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
         u = seq.apex
-        for p, q in seq.consecutive_pairs():
+        for p, q in seq.consecutive_pairs:
             tri = [scene.ipoints[u], scene.ipoints[p], scene.ipoints[q]]
             if orient(*tri) == CW:
                 tri.reverse()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 from tests.conftest import fixture_text, load_scene
 from tests.reference_visibility import visible
 
-from polyspanner import scene as scene_module, spanners
+from polyspanner import cli, scene as scene_module, spanners
 from polyspanner.cli import main
 from polyspanner.generator import GeneratorConfig, GeneratorError, generate
 from polyspanner.io import (
@@ -276,6 +277,54 @@ class TestCli:
         assert main(["verify", "--in", str(instance_file)]) == 0
         assert len(calls) == 1
         assert "PASS scene-valid" in capsys.readouterr().out
+
+    def test_reused_parser_leaks_no_state(self, instance_file, tmp_path, capsys):
+        # One parser serves every call of a process; each call must still
+        # parse from the defaults.
+        empty = tmp_path / "g15.edges"
+        empty.write_text("12 0\n")
+        assert main(["verify", "--in", str(instance_file),
+                     "--graph", "g15", "--edges", str(empty)]) == 1
+        assert "FAIL subgraph-chain" in capsys.readouterr().out
+        assert main(["verify", "--in", str(instance_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 25 and all(line.startswith("PASS ") for line in lines)
+        assert main(["build", "--graph", "g99", "--in", str(instance_file),
+                     "--out", str(tmp_path / "x")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'g99'" in err
+        assert main(["verify", "--in", str(instance_file)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert main(["verify", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: polyspanner verify") and err == ""
+
+    def test_one_parser_per_process(self, instance_file, tmp_path, monkeypatch, capsys):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            for argv in (
+                ["gen", "--n", "12", "--out", str(tmp_path / "a.json")],
+                ["build", "--graph", "g7", "--in", str(instance_file),
+                 "--out", str(tmp_path / "a.edges")],
+                ["verify", "--in", str(instance_file)],
+                ["frobnicate"],
+                ["render", "--help"],
+                ["perturb", "--in", str(instance_file), "--out", str(tmp_path / "b.json")],
+            ):
+                main(argv)
+        finally:
+            cli.build_parser.cache_clear()
+        capsys.readouterr()
+        commands = ("gen", "build", "verify", "render", "perturb")
+        assert built == ["polyspanner"] + [f"polyspanner {c}" for c in commands]
 
     def test_verify_mismatched_substitution_flags(self, instance_file, capsys):
         rc = main(["verify", "--in", str(instance_file), "--graph", "ginf"])

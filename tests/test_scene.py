@@ -19,7 +19,7 @@ from polyspanner.scene import (
     validate,
 )
 
-from tests import reference_general_position
+from tests import reference_general_position, reference_scene_ints
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
@@ -40,6 +40,56 @@ def test_scene_normalizes_ring_orientation():
     ccw = Scene([(0, 0), (4, 1), (2, 5)], [[0, 1, 2]])
     for sc in (cw, ccw):
         assert polygon_signed_area2(sc.ipolygons[0]) > 0
+
+
+def _assert_integer_geometry_matches_reference(vertices, obstacles):
+    sc = Scene(vertices, obstacles)
+    want = reference_scene_ints.integer_geometry(vertices, obstacles)
+    assert {name: getattr(sc, name) for name in want} == want
+    assert sc.vertices == tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+
+
+@pytest.mark.parametrize(
+    "vertices, obstacles",
+    [
+        # Non-unit denominators, and a clockwise ring.
+        ([(Fraction(1, 3), Fraction(2, 7)), (Fraction(9, 2), Fraction(1, 5)),
+          (Fraction(7, 3), Fraction(33, 4))], [[0, 2, 1]]),
+        # Ints, Fractions and strings mixed, negative rationals, and one
+        # counterclockwise ring next to a clockwise one.
+        ([(-3, Fraction(-7, 6)), (Fraction(-1, 4), -2), ("5/8", "-11/3"),
+          (4, 4), (10, 0), (12, Fraction(-9, 10)), (11, 3)], [[0, 1, 2], [4, 6, 5]]),
+        # Zero-area and two-corner rings keep their order.
+        ([(Fraction(1, 2), 0), (1, 0), (Fraction(3, 2), 0), (0, Fraction(-5, 3))],
+         [[0, 1, 2], [3, 0]]),
+        # A common denominator of 2^60.
+        ([(Fraction(1, 2**60), Fraction(-3, 2**59)), (5, Fraction(1, 2**30)),
+          (Fraction(-1, 3), 2)], [[0, 1, 2]]),
+        ([], []),
+    ],
+    ids=["non-unit", "mixed-negative", "degenerate-rings", "large-scale", "empty"],
+)
+def test_integer_geometry_matches_fraction_formula(vertices, obstacles):
+    _assert_integer_geometry_matches_reference(vertices, obstacles)
+
+
+def test_integer_geometry_matches_fraction_formula_on_random_scenes():
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        dens = [1, 1, 2, 3, 7, 10, 12, 2**31 - 1]
+        vertices = [
+            tuple(Fraction(rng.randint(-10**6, 10**6), rng.choice(dens)) for _ in range(2))
+            for _ in range(n)
+        ]
+        obstacles = [rng.sample(range(n), rng.randint(3, n)) for _ in range(rng.randint(0, 2))]
+        _assert_integer_geometry_matches_reference(vertices, obstacles)
+
+
+def test_integer_geometry_matches_fraction_formula_on_fixtures():
+    for name in FIXTURE_NAMES:
+        sc = load_scene(name)
+        _assert_integer_geometry_matches_reference(sc.vertices, sc.obstacles)
 
 
 def test_scene_rejects_bad_indices():

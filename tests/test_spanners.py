@@ -79,7 +79,7 @@ def test_canonical_sequences_on_split_fixture(split_cones):
     table = canonical_sequences(split_cones, ginf, ConeIndex(split_cones))
     seq = table[SubconeRef(7, ConeLabel(False, 1))]
     assert seq.vertices == (11, 8, 4)
-    assert list(seq.consecutive_pairs()) == [(11, 8), (8, 4)]
+    assert seq.consecutive_pairs == ((11, 8), (8, 4))
     seq = table[SubconeRef(11, ConeLabel(False, 2))]
     assert seq.vertices == (3, 9, 8)
 
@@ -137,7 +137,7 @@ def test_degree_trim_chain(split_cones):
 def test_path_edges_survive_in_g10(split_cones):
     _, ginf, _, g10 = pipeline(split_cones)
     for seq in canonical_sequences(split_cones, ginf, ConeIndex(split_cones)).values():
-        for p, q in seq.consecutive_pairs():
+        for p, q in seq.consecutive_pairs:
             assert g10.has_edge(p, q)
 
 

@@ -19,10 +19,12 @@ from tests.test_acceptance import FIXTURE_NAMES, configs
 
 from polyspanner import verify
 from polyspanner.generator import GeneratorConfig, generate
+from polyspanner.geom import segments_properly_intersect
 from polyspanner.scene import Scene, check_general_position
 from polyspanner.spanners import build_all, build_g15, build_g_infinity
 from polyspanner.verify import (
     REL_TOL,
+    CheckOutcome,
     _oracle_visible,
     check_canonical_paths,
     check_empty_triangles,
@@ -352,6 +354,84 @@ def test_planarity_matches_reference_off_general_position():
         for _ in range(20):
             sub = rng.sample(complete, rng.randint(1, len(complete)))
             _assert_planarity_matches_reference(sc, Graph(sc.n, sub))
+
+
+SPANNER_NAMES = ("ginf", "g15", "g10", "g7")
+
+
+def _union_planarity_reports(monkeypatch, scene, subs=None) -> dict:
+    """run_verification's four planarity lines, and the union report
+    it reads them from, against one ``check_planarity`` call per graph
+    and the exhaustive reference; the run must sweep once. Returns the
+    per-graph reports."""
+    unions = []
+    real = verify.check_planarity
+    monkeypatch.setattr(verify, "check_planarity", lambda sc, g: unions.append(real(sc, g)) or unions[-1])
+    lines = [o.line() for o in run_verification(scene, subs) if o.name.startswith("planarity(")]
+    monkeypatch.undo()
+    assert len(unions) == 1
+    graphs, _ = build_all(scene)
+    graphs.update(subs or {})
+    reports, want = {}, []
+    for name in SPANNER_NAMES:
+        rep = check_planarity(scene, graphs[name])
+        assert unions[0].restricted_to(graphs[name]) == rep
+        assert rep == reference_planarity.check_planarity(scene, graphs[name])
+        detail = f"{len(rep.crossing_pairs)} crossing(s), {len(rep.obstacle_conflicts)} obstacle conflict(s)"
+        want.append(CheckOutcome(f"planarity({name})", rep.ok, detail).line())
+        reports[name] = rep
+    assert lines == want
+    return reports
+
+
+def test_union_planarity_matches_separate_checks(monkeypatch):
+    scenes = [load_scene(name) for name in FIXTURE_NAMES] + [generate(cfg) for cfg in configs()[::10]]
+    for scene in scenes:
+        reports = _union_planarity_reports(monkeypatch, scene)
+        assert all(rep.ok for rep in reports.values())
+
+
+def test_union_planarity_on_corrupted_substitutions(monkeypatch):
+    # Each corruption lands in one graph only, so the union's report
+    # holds a finding that the other three must not inherit.
+    for seed in range(6):
+        scene = generate(GeneratorConfig(n_points=22, n_obstacles=3, seed=400 + seed))
+        graphs, _ = build_all(scene)
+        pts = scene.ipoints
+        vis = graphs["vis"]
+        blocked = next(
+            (u, v)
+            for u, v in itertools.combinations(range(scene.n), 2)
+            if any(scene.crossed_obstacles(pts[u], pts[v]))
+        )
+
+        def crossing(g):
+            # The first vis edge outside g that properly crosses an edge of g.
+            return next(
+                e
+                for e in vis.sorted_edges()
+                if e not in g.edges
+                and any(
+                    not set(e) & set(f)
+                    and segments_properly_intersect(pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]])
+                    for f in g.edges
+                )
+            )
+
+        outside = crossing(graphs["g10"])
+        assert outside not in graphs["ginf"].edges  # ginf is plane and holds g10
+        cases = {
+            "g7": {"g7": Graph(scene.n, graphs["g7"].edges | {blocked})},
+            "g15": {"g15": Graph(scene.n, graphs["g15"].edges | {crossing(graphs["g15"])})},
+            "g10": {"g10": Graph(scene.n, graphs["g10"].edges | {outside})},
+        }
+        cases["all"] = {name: g for sub in cases.values() for name, g in sub.items()}
+        for subs in cases.values():
+            reports = _union_planarity_reports(monkeypatch, scene, subs)
+            for name, rep in reports.items():
+                assert rep.ok == (name not in subs)
+        assert reports["g7"].obstacle_conflicts
+        assert reports["g15"].crossing_pairs and reports["g10"].crossing_pairs
 
 
 def test_planarity_flags_vertical_overlap():
