@@ -62,11 +62,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    try:
-        scene = parse_instance(_read(args.infile))
-    except (OSError, ParseError) as exc:
-        print(f"build: {exc}", file=sys.stderr)
-        return 2
+    scene = parse_instance(_read(args.infile))
     _write(args.out, write_edge_list(_build(scene, args.graph)))
     return 0
 
@@ -75,14 +71,10 @@ def _cmd_verify(args) -> int:
     if len(args.graph or []) != len(args.edges or []):
         print("verify: each --graph needs a matching --edges", file=sys.stderr)
         return 2
-    try:
-        scene = parse_instance(_read(args.infile))
-        substitutions = {}
-        for name, path in zip(args.graph or [], args.edges or []):
-            substitutions[name] = parse_edge_list(_read(path))
-    except (OSError, ParseError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    scene = parse_instance(_read(args.infile))
+    substitutions = {}
+    for name, path in zip(args.graph or [], args.edges or []):
+        substitutions[name] = parse_edge_list(_read(path))
     for name, graph in substitutions.items():
         if graph.n != scene.n:
             print(
@@ -97,11 +89,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        scene = parse_instance(_read(args.infile))
-    except (OSError, ParseError) as exc:
-        print(f"render: {exc}", file=sys.stderr)
-        return 2
+    scene = parse_instance(_read(args.infile))
     graph = None
     if args.graph is not None:
         graph = _build(scene, args.graph)
@@ -110,11 +98,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    try:
-        scene = parse_instance(_read(args.infile))
-    except (OSError, ParseError) as exc:
-        print(f"perturb: {exc}", file=sys.stderr)
-        return 2
+    scene = parse_instance(_read(args.infile))
     report = check_general_position(scene)
     if report.collinear_count:
         print(
@@ -200,10 +184,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"{args.command}: coordinate too large for a float ({exc})", file=sys.stderr)
         return 2
-    except (GeneralPositionError, SceneError, OSError) as exc:
-        # Inputs are read inside each command; an OSError that reaches
-        # here is an --out that cannot be written. The pipeline refuses a
-        # scene outside general position before any output is written.
+    except (GeneralPositionError, ParseError, SceneError, OSError) as exc:
+        # An unreadable or malformed --in or --edges, an --out that cannot
+        # be written, or a scene outside general position, which the
+        # pipeline refuses before any output is written.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -25,9 +25,8 @@ asked, the run's general-position report. None has another entry: one
 index is made per run, handed to ``spanners.build_g_infinity`` and
 carried by the ginf it returns to the later steps. ``inside_wedge`` is
 the one test of a direction strictly inside an obstacle wedge;
-``classify`` and ``visibility`` run it elementwise. ``exact_dtype`` is
-the one switch between int64 arrays and Python-int arrays, at
-``INT64_GUARD``.
+``classify`` and ``visibility`` run it elementwise on the wedges of
+``scene.obstacle_wedges``.
 """
 
 from __future__ import annotations
@@ -38,22 +37,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .geom import cross, sign, sqrt3_sign
-from .scene import check_general_position
-
-# Below this bound on |coordinate| coordinate differences stay under
-# 2^30, so 3 dx^2, every 2x2 determinant of differences, the
-# ``key_bounds`` (under 2^52) and the packed directions of
-# ``scene.check_general_position`` (under 2^62) fit in int64; at or
-# above it the arrays hold Python ints.
-INT64_GUARD = 1 << 29
-
-
-def exact_dtype(points) -> type:
-    """np.int64 when every |coordinate| of the integer points is below
-    ``INT64_GUARD``, else object, for arrays of Python ints."""
-    coords = [c for p in points for c in p]
-    small = -INT64_GUARD < min(coords, default=0) and max(coords, default=0) < INT64_GUARD
-    return np.int64 if small else object
+from .scene import check_general_position, exact_points, obstacle_wedges
 
 
 class GeneralPositionError(ValueError):
@@ -68,7 +52,6 @@ class ConeLabel(NamedTuple):
         return f"C{self.index}{'+' if self.positive else '-'}"
 
 
-POSITIVE_LABELS = tuple(ConeLabel(True, i) for i in range(3))
 NEGATIVE_LABELS = tuple(ConeLabel(False, i) for i in range(3))
 
 # Sector k covers directions with angle in (60k, 60(k+1)) degrees.
@@ -108,36 +91,20 @@ class SubconeRef(NamedTuple):
         return f"{self.label}@{self.apex}{tail}"
 
 
-def direction_sector(dx, dy) -> int:
-    """Sector 0..5 of a nonzero direction; boundary directions raise.
-
-    The boundaries lie on dy = 0 and dy = +-sqrt(3) dx. For rational
-    offsets dy^2 = 3 dx^2 holds only at 0, so dy = 0 is the one boundary
-    a nonzero direction can hit, and the sign of dy^2 - 3 dx^2 tells the
-    steep sectors 1 and 4 from the others. ``classify`` applies the same
-    rule to arrays; the index calls this only to raise for a marked pair.
-    """
-    if dx == 0 and dy == 0:
-        raise ValueError(_ZERO_DIRECTION)
-    if dy == 0:
-        raise GeneralPositionError(
-            f"direction ({dx}, {dy}) lies on a cone boundary"
-        )
-    if dy * dy > 3 * dx * dx:
-        return 1 if dy > 0 else 4
-    if dy > 0:
-        return 0 if dx > 0 else 2
-    return 3 if dx < 0 else 5
-
-
 # The sector of a direction with dy != 0, indexed by the three bits
 # (dy > 0, dx > 0, dy^2 > 3 dx^2); dx = 0 is always steep.
 _SECTOR_BY_SIGNS = np.array([3, 4, 5, 4, 2, 1, 0, 1])
 
 
 def _sectors(dx, dy) -> np.ndarray:
-    """``direction_sector`` elementwise, for arrays of directions with
-    dy != 0; the others get some sector, which the caller overrides."""
+    """Sector 0..5 of each direction of the arrays dx, dy.
+
+    The boundaries lie on dy = 0 and dy = +-sqrt(3) dx. For rational
+    offsets dy^2 = 3 dx^2 holds only at 0, so dy = 0 is the one boundary
+    a nonzero direction can hit, and the sign of dy^2 - 3 dx^2 tells the
+    steep sectors 1 and 4 from the others. A direction with dy = 0 gets
+    some sector, which the caller overrides with a marker code.
+    """
     return _SECTOR_BY_SIGNS[(dy > 0) * 4 + (dx > 0) * 2 + (dy * dy > 3 * dx * dx)]
 
 
@@ -183,23 +150,9 @@ def key_bounds(sector, dx, dy):
 # --- obstacle wedges and subcones -----------------------------------------
 
 
-def obstacle_wedge(scene, vi: int):
-    """Directions (d_next, d_prev) of the boundary edges leaving vertex
-    vi, or None when vi is not an obstacle corner. The obstacle interior
-    near vi spans d_next counterclockwise to d_prev."""
-    nb = scene.boundary_neighbors(vi)
-    if nb is None:
-        return None
-    prev_i, next_i = nb
-    px, py = scene.ipoints[vi]
-    nx, ny = scene.ipoints[next_i]
-    qx, qy = scene.ipoints[prev_i]
-    return (nx - px, ny - py), (qx - px, qy - py)
-
-
 def inside_wedge(wedge, dx, dy) -> bool:
     """True iff direction (dx, dy) lies strictly inside the obstacle
-    wedge (d_next, d_prev) of ``obstacle_wedge``: strictly
+    wedge (d_next, d_prev) of ``scene.obstacle_wedges``: strictly
     counterclockwise of d_next and strictly clockwise of d_prev. At a
     convex or straight corner both must hold; at a reflex corner the
     wedge is wider than pi and either one suffices. Elementwise, so the
@@ -214,7 +167,7 @@ def inside_wedge(wedge, dx, dy) -> bool:
 class Classification(NamedTuple):
     """The array pass of one scene."""
 
-    xy: np.ndarray  # n x 2 coordinates, of ``exact_dtype``
+    xy: np.ndarray  # ``scene.exact_points``
     split: list  # per vertex: sector of its split cone, NO_SPLIT or SPLIT_RAISES
     codes: np.ndarray  # n x n int8, the code of (apex, p) at [apex, p]
 
@@ -235,16 +188,8 @@ def classify(scene) -> Classification:
     a split apex. Along a wedge edge a direction takes the free side
     that the edge bounds.
     """
-    n = scene.n
-    dtype = exact_dtype(scene.ipoints)
-    xy = np.array(scene.ipoints, dtype=dtype).reshape(n, 2)
-    # The wedge of ``obstacle_wedge`` at each corner; a free vertex gets
-    # two zero edges, inside which no direction lies.
-    ends = [scene.boundary_neighbors(v) for v in range(n)]
-    corner = np.array([e is not None for e in ends], dtype=bool)
-    prev_i, next_i = np.array([e or (v, v) for v, e in enumerate(ends)], dtype=np.intp).reshape(n, 2).T
-    nx, ny = (xy[next_i] - xy).T
-    px, py = (xy[prev_i] - xy).T
+    xy = exact_points(scene)
+    corner, (nx, ny), (px, py) = obstacle_wedges(scene, xy)
     raises = corner & ((nx == 0) & (ny == 0) | (ny != 0) & (px == 0) & (py == 0))
     sector = _sectors(nx, ny)
     splits = corner & (ny != 0) & (py != 0) & (sector == _sectors(px, py))
@@ -266,17 +211,15 @@ def classify(scene) -> Classification:
     return Classification(xy, split.tolist(), codes.astype(np.int8))
 
 
-# The codes of the subcones of one sign, in label order, by the split.
-_SUBCONE_CODES = {
-    positive: {
-        split: tuple(
-            code
-            for s in (_SECTOR_LABEL.index(label) for label in labels)
-            for code in ((3 * s + 1, 3 * s + 2) if s == split else (3 * s,))
-        )
-        for split in range(NO_SPLIT, len(_SECTOR_LABEL))
-    }
-    for positive, labels in ((True, POSITIVE_LABELS), (False, NEGATIVE_LABELS))
+# The codes of the negative subcones, in label order, right side before
+# left in a split cone, by the split.
+_NEGATIVE_CODES = {
+    split: tuple(
+        code
+        for s in (_SECTOR_LABEL.index(label) for label in NEGATIVE_LABELS)
+        for code in ((3 * s + 1, 3 * s + 2) if s == split else (3 * s,))
+    )
+    for split in range(NO_SPLIT, len(_SECTOR_LABEL))
 }
 POSITIVE_SECTOR = np.array([label.positive for label in _SECTOR_LABEL])
 
@@ -348,7 +291,7 @@ class ConeIndex:
         """
         code = self._rows[apex][p]
         if code >= N_REFS:
-            self._refuse(apex, p)
+            self._refuse(apex, p, code)
         return self._refs[apex][code] or self._ref(apex, code)
 
     def _ref(self, apex: int, code: int) -> SubconeRef:
@@ -356,42 +299,37 @@ class ConeIndex:
         self._refs[apex][code] = ref
         return ref
 
-    def _refuse(self, apex: int, p: int):
-        """Raise what classifying the marked pair (apex, p) raises."""
-        ax, ay = self.scene.ipoints[apex]
-        px, py = self.scene.ipoints[p]
-        direction_sector(px - ax, py - ay)  # a zero or boundary direction
-        self.split_label(apex)
-        raise ValueError(
-            f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
-        )
+    def _refuse(self, apex: int, p: int, code: int):
+        """Raise what classifying the pair (apex, p) raises, by its marker."""
+        if code == BOUNDARY:
+            dx = self.scene.ipoints[p][0] - self.scene.ipoints[apex][0]
+            raise GeneralPositionError(f"direction ({dx}, 0) lies on a cone boundary")
+        if code == IN_WEDGE:
+            raise ValueError(
+                f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
+            )
+        raise ValueError(_ZERO_DIRECTION)  # ZERO or SPLIT_RAISES
 
     def negative_groups(self, apex: int, members) -> list:
         """(ref, its members) for each negative subcone of apex that
-        holds any of members, in ``subcones`` order, members in the
-        order given. Raises as ``subcone_of`` for the first member it
-        cannot classify, then as ``subcones``."""
+        holds any of members, in label order with a split cone's right
+        side first, members in the order given. Raises as ``subcone_of``
+        for the first member it cannot classify, then as
+        ``split_label``."""
         row = self._rows[apex]
         groups: dict = {}
         for v in members:
             code = row[v]
             if code >= N_REFS:
-                self._refuse(apex, v)
+                self._refuse(apex, v, code)
             groups.setdefault(code, []).append(v)
         self.split_label(apex)
         refs = self._refs[apex]
         return [
             (refs[c] or self._ref(apex, c), groups[c])
-            for c in _SUBCONE_CODES[False][self.classification.split[apex]]
+            for c in _NEGATIVE_CODES[self.classification.split[apex]]
             if c in groups
         ]
-
-    def subcones(self, apex: int, positive: bool) -> tuple:
-        """All subcone refs of one sign at a vertex, in deterministic order."""
-        self.split_label(apex)
-        refs = self._refs[apex]
-        codes = _SUBCONE_CODES[positive][self.classification.split[apex]]
-        return tuple(refs[c] or self._ref(apex, c) for c in codes)
 
 
 def ccw_sorted(scene, apex: int, members: Iterable[int]) -> list:

@@ -152,7 +152,7 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
     - properly crosses an edge;
     - passes through a corner, or leaves an endpoint that is a corner,
       strictly into the interior wedge there (d_next counterclockwise
-      to d_prev, as in ``cones.obstacle_wedge``);
+      to d_prev, as in ``scene.obstacle_wedges``);
     - leaves an endpoint in an edge's relative interior to the interior
       (left) side;
     - starts strictly inside, at a: an odd number of edges cross the ray

@@ -41,11 +41,13 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _coordinate(value, where: str) -> Fraction:
+def _coordinate(value, where: str):
+    """An int or Fraction as it came, for ``Scene`` to convert, or the
+    Fraction of a coordinate string."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: boolean is not a coordinate")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return _fraction(value)

@@ -7,6 +7,13 @@ integer coordinates on a common denominator so the hot predicates run
 on plain ints: ``ipoints[i]`` is vertex i, ``ipolygons[oi]`` the corner
 points of obstacle oi and ``ibboxes[oi]`` its box (x0, y0, x1, y1).
 These tuples are the one spelling of the scene's integer geometry.
+
+The array passes of ``cones.classify``, ``visibility_graph`` and
+``check_general_position`` read that geometry as exact arrays:
+``exact_points`` is the n x 2 array of ``ipoints`` and
+``obstacle_wedges`` each vertex's corner flag and boundary edge
+directions. ``exact_dtype`` is the one switch between int64 arrays and
+Python-int arrays, at ``INT64_GUARD``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,39 @@ from .geom import (
 # ``visibility_graph`` at n = 480 with 48 obstacles 2^16 ran faster than
 # 2^20 and held less.
 BLOCK = 1 << 16
+
+# Below this bound on |coordinate| coordinate differences stay under
+# 2^30, so 3 dx^2, every 2x2 determinant of differences, the
+# ``cones.key_bounds`` (under 2^52) and the packed directions of
+# ``check_general_position`` (under 2^62) fit in int64; at or above it
+# the arrays hold Python ints.
+INT64_GUARD = 1 << 29
+
+
+def exact_dtype(points) -> type:
+    """np.int64 when every |coordinate| of the integer points is below
+    ``INT64_GUARD``, else object, for arrays of Python ints."""
+    coords = [c for p in points for c in p]
+    small = -INT64_GUARD < min(coords, default=0) and max(coords, default=0) < INT64_GUARD
+    return np.int64 if small else object
+
+
+def exact_points(scene: Scene) -> np.ndarray:
+    """The n x 2 array of ``scene.ipoints``, of ``exact_dtype``."""
+    return np.array(scene.ipoints, dtype=exact_dtype(scene.ipoints)).reshape(scene.n, 2)
+
+
+def obstacle_wedges(scene: Scene, xy: np.ndarray) -> tuple:
+    """(corner, d_next, d_prev) for the scene's ``exact_points`` xy:
+    whether each vertex is an obstacle corner, and the 2 x n arrays of
+    the directions of the boundary edges leaving it toward its next and
+    previous ring neighbour. The obstacle interior near a corner spans
+    d_next counterclockwise to d_prev; a free vertex gets two zero
+    edges, inside which no direction lies."""
+    ends = [scene.boundary_neighbors(v) for v in range(scene.n)]
+    corner = np.array([e is not None for e in ends], dtype=bool)
+    prev_i, next_i = np.array([e or (v, v) for v, e in enumerate(ends)], dtype=np.intp).reshape(scene.n, 2).T
+    return corner, (xy[next_i] - xy).T, (xy[prev_i] - xy).T
 
 
 class SceneError(ValueError):
@@ -344,12 +384,10 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
     lines up the later points on each line through i, and a run of m
     keys holds m(m-1)/2 triples. The first triple is at the least apex,
     in the line whose first member is least. Rows go through in blocks
-    of about ``BLOCK`` elements, of ``cones.exact_dtype``, so even
-    collinear input takes O(n^2) time and bounded memory."""
-    from .cones import exact_dtype  # cones imports this module
-
+    of about ``BLOCK`` elements, of ``exact_dtype``, so even collinear
+    input takes O(n^2) time and bounded memory."""
     n = scene.n
-    xy = np.array(scene.ipoints, dtype=exact_dtype(scene.ipoints)).reshape(n, 2)
+    xy = exact_points(scene)
     x, y = xy[:, 0], xy[:, 1]
     # |dy| < stride / 2 keeps dx * stride + dy one-to-one; the pairs left out
     # get keys from base up, above every direction's and distinct per column.

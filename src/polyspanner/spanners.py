@@ -170,8 +170,8 @@ def canonical_sequences(
 ) -> Mapping[SubconeRef, CanonicalSequence]:
     """The canonical sequence of every nonempty negative subcone of
     ginf, keyed by subcone: apexes in index order, each apex's subcones
-    in ``subcones`` order. Built once per ginf edge set and index, then
-    shared read-only."""
+    in ``ConeIndex.negative_groups`` order. Built once per ginf edge set
+    and index, then shared read-only."""
     table = index.tables.get(ginf.edges)
     if table is None:
         table = MappingProxyType(_sequence_table(scene, ginf, index))

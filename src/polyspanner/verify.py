@@ -13,8 +13,10 @@ never needs a matrix. Planarity is one ``check_planarity`` sweep over
 the union of ``ginf``, ``g15``, ``g10`` and ``g7``; each graph's report
 is the union's restricted to its edges, so every edge meets the
 obstacle test once per run. ``run_verification`` reads general
-position from its run's ``ConeIndex``, as ``build_g_infinity`` does;
-the oracle checks again on its own, to stay independent.
+position from its run's ``ConeIndex``, as ``build_g_infinity`` does,
+and hands that index to the per-edge, canonical-path and
+empty-triangle checks; the oracle checks again on its own, to stay
+independent.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def check_per_edge_bound_ginf(
     scene: Scene,
     vis: EdgeTable,
     ginf_dist: np.ndarray,
-    index: Optional[ConeIndex] = None,
+    index: ConeIndex,
 ) -> WitnessReport:
     """Every visibility edge (u, v), read from the endpoint whose
     positive cone holds the other, has a ginf path no longer than the
@@ -252,7 +254,6 @@ def check_per_edge_bound_ginf(
     differences divided by the scale, as in ``edge_length``. Witnesses
     come out in ``sorted_edges`` order.
     """
-    index = ConeIndex.of(scene, index)
     pts, scale = scene.ipoints, scene.scale
     cones, sx, sy = [], [], []
     for u, v in zip(vis.u.tolist(), vis.v.tolist()):
@@ -278,11 +279,11 @@ def check_per_edge_bound_ginf(
 
 
 def check_canonical_paths(
-    scene: Scene, ginf: Graph, g15: Graph, index: Optional[ConeIndex] = None
+    scene: Scene, ginf: Graph, g15: Graph, index: ConeIndex
 ) -> WitnessReport:
     """Consecutive canonical-sequence members are joined by a g15 edge."""
     missing = []
-    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         for p, q in seq.consecutive_pairs:
             if not g15.has_edge(p, q):
                 missing.append((seq.apex, p, q))
@@ -290,7 +291,7 @@ def check_canonical_paths(
 
 
 def check_empty_triangles(
-    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
+    scene: Scene, ginf: Graph, index: ConeIndex
 ) -> WitnessReport:
     """The triangle spanned by the apex and two consecutive canonical
     members contains no vertex in its open interior and no obstacle
@@ -303,7 +304,7 @@ def check_empty_triangles(
         a, b = pts[e[0]], pts[e[1]]
         edges.append((e, a, b, min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])))
     bad = []
-    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
+    for seq in canonical_sequences(scene, ginf, index).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs:
             tri = [pts[u], pts[p], pts[q]]

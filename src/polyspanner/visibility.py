@@ -11,6 +11,8 @@ pass with three tests: the nearest vertex on each ray, the obstacle
 wedge at both endpoints, and proper crossings with obstacle edges. Only
 pairs with an irregular endpoint (see ``visibility_graph``) are left to
 ``Scene.crossed_obstacles``; valid scenes in general position have none.
+The points and wedges are read from ``scene.exact_points`` and
+``scene.obstacle_wedges``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .cones import exact_dtype, inside_wedge, obstacle_wedge
+from .cones import inside_wedge
 from .geom import cross
-from .scene import BLOCK, Scene
+from .scene import BLOCK, Scene, exact_points, obstacle_wedges
 
 
 class Graph:
@@ -65,9 +67,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))
-
-    def max_degree(self) -> int:
-        return max((len(v) for v in self.adjacency().values()), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -135,19 +134,15 @@ def visibility_graph(scene: Scene) -> Graph:
     its own single one (a shared or repeated corner, or a duplicate
     point). Pairs with an irregular endpoint keep the kernel, through
     ``Scene.crossed_obstacles``; valid scenes in general position have
-    none. The arrays are of ``cones.exact_dtype``: int64 below its
+    none. The arrays are of ``scene.exact_dtype``: int64 below its
     guard, where every 2x2 determinant fits, and Python ints otherwise;
     only signs of determinants are multiplied or compared.
     Pairs go through in blocks of about ``BLOCK`` elements."""
     n = scene.n
     pts = scene.ipoints
-    dtype = exact_dtype(pts)
-    xy = np.array(pts, dtype=dtype).reshape(n, 2)
+    xy = exact_points(scene)
     x, y = xy[:, 0], xy[:, 1]
-    none = ((0, 0), (0, 0))  # a free vertex: no direction is inside
-    wedges = np.array(
-        [obstacle_wedge(scene, u) or none for u in range(n)], dtype=dtype
-    ).reshape(n, 2, 2).transpose(1, 2, 0)
+    wedges = np.array(obstacle_wedges(scene, xy)[1:])
 
     # Obstacle edges run from corner slot j to slot succ[j].
     rings = scene.obstacles

@@ -20,7 +20,6 @@ from typing import Optional
 from polyspanner.cones import (
     _SECTOR_LABEL,
     NEGATIVE_LABELS,
-    POSITIVE_LABELS,
     SIDE_LEFT,
     SIDE_RIGHT,
     SIDE_WHOLE,
@@ -29,6 +28,8 @@ from polyspanner.cones import (
     SubconeRef,
 )
 from polyspanner.geom import cross, sign, sqrt3_sign
+
+POSITIVE_LABELS = tuple(ConeLabel(True, i) for i in range(3))
 
 
 def direction_sector(dx, dy) -> int:

@@ -31,6 +31,7 @@ from polyspanner.verify import (
     check_empty_triangles,
     check_per_edge_bound_ginf,
     check_planarity,
+    degree_report,
     distance_matrix,
     edge_table,
     oracle_g_infinity,
@@ -146,11 +147,11 @@ def test_criterion_2_planarity(suite):
 def test_criterion_3_degree_bounds_and_charges(suite):
     bad = []
     for inst in suite:
-        if inst.g15.max_degree() > 15:
+        if degree_report(inst.g15).max_degree > 15:
             bad.append((inst.label, "g15"))
-        if inst.g10.max_degree() > 10:
+        if degree_report(inst.g10).max_degree > 10:
             bad.append((inst.label, "g10"))
-        if inst.g7res.graph.max_degree() > 7:
+        if degree_report(inst.g7res.graph).max_degree > 7:
             bad.append((inst.label, "g7"))
         ledger = compute_charges(inst.scene, inst.ginf, ConeIndex(inst.scene))
         totals = [0] * inst.scene.n
@@ -203,7 +204,9 @@ def test_criterion_5_per_edge_bound(suite):
     )
     bad = []
     for inst in suite:
-        rep = check_per_edge_bound_ginf(inst.scene, inst.table("vis"), inst.dist("ginf"))
+        rep = check_per_edge_bound_ginf(
+            inst.scene, inst.table("vis"), inst.dist("ginf"), ConeIndex(inst.scene)
+        )
         if not rep.ok:
             bad.append((inst.label, rep.witnesses[:2]))
     record(
@@ -217,9 +220,9 @@ def test_criterion_5_per_edge_bound(suite):
 def test_criterion_6_structure_checkers(suite):
     bad = []
     for inst in suite:
-        if not check_canonical_paths(inst.scene, inst.ginf, inst.g15).ok:
+        if not check_canonical_paths(inst.scene, inst.ginf, inst.g15, ConeIndex(inst.scene)).ok:
             bad.append((inst.label, "canonical-paths"))
-        if not check_empty_triangles(inst.scene, inst.ginf).ok:
+        if not check_empty_triangles(inst.scene, inst.ginf, ConeIndex(inst.scene)).ok:
             bad.append((inst.label, "empty-triangles"))
     # negative controls: a vertex parked inside the triangle of two
     # joined members, and a pruned path edge, must each be caught
@@ -228,9 +231,9 @@ def test_criterion_6_structure_checkers(suite):
     control = Scene([(0, 0), (30, 5), (8, 10), (12, 6)])
     planted = Graph(4, [(0, 1), (0, 2)])
     controls_fire = (
-        not check_empty_triangles(control, planted).ok
+        not check_empty_triangles(control, planted, ConeIndex(control)).ok
         and not check_canonical_paths(
-            control, Graph(4, [(0, 1), (0, 2), (1, 2)]), planted
+            control, Graph(4, [(0, 1), (0, 2), (1, 2)]), planted, ConeIndex(control)
         ).ok
     )
     record(

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from polyspanner import cones, scene as scene_module, spanners
-from polyspanner.cones import INT64_GUARD, ConeIndex, exact_dtype, key_bounds
+from polyspanner.cones import ConeIndex, SubconeRef, key_bounds
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.io import parse_edge_list, write_edge_list
-from polyspanner.scene import Scene
+from polyspanner.scene import INT64_GUARD, Scene, exact_dtype
 from polyspanner.spanners import (
     build_all,
     build_g10,
@@ -43,28 +43,41 @@ def _index_or_error(index, apex, p):
         return type(exc), str(exc)
 
 
+def _assert_negative_groups_as_reference(index, apex):
+    # Each member that classifies lands in its reference negative
+    # subcone, and the groups come in ``reference_cones.subcones`` order.
+    scene = index.scene
+    refs = {v: _reference_or_error(scene, apex, v) for v in range(scene.n) if v != apex}
+    members = [v for v, ref in refs.items() if isinstance(ref, SubconeRef)]
+    groups: dict = {}
+    for v in members:
+        if not refs[v].label.positive:
+            groups.setdefault(refs[v], []).append(v)
+    order = [ref for ref in reference_cones.subcones(scene, apex, False) if ref in groups]
+    assert index.negative_groups(apex, members) == [(ref, groups[ref]) for ref in order]
+    return len(groups)
+
+
 def test_index_matches_reference_classification():
     # Every ordered pair u != v of the six fixtures and of every seventh
     # acceptance configuration, the raising ones included, plus every
-    # split label and subcone list.
+    # split label and the order of the negative subcones.
     scenes = [load_scene(name) for name in FIXTURE_NAMES]
     scenes += [generate(cfg) for cfg in configs()[::7]]
-    raised = 0
+    raised = grouped = 0
     for scene in scenes:
         index = ConeIndex(scene)
         for u in range(scene.n):
             for v in range(scene.n):
                 if u != v:
                     want = _reference_or_error(scene, u, v)
-                    raised += isinstance(want, tuple)
+                    raised += not isinstance(want, SubconeRef)
                     assert _index_or_error(index, u, v) == want, (u, v)
         for apex in range(scene.n):
             split = reference_cones.split_cone_label(scene, apex)
             assert index.split_label(apex) == split
-            for positive in (True, False):
-                want = reference_cones.subcones(scene, apex, positive)
-                assert list(index.subcones(apex, positive)) == want
-    assert raised > 0
+            grouped += _assert_negative_groups_as_reference(index, apex)
+    assert raised > 0 and grouped > 0
 
 
 # A ring that repeats vertex 0 gives it a zero-length wedge edge; Scene
@@ -112,38 +125,36 @@ def test_reverse_direction_first_changes_nothing(scene, apex, p):
 
 def test_index_subcones_raise_what_reference_raises():
     with pytest.raises(ValueError) as want:
-        reference_cones.subcones(RING, 0, True)
+        reference_cones.subcones(RING, 0, False)
     index = ConeIndex(RING)
-    for positive in (True, False):
+    asks = (
+        lambda: index.split_label(0),
+        lambda: index.negative_groups(0, []),
+        lambda: index.negative_groups(0, [1, 2]),
+    )
+    for ask in asks:
         with pytest.raises(ValueError) as got:
-            index.subcones(0, positive)
+            ask()
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_one_array_pass_per_index(name, monkeypatch):
-    # A run classifies its scene in one array pass, and a valid scene is
-    # built with no scalar direction_sector call: that rule only spells
-    # the errors of marked pairs.
+    # A run classifies its scene in one array pass.
     scene = load_scene(name)
-    passes, sectors = [], []
-    real_classify, real_sector = cones.classify, cones.direction_sector
+    passes = []
+    real_classify = cones.classify
 
     def classify_probe(sc):
         passes.append(sc)
         return real_classify(sc)
 
-    def sector_probe(dx, dy):
-        sectors.append((dx, dy))
-        return real_sector(dx, dy)
-
     monkeypatch.setattr(cones, "classify", classify_probe)
-    monkeypatch.setattr(cones, "direction_sector", sector_probe)
     build_all(scene, ConeIndex(scene))
-    assert passes == [scene] and sectors == []
+    assert passes == [scene]
     passes.clear()
     assert all(o.ok for o in run_verification(scene))
-    assert passes == [scene] and sectors == []
+    assert passes == [scene]
 
 
 def test_index_belongs_to_one_scene():

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polyspanner import cones
 from polyspanner.cones import (
     ConeIndex,
     ConeLabel,
@@ -14,7 +16,6 @@ from polyspanner.cones import (
     SIDE_WHOLE,
     SubconeRef,
     ccw_sorted,
-    direction_sector,
     inside_wedge,
     key_compare,
 )
@@ -30,23 +31,18 @@ O = (0, 0)
 
 def test_direction_sector_walks_counterclockwise():
     # one representative direction per 60-degree sector
-    dirs = [(4, 1), (1, 4), (-4, 1), (-4, -1), (-1, -4), (4, -1)]
-    assert [direction_sector(dx, dy) for dx, dy in dirs] == [0, 1, 2, 3, 4, 5]
+    dx, dy = np.array([(4, 1), (1, 4), (-4, 1), (-4, -1), (-1, -4), (4, -1)]).T
+    assert cones._sectors(dx, dy).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_direction_sector_boundaries_raise():
-    for bad in [(1, 0), (-1, 0)]:
+    # dy == 0 is the one cone boundary an integer direction can meet.
+    index = ConeIndex(Scene([(0, 0), (1, 0), (1, 0)]))
+    for apex, p in [(0, 1), (1, 0)]:
         with pytest.raises(GeneralPositionError):
-            direction_sector(*bad)
-    with pytest.raises(ValueError):
-        direction_sector(0, 0)
-
-
-def _sector_or_exception(fn, dx, dy):
-    try:
-        return fn(dx, dy)
-    except ValueError as exc:
-        return type(exc), str(exc)
+            index.subcone_of(apex, p)
+    with pytest.raises(ValueError, match="zero direction"):
+        index.subcone_of(1, 2)
 
 
 def _sector_probes(rng):
@@ -74,11 +70,19 @@ def _sector_probes(rng):
 
 
 def test_direction_sector_matches_half_plane_reference():
-    rng = random.Random(20201)
-    for dx, dy in _sector_probes(rng):
-        got = _sector_or_exception(direction_sector, dx, dy)
-        want = _sector_or_exception(reference_cones.direction_sector, dx, dy)
-        assert got == want, (dx, dy)
+    # The array rule gives the reference's sector wherever the reference
+    # has one, and the reference refuses exactly the directions with
+    # dy == 0, whose codes the index overrides.
+    probes = list(_sector_probes(random.Random(20201)))
+    dx, dy = np.array(probes, dtype=object).T
+    got = cones._sectors(dx, dy).tolist()
+    for (x, y), sector in zip(probes, got):
+        try:
+            want = reference_cones.direction_sector(x, y)
+        except ValueError:
+            assert y == 0, (x, y)
+        else:
+            assert sector == want, (x, y)
 
 
 def test_cone_labels():
@@ -217,14 +221,23 @@ def test_subcone_unsplit_is_whole():
 
 
 def test_subcones_enumeration():
-    sc = split_scene([(-60, 205)])
+    # The spike turned upside down splits C0- of vertex 0; vertices 3
+    # and 4 lie on its two sides, 5 in C1- and 6 in C2-.
+    extra = [(-60, 205), (70, 190), (-40, -5), (40, -7), (-100, -10)]
+    sc = Scene([(-x, -y) for x, y in SPIKE_UP + extra], [[0, 1, 2]])
     index = ConeIndex(sc)
-    refs = index.subcones(0, positive=True)
-    split = [r for r in refs if r.label == ConeLabel(True, 0)]
-    assert [r.side for r in split] == [SIDE_RIGHT, SIDE_LEFT]
-    whole = [r for r in refs if r.side == SIDE_WHOLE]
-    assert len(whole) == 2  # the other two positive cones
-    assert len(index.subcones(3, positive=False)) == 3
+    assert index.split_label(0) == ConeLabel(False, 0)
+    groups = index.negative_groups(0, [6, 5, 4, 3])
+    assert [(str(ref), members) for ref, members in groups] == [
+        ("C0-@0/right", [4]),
+        ("C0-@0/left", [3]),
+        ("C1-@0", [5]),
+        ("C2-@0", [6]),
+    ]
+    # free vertex 5 has members in all three negative cones, each whole
+    groups = index.negative_groups(5, [0, 1, 2, 3, 4, 6, 7])
+    assert [ref.label for ref, _ in groups] == [ConeLabel(False, i) for i in range(3)]
+    assert {ref.side for ref, _ in groups} == {SIDE_WHOLE}
 
 
 def test_ccw_sorted_within_cone():

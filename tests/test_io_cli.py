@@ -30,6 +30,7 @@ from polyspanner.spanners import (
     build_g_infinity,
 )
 from polyspanner.svg import render_svg
+from polyspanner.verify import degree_report
 from polyspanner.visibility import Graph, visibility_graph
 
 
@@ -59,6 +60,22 @@ class TestInstanceFormat:
         doc = json.loads(write_instance(nonconvex))
         assert set(doc) == {"vertices", "obstacles"}
         assert len(doc["vertices"]) == nonconvex.n
+
+    def test_parse_converts_each_coordinate_once(self, monkeypatch):
+        # Integer coordinates reach Scene as they came, so the parse path
+        # makes one Fraction per coordinate.
+        text = write_instance(generate(GeneratorConfig(n_points=22, n_obstacles=4, seed=3)))
+        calls = []
+        real = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        scene = parse_instance(text)
+        monkeypatch.undo()
+        assert len(calls) == 2 * scene.n == 44
 
     @pytest.mark.parametrize(
         "text",
@@ -208,7 +225,7 @@ class TestCli:
         assert main(["build", "--graph", "g7", "--in", str(inst),
                      "--out", str(edges)]) == 0
         graph = parse_edge_list(edges.read_text())
-        assert graph.max_degree() <= 7
+        assert degree_report(graph).max_degree <= 7
         assert main(["verify", "--in", str(inst)]) == 0
         out = capsys.readouterr().out
         assert "PASS oracle-equivalence(ginf)" in out
@@ -367,6 +384,29 @@ class TestCli:
         (line,) = stderr.splitlines()
         assert line.startswith(f"{argv[0]}: ")
         assert str(out) in line
+
+    def test_input_errors_are_one_usage_line(self, instance_file, tmp_path, monkeypatch, capsys):
+        # main reports an unreadable or malformed --in or --edges of every
+        # command, as each command once did itself, nothing written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{not json")
+        missing = "[Errno 2] No such file or directory: 'missing.json'"
+        malformed = (
+            "not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)"
+        )
+        cases = [
+            (["verify", "--in", str(instance_file), "--graph", "g15", "--edges", "missing.json"],
+             f"verify: {missing}"),
+        ]
+        for argv in (["build", "--graph", "g7", "--out", "o"], ["verify"],
+                     ["render", "--out", "o"], ["perturb", "--out", "o"]):
+            cases.append((argv + ["--in", "missing.json"], f"{argv[0]}: {missing}"))
+            cases.append((argv + ["--in", "bad.json"], f"{argv[0]}: {malformed}"))
+        for argv, line in cases:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", line + "\n"), argv
+        assert not (tmp_path / "o").exists()
 
     def test_render(self, instance_file, tmp_path):
         out = tmp_path / "pic.svg"

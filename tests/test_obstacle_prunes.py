@@ -12,10 +12,10 @@ although every output would stay the same.
 import pytest
 
 from tests.conftest import load_scene
-from tests.reference_cones import inside_wedge
+from tests.reference_cones import inside_wedge, obstacle_wedge
 
 from polyspanner import geom, scene as scene_module, verify
-from polyspanner.cones import obstacle_wedge
+from polyspanner.cones import ConeIndex
 from polyspanner.scene import Scene
 from polyspanner.spanners import build_g_infinity
 from polyspanner.verify import check_empty_triangles, check_planarity, oracle_g_infinity
@@ -176,7 +176,7 @@ def test_empty_triangles_test_only_inside_the_box(name, monkeypatch):
         monkeypatch, verify, "segment_properly_intersects_polygon", reaches_open_box
     )
     vis = visibility_graph(scene)
-    check_empty_triangles(scene, build_g_infinity(scene, vis))
+    check_empty_triangles(scene, build_g_infinity(scene, vis), ConeIndex(scene))
     # vis as ginf spans triangles whose boxes hold vertices.
-    check_empty_triangles(scene, vis)
+    check_empty_triangles(scene, vis, ConeIndex(scene))
     assert points and edges

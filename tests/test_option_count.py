@@ -8,7 +8,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "polyspanner"
-CEILING = 13
+CEILING = 10
 
 
 def _options() -> list:

@@ -1,7 +1,10 @@
 """Every module-level function and class of the library is reached: it is
 used by name in its own module, imported by another library module, or
-named in a README code block or in the benchmark's Python. A name that
-only tests call belongs under ``tests/``. Reads files only."""
+named in a README code block or in the benchmark's Python. Every
+non-dunder method and property of a library class is reached by
+attribute name somewhere in the library, or named in the README's code
+blocks or the benchmark's Python. A name that only tests call belongs
+under ``tests/``. Reads files only."""
 
 import ast
 import pathlib
@@ -22,6 +25,16 @@ def _imported_by_library() -> set:
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 out.update((node.module, alias.name) for alias in node.names)
     return out
+
+
+def _attributes_in_library() -> set:
+    """Every name read or written as ``obj.name`` in src."""
+    return {
+        node.attr
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
 
 
 def _named_outside() -> set:
@@ -51,3 +64,18 @@ def test_every_name_is_reached(path):
         and name not in outside
     ]
     assert unreached == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_method_is_reached(path):
+    tree = ast.parse(path.read_text())
+    methods = [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    reached = _attributes_in_library() | _named_outside()
+    assert [m for m in methods if m.split(".")[1] not in reached] == []

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from polyspanner import scene as scene_module
-from polyspanner.cones import INT64_GUARD, exact_dtype
 from polyspanner.generator import generate
 from polyspanner.geom import polygon_signed_area2
 from polyspanner.scene import (
+    INT64_GUARD,
     Scene,
     SceneError,
     check_general_position,
+    exact_dtype,
     perturb_by_rotation,
     validate,
 )

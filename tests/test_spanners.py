@@ -16,6 +16,7 @@ from polyspanner.spanners import (
     compute_charges,
     g7_transform,
 )
+from polyspanner.verify import degree_report
 from polyspanner.visibility import Graph, visibility_graph
 
 
@@ -207,7 +208,7 @@ def test_structural_transformation_rewires_path():
     assert t.uncharged_xw == (3, 32)
     assert not res.graph.has_edge(12, 27)
     assert res.graph.has_edge(27, 32)
-    assert res.graph.max_degree() <= 7
+    assert degree_report(res.graph).max_degree <= 7
 
 
 def test_transformation_can_remove_crowding_edge():
@@ -219,7 +220,7 @@ def test_transformation_can_remove_crowding_edge():
     t = removals[0]
     assert t.removed_xw == (1, 14)
     assert not res.graph.has_edge(1, 14)
-    assert res.graph.max_degree() <= 7
+    assert degree_report(res.graph).max_degree <= 7
 
 
 def test_transformation_can_move_a_charge():
@@ -229,7 +230,7 @@ def test_transformation_can_move_a_charge():
     moved = [t for t in res.transformations if t.uncharged_xw]
     assert moved
     assert moved[0].uncharged_xw == (20, 56)
-    assert res.graph.max_degree() <= 7
+    assert degree_report(res.graph).max_degree <= 7
 
 
 def test_build_g7_on_generated_instances():
@@ -237,9 +238,9 @@ def test_build_g7_on_generated_instances():
         scene = generate(GeneratorConfig(n_points=24, n_obstacles=2, seed=seed))
         vis, ginf, g15, g10 = pipeline(scene)
         g7 = build_g7(scene, ginf, g10)
-        assert g7.max_degree() <= 7
-        assert g10.max_degree() <= 10
-        assert g15.max_degree() <= 15
+        assert degree_report(g7).max_degree <= 7
+        assert degree_report(g10).max_degree <= 10
+        assert degree_report(g15).max_degree <= 15
 
 
 def test_pipeline_builds_in_graph_name_order(split_cones):

@@ -18,6 +18,7 @@ from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
 from polyspanner import verify
+from polyspanner.cones import ConeIndex
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.geom import segments_properly_intersect
 from polyspanner.scene import Scene, check_general_position
@@ -135,7 +136,7 @@ def test_witnesses_are_first_in_sorted_order():
     sc = Scene([(0, 0), (1, 10), (20, 5), (9, 14), (12, -3)])
     vis = visibility_graph(sc)
     assert vis.m == 10
-    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), np.full((5, 5), np.inf))
+    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), np.full((5, 5), np.inf), ConeIndex(sc))
     assert [w[0] for w in rep.witnesses] == vis.sorted_edges()
 
 
@@ -231,7 +232,7 @@ def test_per_edge_bound_spot_values():
 def test_per_edge_bound_holds_on_fixture():
     for case, sc, vis in _graph_cases("split_cones"):
         ginf = build_g_infinity(sc, vis)
-        rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, ginf))
+        rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, ginf), ConeIndex(sc))
         assert rep.witnesses == (), case
 
 
@@ -263,7 +264,7 @@ def test_per_edge_bound_matches_reference():
             _dist(sc, _thinned(ginf)),
             np.full((sc.n, sc.n), np.inf),
         ):
-            got = check_per_edge_bound_ginf(sc, edge_table(sc, vis), dist).witnesses
+            got = check_per_edge_bound_ginf(sc, edge_table(sc, vis), dist, ConeIndex(sc)).witnesses
             want = reference_per_edge.check_per_edge_bound_ginf(
                 sc, ginf, vis, dist
             ).witnesses
@@ -282,7 +283,7 @@ def test_per_edge_bound_negative_control():
     ginf = build_g_infinity(sc, vis)
     assert ginf.edges == {(0, 1), (0, 2), (1, 2)}
     thinned = Graph(3, [(0, 2), (1, 2)])
-    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, thinned))
+    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, thinned), ConeIndex(sc))
     assert [w[0] for w in rep.witnesses] == [(0, 1)]
     (_, have, bound), = rep.witnesses
     assert have == pytest.approx(edge_length(sc, 0, 2) + edge_length(sc, 1, 2))
@@ -296,7 +297,7 @@ def test_per_edge_bound_rejects_pair_inside_obstacle_wedge():
     sc = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
     vis = Graph(4, [(0, 3)])
     with pytest.raises(ValueError, match="obstacle wedge"):
-        check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, vis))
+        check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, vis), ConeIndex(sc))
 
 
 def test_planarity_flags_crossing():
@@ -454,7 +455,7 @@ CONTROL = Scene([(0, 0), (30, 5), (8, 10), (12, 6)])
 
 def test_empty_triangle_checker_negative_control():
     mutated = Graph(4, [(0, 1), (0, 2)])
-    rep = check_empty_triangles(CONTROL, mutated)
+    rep = check_empty_triangles(CONTROL, mutated, ConeIndex(CONTROL))
     assert not rep.ok
     assert (0, 1, 2, "vertex", 3) in rep.witnesses
 
@@ -462,7 +463,7 @@ def test_empty_triangle_checker_negative_control():
 def test_empty_triangle_checker_positive(split_cones):
     vis = visibility_graph(split_cones)
     ginf = build_g_infinity(split_cones, vis)
-    assert check_empty_triangles(split_cones, ginf).ok
+    assert check_empty_triangles(split_cones, ginf, ConeIndex(split_cones)).ok
 
 
 def test_empty_triangles_match_reference():
@@ -475,13 +476,13 @@ def test_empty_triangles_match_reference():
     ]:
         ginf = build_g_infinity(scene, visibility_graph(scene))
         want = reference_empty_triangles.check_empty_triangles(scene, ginf)
-        assert check_empty_triangles(scene, ginf).witnesses == want.witnesses
+        assert check_empty_triangles(scene, ginf, ConeIndex(scene)).witnesses == want.witnesses
     for seed in range(20):
         scene = generate(GeneratorConfig(n_points=22, n_obstacles=3, seed=400 + seed))
         vis = visibility_graph(scene).sorted_edges()
         ginf = Graph(scene.n, random.Random(seed).sample(vis, len(vis) // 2))
         want = reference_empty_triangles.check_empty_triangles(scene, ginf)
-        assert check_empty_triangles(scene, ginf).witnesses == want.witnesses
+        assert check_empty_triangles(scene, ginf, ConeIndex(scene)).witnesses == want.witnesses
         kinds += [w[3] for w in want.witnesses]
     assert kinds.count("vertex") > 100 and kinds.count("obstacle-edge") > 100
 
@@ -489,7 +490,7 @@ def test_empty_triangles_match_reference():
 def test_canonical_path_checker_negative_control():
     ginf = Graph(4, [(0, 1), (0, 2), (1, 2)])
     pruned = Graph(4, [(0, 1), (0, 2)])  # path edge (1, 2) dropped
-    rep = check_canonical_paths(CONTROL, ginf, pruned)
+    rep = check_canonical_paths(CONTROL, ginf, pruned, ConeIndex(CONTROL))
     assert not rep.ok
     assert (0, 1, 2) in rep.witnesses
 
@@ -498,7 +499,7 @@ def test_canonical_path_checker_positive(split_cones):
     vis = visibility_graph(split_cones)
     ginf = build_g_infinity(split_cones, vis)
     g15 = build_g15(split_cones, ginf)
-    assert check_canonical_paths(split_cones, ginf, g15).ok
+    assert check_canonical_paths(split_cones, ginf, g15, ConeIndex(split_cones)).ok
 
 
 def test_oracle_matches_builder_on_fixtures(micro3, split_cones, nonconvex):

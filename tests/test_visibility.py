@@ -2,9 +2,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyspanner import visibility
-from polyspanner.cones import INT64_GUARD
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.scene import Scene, perturb_by_rotation
+from polyspanner.scene import INT64_GUARD, Scene, perturb_by_rotation
+from polyspanner.verify import degree_report
 from polyspanner.visibility import Graph, visibility_graph
 
 from tests.reference_visibility import visible
@@ -18,7 +18,7 @@ class TestGraph:
         assert not g.has_edge(0, 2)
         assert g.neighbors(1) == (0,)
         assert g.degree(3) == 1
-        assert g.max_degree() == 1
+        assert degree_report(g).max_degree == 1
         assert g.sorted_edges() == [(0, 1), (2, 3)]
 
     def test_rejects_loops_and_range(self):
