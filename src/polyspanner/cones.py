@@ -16,9 +16,12 @@ separate "subcones" (side "right" before the wedge in ccw order, side
 ``classify`` decides a whole scene in one exact integer array pass:
 each vertex's split label, then each ordered pair's code, 3 * sector +
 side, or a marker for a pair whose classification raises. A run's
-``ConeIndex`` makes that pass on its first subcone question and answers
-every later one from the apex's row of codes and one ``SubconeRef``
-per apex and code, made when first asked. It also holds the
+``ConeIndex`` makes that pass on its first subcone question. Whole
+edge sets read it through ``ConeIndex.codes``, one gather that raises
+at the least pair that cannot classify, and read the sign and cone of
+each code from ``CODE_POSITIVE`` and ``CODE_CONE``; ``subcone_of``
+answers one pair from the apex's row of codes, with one ``SubconeRef``
+per apex and code, made when first asked. The index also holds the
 canonical-sequence and charge tables of each distinct ``ginf`` (filled
 by ``spanners.canonical_sequences`` and ``compute_charges``) and, once
 asked, the run's general-position report. None has another entry: one
@@ -51,8 +54,6 @@ class ConeLabel(NamedTuple):
     def __str__(self) -> str:
         return f"C{self.index}{'+' if self.positive else '-'}"
 
-
-NEGATIVE_LABELS = tuple(ConeLabel(False, i) for i in range(3))
 
 # Sector k covers directions with angle in (60k, 60(k+1)) degrees.
 _SECTOR_LABEL = (
@@ -211,25 +212,18 @@ def classify(scene) -> Classification:
     return Classification(xy, split.tolist(), codes.astype(np.int8))
 
 
-# The codes of the negative subcones, in label order, right side before
-# left in a split cone, by the split.
-_NEGATIVE_CODES = {
-    split: tuple(
-        code
-        for s in (_SECTOR_LABEL.index(label) for label in NEGATIVE_LABELS)
-        for code in ((3 * s + 1, 3 * s + 2) if s == split else (3 * s,))
-    )
-    for split in range(NO_SPLIT, len(_SECTOR_LABEL))
-}
-POSITIVE_SECTOR = np.array([label.positive for label in _SECTOR_LABEL])
+# Per code: whether its cone is positive, and the index of that cone.
+CODE_POSITIVE = np.array([label.positive for label in _SECTOR_LABEL for _ in _SIDES])
+CODE_CONE = np.array([label.index for label in _SECTOR_LABEL for _ in _SIDES])
 
 
 class ConeIndex:
     """Subcone membership in one scene, classified once for one run.
 
-    The first subcone question runs ``classify``; ``subcone_of`` then
-    reads the pair's code from its apex's row and the code's
-    ``SubconeRef``, made on first use. ``tables`` and ``charges`` map a
+    The first subcone question runs ``classify``; ``codes`` then
+    gathers the codes of many pairs at once, and ``subcone_of`` reads
+    one pair's code from its apex's row and the code's ``SubconeRef``,
+    made on first use. ``tables`` and ``charges`` map a
     ginf edge set to its read-only canonical-sequence and charge
     tables. Make one index per run and pass it to
     ``spanners.build_g_infinity``: the ginf it returns carries the index
@@ -282,6 +276,17 @@ class ConeIndex:
             raise ValueError(_ZERO_DIRECTION)  # a zero-length wedge edge
         return None if s == NO_SPLIT else _SECTOR_LABEL[s]
 
+    def codes(self, a, b) -> np.ndarray:
+        """The codes of the pairs (a[i], b[i]), for index arrays a and b
+        of one length. Raises as ``subcone_of`` for the least pair in
+        (a, b) order whose classification raises."""
+        code = self.classification.codes[a, b]
+        marked = np.flatnonzero(code >= N_REFS)
+        if marked.size:
+            i = marked[np.lexsort((b[marked], a[marked]))[0]]
+            self.subcone_of(int(a[i]), int(b[i]))  # raises
+        return code
+
     def subcone_of(self, apex: int, p: int) -> SubconeRef:
         """Subcone of vertex apex containing vertex p.
 
@@ -292,12 +297,10 @@ class ConeIndex:
         code = self._rows[apex][p]
         if code >= N_REFS:
             self._refuse(apex, p, code)
-        return self._refs[apex][code] or self._ref(apex, code)
-
-    def _ref(self, apex: int, code: int) -> SubconeRef:
-        ref = SubconeRef(apex, _SECTOR_LABEL[code // 3], _SIDES[code % 3])
-        self._refs[apex][code] = ref
-        return ref
+        refs = self._refs[apex]
+        if refs[code] is None:
+            refs[code] = SubconeRef(apex, _SECTOR_LABEL[code // 3], _SIDES[code % 3])
+        return refs[code]
 
     def _refuse(self, apex: int, p: int, code: int):
         """Raise what classifying the pair (apex, p) raises, by its marker."""
@@ -309,27 +312,6 @@ class ConeIndex:
                 f"vertex {p} lies strictly inside the obstacle wedge at vertex {apex}"
             )
         raise ValueError(_ZERO_DIRECTION)  # ZERO or SPLIT_RAISES
-
-    def negative_groups(self, apex: int, members) -> list:
-        """(ref, its members) for each negative subcone of apex that
-        holds any of members, in label order with a split cone's right
-        side first, members in the order given. Raises as ``subcone_of``
-        for the first member it cannot classify, then as
-        ``split_label``."""
-        row = self._rows[apex]
-        groups: dict = {}
-        for v in members:
-            code = row[v]
-            if code >= N_REFS:
-                self._refuse(apex, v, code)
-            groups.setdefault(code, []).append(v)
-        self.split_label(apex)
-        refs = self._refs[apex]
-        return [
-            (refs[c] or self._ref(apex, c), groups[c])
-            for c in _NEGATIVE_CODES[self.classification.split[apex]]
-            if c in groups
-        ]
 
 
 def ccw_sorted(scene, apex: int, members: Iterable[int]) -> list:

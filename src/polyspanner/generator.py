@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geom import orient, point_in_polygon
+from .geom import CCW, orient, point_in_polygon
 from .scene import Scene, check_general_position
 
 
@@ -55,7 +55,7 @@ def convex_hull(points):
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and orient(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and orient(out[-2], out[-1], p) != CCW:
                 out.pop()
             out.append(p)
         return out

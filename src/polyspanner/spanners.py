@@ -31,17 +31,19 @@ graphs lazily, so the CLI stops at the graph it was asked for.
 ``verify`` uses.
 
 Every per-pair cone fact comes from the run's ``cones.ConeIndex``,
-which classifies all ordered pairs of the scene in one array pass:
-``build_g_infinity`` reads its code matrix for vis's edges in bulk,
-and the later steps ask ``subcone_of`` and ``negative_groups``, which
-read the same codes. Both tables are built once per ginf edge set on the
-index and shared read-only, so ``canonical_sequences``,
-``compute_charges`` and ``g7_transform`` take the index as a required
-argument. ``build_g_infinity`` takes an optional one, makes its own
-without it, and returns a ginf that carries it as ``Graph.index``;
-``build_g15``, ``build_g10`` and ``build_g7`` read the index from their
-ginf, and make a fresh one only for a ginf that carries none or one of
-another scene. So a chain of steps called alone classifies the scene,
+which classifies all ordered pairs of the scene in one array pass.
+``build_g_infinity`` (vis's edges, positive subcones) and
+``canonical_sequences`` (ginf's edges, negative subcones) share one
+grouping, ``_subcone_runs``, which reads the codes of a graph's edges
+in both directions in one ``ConeIndex.codes`` gather; the charge table
+and ``g7_transform`` ask ``subcone_of`` for single pairs. Both tables
+are built once per ginf edge set on the index and shared read-only, so
+``canonical_sequences``, ``compute_charges`` and ``g7_transform`` take
+the index as a required argument. ``build_g_infinity`` takes an
+optional one, makes its own without it, and returns a ginf that carries
+it as ``Graph.index``; ``build_g15``, ``build_g10`` and ``build_g7``
+read the index from their ginf, and make a fresh one only for a ginf
+that carries none or one of another scene. So a chain of steps called alone classifies the scene,
 builds each table and decides general position once, and the index
 lives exactly as long as its ginf.
 """
@@ -56,8 +58,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .cones import (
-    N_REFS,
-    POSITIVE_SECTOR,
+    CODE_CONE,
+    CODE_POSITIVE,
     ConeIndex,
     ConeLabel,
     GeneralPositionError,
@@ -91,6 +93,25 @@ def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
     return best
 
 
+def _subcone_runs(index: ConeIndex, g: Graph, positive: bool):
+    """g's edges in both directions (a, b) whose b lies in a subcone of
+    a of the given sign, as arrays a, b and their codes, sorted by
+    apex, cone, side (right before left) and member, with ``first``
+    marking the start of each subcone's run. Raises as
+    ``ConeIndex.codes`` for the least pair that cannot classify."""
+    pairs = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m).reshape(-1, 2)
+    a = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    b = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    code = index.codes(a, b)
+    keep = CODE_POSITIVE[code] == positive
+    a, b, code = a[keep], b[keep], code[keep]
+    order = np.lexsort((b, 3 * CODE_CONE[code] + code % 3, a))
+    a, b, code = a[order], b[order], code[order]
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (code[1:] != code[:-1])
+    return a, b, code, first
+
+
 def build_g_infinity(
     scene: Scene, vis: Graph, index: Optional[ConeIndex] = None
 ) -> Graph:
@@ -99,10 +120,10 @@ def build_g_infinity(
     general position, as the index reports it. The graph returned
     carries the index as ``Graph.index``, for the later steps.
 
-    vis's edges, in both directions, are grouped by apex and subcone
-    code as arrays. Within a group only the members whose lower key
-    bound reaches the group's least upper bound can be closest; a group
-    left with several settles them by ``key_compare``, in vertex order."""
+    vis's edges are grouped by positive subcone with ``_subcone_runs``.
+    Within a group only the members whose lower key bound reaches the
+    group's least upper bound can be closest; a group left with several
+    settles them by ``key_compare``, in vertex order."""
     index = ConeIndex.of(scene, index)
     report = index.general_position()
     if not report.ok:
@@ -111,22 +132,9 @@ def build_g_infinity(
             f"{report.parallel_count} boundary-parallel pair(s), "
             f"{report.collinear_count} collinear triple(s)"
         )
-    xy, _, codes = index.classification
-    pairs = np.fromiter(chain.from_iterable(vis.edges), np.intp, 2 * vis.m).reshape(-1, 2)
-    a = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    b = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    code = codes[a, b]
-    marked = code >= N_REFS
-    if marked.any():
-        i = np.lexsort((b[marked], a[marked]))[0]
-        index.subcone_of(int(a[marked][i]), int(b[marked][i]))  # raises
-    positive = POSITIVE_SECTOR[code // 3]
-    a, b, code = a[positive], b[positive], code[positive]
-    order = np.lexsort((b, code, a))
-    a, b, code = a[order], b[order], code[order]
+    xy = index.classification.xy
+    a, b, code, first = _subcone_runs(index, vis, True)
     lo, hi = key_bounds(code // 3, xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (code[1:] != code[:-1])
     start, group = np.flatnonzero(first), np.cumsum(first) - 1
     alive = np.flatnonzero(lo <= np.minimum.reduceat(hi, start)[group])
     single = np.bincount(group[alive], minlength=start.size)[group[alive]] == 1
@@ -169,9 +177,10 @@ def canonical_sequences(
     scene: Scene, ginf: Graph, index: ConeIndex
 ) -> Mapping[SubconeRef, CanonicalSequence]:
     """The canonical sequence of every nonempty negative subcone of
-    ginf, keyed by subcone: apexes in index order, each apex's subcones
-    in ``ConeIndex.negative_groups`` order. Built once per ginf edge set
-    and index, then shared read-only."""
+    ginf, keyed by subcone in ``_subcone_runs`` order: apexes in index
+    order, each apex's subcones by cone, a split cone's right side before
+    its left. Built once per ginf edge set and index, then shared
+    read-only."""
     table = index.tables.get(ginf.edges)
     if table is None:
         table = MappingProxyType(_sequence_table(scene, ginf, index))
@@ -180,15 +189,19 @@ def canonical_sequences(
 
 
 def _sequence_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
+    a, b, _, first = _subcone_runs(index, ginf, False)
+    starts = np.flatnonzero(first).tolist()
+    a, b = a.tolist(), b.tolist()
     table = {}
-    for apex in range(scene.n):
-        for ref, members in index.negative_groups(apex, ginf.neighbors(apex)):
-            if len(members) == 1:
-                closest = members[0]
-            else:
-                members = ccw_sorted(scene, apex, members)
-                closest = _closest(scene, apex, ref.label, members)
-            table[ref] = CanonicalSequence(apex, ref, tuple(members), closest)
+    for i, j in zip(starts, starts[1:] + [len(b)]):
+        apex, members = a[i], b[i:j]
+        ref = index.subcone_of(apex, members[0])
+        if len(members) == 1:
+            closest = members[0]
+        else:
+            members = ccw_sorted(scene, apex, members)
+            closest = _closest(scene, apex, ref.label, members)
+        table[ref] = CanonicalSequence(apex, ref, tuple(members), closest)
     return table
 
 

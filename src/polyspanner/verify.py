@@ -6,13 +6,15 @@ bounds) run in floating point with a relative tolerance of 1e-9, which
 dominates double-precision accumulation error at the coordinate scales
 this package targets. ``run_verification`` turns each of the five
 graphs into one ``EdgeTable`` (its sorted edges as index arrays, with
-each edge's length) and does the metric work on those arrays: one
-Dijkstra call per spanner for the distance matrix, and the stretch and
-per-edge reads on the base graph's edges, so the dense ``vis`` graph
-never needs a matrix. Planarity is one ``check_planarity`` sweep over
-the union of ``ginf``, ``g15``, ``g10`` and ``g7``; each graph's report
-is the union's restricted to its edges, so every edge meets the
-obstacle test once per run. ``run_verification`` reads general
+each edge's float offset and length) and does the metric work on those
+arrays: one Dijkstra call per spanner for the distance matrix, and the
+stretch and per-edge reads on the base graph's edges, so the dense
+``vis`` graph never needs a matrix. The per-edge bound reads ``vis``'s
+table for its offsets and lengths and one ``ConeIndex.codes`` gather
+for its cones. Planarity is one ``check_planarity`` sweep over the
+union of ``ginf``, ``g15``, ``g10`` and ``g7``; each graph's report is
+the union's restricted to its edges, so every edge meets the obstacle
+test once per run. ``run_verification`` reads general
 position from its run's ``ConeIndex``, as ``build_g_infinity`` does,
 and hands that index to the per-edge, canonical-path and
 empty-triangle checks; the oracle checks again on its own, to stay
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .cones import ConeIndex
+from .cones import CODE_CONE, CODE_POSITIVE, ConeIndex
 from .geom import (
     CW,
     cross,
@@ -48,28 +50,24 @@ from .visibility import Graph
 REL_TOL = 1e-9
 
 
-def edge_length(scene: Scene, u: int, v: int) -> float:
-    """Euclidean length from integer coordinate differences. int / int
-    division is correctly rounded, so each difference is the same float
-    as ``float`` of the Fraction difference."""
-    (ux, uy), (vx, vy) = scene.ipoints[u], scene.ipoints[v]
-    s = scene.scale
-    return math.hypot((vx - ux) / s, (vy - uy) / s)
-
-
 class EdgeTable(NamedTuple):
     """One graph on n vertices as arrays: its ``sorted_edges`` as
-    endpoints u < v, and each edge's ``edge_length``."""
+    endpoints u < v, each edge's float offset (dx, dy) from u to v and
+    its length."""
 
     n: int
     u: np.ndarray
     v: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
     length: np.ndarray
 
 
 def edge_table(scene: Scene, g: Graph) -> EdgeTable:
-    """g's ``EdgeTable`` on the scene's points, one ``edge_length`` call
-    per edge."""
+    """g's ``EdgeTable`` on the scene's points. Each offset is an exact
+    integer difference divided by the scale; int / int division is
+    correctly rounded, so it is the same float as ``float`` of the
+    Fraction difference, and the length is its ``math.hypot``."""
     if g.n != scene.n:
         raise ValueError("graphs must share the scene's vertex set")
     # Sorting the index arrays gives sorted_edges' order without
@@ -77,10 +75,12 @@ def edge_table(scene: Scene, g: Graph) -> EdgeTable:
     flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
     order = np.lexsort((flat[1::2], flat[0::2]))
     u, v = flat[0::2][order], flat[1::2][order]
-    length = np.array(
-        [edge_length(scene, a, b) for a, b in zip(u.tolist(), v.tolist())], dtype=float
-    )
-    return EdgeTable(scene.n, u, v, length)
+    s, ul, vl = scene.scale, u.tolist(), v.tolist()
+    xs, ys = [p[0] for p in scene.ipoints], [p[1] for p in scene.ipoints]
+    dx = [(xs[b] - xs[a]) / s for a, b in zip(ul, vl)]
+    dy = [(ys[b] - ys[a]) / s for a, b in zip(ul, vl)]
+    length = list(map(math.hypot, dx, dy))
+    return EdgeTable(scene.n, u, v, *(np.array(c, dtype=float) for c in (dx, dy, length)))
 
 
 def distance_matrix(table: EdgeTable) -> np.ndarray:
@@ -235,10 +235,7 @@ _BISECTORS = np.array([
 
 
 def check_per_edge_bound_ginf(
-    scene: Scene,
-    vis: EdgeTable,
-    ginf_dist: np.ndarray,
-    index: ConeIndex,
+    vis: EdgeTable, ginf_dist: np.ndarray, index: ConeIndex
 ) -> WitnessReport:
     """Every visibility edge (u, v), read from the endpoint whose
     positive cone holds the other, has a ginf path no longer than the
@@ -246,25 +243,19 @@ def check_per_edge_bound_ginf(
     visibility graph's ``edge_table`` and ginf_dist is ginf's
     ``distance_matrix``.
 
-    The apex is picked by ``ConeIndex.subcone_of``, one edge at a time
-    in ``sorted_edges`` order, so an edge on a cone boundary or into an
-    obstacle wedge raises ValueError. The angle is atan2(|b x s|, b . s),
-    where b is the cone's unit bisector from ``_BISECTORS`` and s is the
-    float offset from the apex to the far endpoint: exact integer
-    differences divided by the scale, as in ``edge_length``. Witnesses
-    come out in ``sorted_edges`` order.
+    The codes of all edges (u, v) come from one ``ConeIndex.codes``
+    gather, so an edge on a cone boundary or into an obstacle wedge
+    raises ValueError at the first such edge in ``sorted_edges`` order.
+    The angle is atan2(|b x s|, b . s), where b is the unit bisector of
+    the edge's cone from ``_BISECTORS`` and s is the table's offset from
+    the apex to the far endpoint: (dx, dy) when u's cone is positive and
+    (-dx, -dy) when v is the apex, exact, as division rounds the same
+    under a sign flip. Witnesses come out in ``sorted_edges`` order.
     """
-    pts, scale = scene.ipoints, scene.scale
-    cones, sx, sy = [], [], []
-    for u, v in zip(vis.u.tolist(), vis.v.tolist()):
-        label = index.subcone_of(u, v).label
-        apex, far = (u, v) if label.positive else (v, u)
-        (ax, ay), (fx, fy) = pts[apex], pts[far]
-        cones.append(label.index)
-        sx.append((fx - ax) / scale)
-        sy.append((fy - ay) / scale)
-    bx, by = _BISECTORS[np.array(cones, dtype=np.intp)].T
-    sx, sy = np.array(sx, dtype=float), np.array(sy, dtype=float)
+    code = index.codes(vis.u, vis.v)
+    positive = CODE_POSITIVE[code]
+    bx, by = _BISECTORS[CODE_CONE[code]].T
+    sx, sy = np.where(positive, vis.dx, -vis.dx), np.where(positive, vis.dy, -vis.dy)
     theta = np.arctan2(np.abs(bx * sy - by * sx), bx * sx + by * sy)
     bound = per_edge_bound(theta) * vis.length
     have = ginf_dist[vis.u, vis.v]
@@ -643,7 +634,7 @@ def run_verification(
 
     witness_check(
         "per-edge-bound(ginf|vis)",
-        lambda: check_per_edge_bound_ginf(scene, tables["vis"], dists["ginf"], index),
+        lambda: check_per_edge_bound_ginf(tables["vis"], dists["ginf"], index),
         lambda ws: f"{len(ws)} edge(s) over bound: {[w[0] for w in ws[:4]]}",
     )
     witness_check(

@@ -10,7 +10,9 @@ predicate stays total).
 pass with three tests: the nearest vertex on each ray, the obstacle
 wedge at both endpoints, and proper crossings with obstacle edges. Only
 pairs with an irregular endpoint (see ``visibility_graph``) are left to
-``Scene.crossed_obstacles``; valid scenes in general position have none.
+``Scene.crossed_obstacles``: every vertex of a scene that fails
+``Scene.validation``, and a vertex inside an obstacle edge. Valid scenes
+in general position have none.
 The points and wedges are read from ``scene.exact_points`` and
 ``scene.obstacle_wedges``.
 """
@@ -129,14 +131,16 @@ def visibility_graph(scene: Scene) -> Graph:
 
     Once the first two hold, the per-ring kernel can find a segment
     blocked without a proper crossing only at an irregular endpoint: one
-    on an edge's relative interior, one strictly inside a ring by
-    parity, or one whose point is a corner at a ring position other than
-    its own single one (a shared or repeated corner, or a duplicate
-    point). Pairs with an irregular endpoint keep the kernel, through
-    ``Scene.crossed_obstacles``; valid scenes in general position have
-    none. The arrays are of ``scene.exact_dtype``: int64 below its
-    guard, where every 2x2 determinant fits, and Python ints otherwise;
-    only signs of determinants are multiplied or compared.
+    on an edge's relative interior, one strictly inside a ring, or one
+    whose point is a corner at a ring position other than its own single
+    one (a shared or repeated corner, or a duplicate point). ``validate``
+    rejects all but the first, so every vertex of a scene that fails
+    ``Scene.validation`` counts as irregular, and of a valid scene only
+    a vertex inside an edge. Pairs with an irregular endpoint keep the
+    kernel, through ``Scene.crossed_obstacles``; valid scenes in general
+    position have none. The arrays are of ``scene.exact_dtype``: int64
+    below its guard, where every 2x2 determinant fits, and Python ints
+    otherwise; only signs of determinants are multiplied or compared.
     Pairs go through in blocks of about ``BLOCK`` elements."""
     n = scene.n
     pts = scene.ipoints
@@ -153,23 +157,12 @@ def visibility_graph(scene: Scene) -> Graph:
         dtype=np.intp,
     )
     cx, cy = x[slot_vertex], y[slot_vertex]
-    # Side of every vertex to every edge's line, and whether it lies on
-    # the closed edge or strictly inside it.
+    # Side of every vertex to every edge's line; a vertex strictly inside
+    # an edge is irregular, and so is every vertex of an invalid scene.
     rel_x, rel_y = x[:, None] - cx, y[:, None] - cy
     side = _signs(cross(cx[succ] - cx, cy[succ] - cy, rel_x, rel_y))
     along = rel_x * (x[:, None] - cx[succ]) + rel_y * (y[:, None] - cy[succ])
-    on_edge = (side == 0) & (along <= 0)
-    irregular = ((side == 0) & (along < 0)).any(axis=1)
-    if rings:
-        # Even-odd with the half-open upward ray of ``point_in_polygon``.
-        crosses = (cy > y[:, None]) != (cy[succ] > y[:, None])
-        hits = crosses & np.where(cy[succ] > cy, side > 0, side < 0)
-        odd = np.add.reduceat(hits, starts, axis=1) % 2 == 1
-        irregular |= (odd & (np.add.reduceat(on_edge, starts, axis=1) == 0)).any(axis=1)
-    owners: dict = {}
-    for v in slot_vertex.tolist():
-        owners.setdefault(pts[v], []).append(v)
-    irregular |= np.array([owners.get(p, [u]) != [u] for u, p in enumerate(pts)], dtype=bool)
+    irregular = ((side == 0) & (along < 0)).any(axis=1) | (not scene.validation().ok)
 
     edges = []
     rows = max(1, BLOCK // max(n, 1))

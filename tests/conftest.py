@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import pytest
@@ -13,6 +14,14 @@ def fixture_text(name: str) -> str:
 
 def load_scene(name: str):
     return parse_instance(fixture_text(name))
+
+
+def edge_length(scene, u: int, v: int) -> float:
+    """Euclidean length of one pair from its integer coordinate
+    differences: the float ``verify.edge_table`` holds for that edge."""
+    (ux, uy), (vx, vy) = scene.ipoints[u], scene.ipoints[v]
+    s = scene.scale
+    return math.hypot((vx - ux) / s, (vy - uy) / s)
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from typing import Optional
 
 from polyspanner.cones import (
     _SECTOR_LABEL,
-    NEGATIVE_LABELS,
     SIDE_LEFT,
     SIDE_RIGHT,
     SIDE_WHOLE,
@@ -30,6 +29,7 @@ from polyspanner.cones import (
 from polyspanner.geom import cross, sign, sqrt3_sign
 
 POSITIVE_LABELS = tuple(ConeLabel(True, i) for i in range(3))
+NEGATIVE_LABELS = tuple(ConeLabel(False, i) for i in range(3))
 
 
 def direction_sector(dx, dy) -> int:

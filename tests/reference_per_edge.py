@@ -25,13 +25,13 @@ from polyspanner.verify import (
     REL_TOL,
     WitnessReport,
     distance_matrix,
-    edge_length,
     edge_table,
     per_edge_bound,
 )
 from polyspanner.scene import Scene
 from polyspanner.visibility import Graph, visibility_graph
 
+from tests.conftest import edge_length
 from tests.reference_cones import cone_of
 
 

@@ -204,9 +204,7 @@ def test_criterion_5_per_edge_bound(suite):
     )
     bad = []
     for inst in suite:
-        rep = check_per_edge_bound_ginf(
-            inst.scene, inst.table("vis"), inst.dist("ginf"), ConeIndex(inst.scene)
-        )
+        rep = check_per_edge_bound_ginf(inst.table("vis"), inst.dist("ginf"), ConeIndex(inst.scene))
         if not rep.ok:
             bad.append((inst.label, rep.witnesses[:2]))
     record(

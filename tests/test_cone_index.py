@@ -9,13 +9,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polyspanner import cones, scene as scene_module, spanners
+from polyspanner import cones, scene as scene_module, spanners, verify
 from polyspanner.cones import ConeIndex, SubconeRef, key_bounds
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.io import parse_edge_list, write_edge_list
 from polyspanner.scene import INT64_GUARD, Scene, exact_dtype
 from polyspanner.spanners import (
     build_all,
+    canonical_sequences,
     build_g10,
     build_g15,
     build_g7,
@@ -43,25 +44,47 @@ def _index_or_error(index, apex, p):
         return type(exc), str(exc)
 
 
-def _assert_negative_groups_as_reference(index, apex):
-    # Each member that classifies lands in its reference negative
-    # subcone, and the groups come in ``reference_cones.subcones`` order.
+def _code_ref(apex, code):
+    # The SubconeRef a code names, read from the code layout 3 * sector + side.
+    return SubconeRef(apex, cones._SECTOR_LABEL[code // 3], cones._SIDES[code % 3])
+
+
+def _assert_codes_and_sequences_as_reference(index):
+    # One ``codes`` gather gives every pair that classifies its reference
+    # subcone. The graph of the pairs that classify both ways has, at
+    # every apex, one canonical sequence per nonempty reference negative
+    # subcone, holding its members, in ``reference_cones.subcones`` order.
     scene = index.scene
-    refs = {v: _reference_or_error(scene, apex, v) for v in range(scene.n) if v != apex}
-    members = [v for v, ref in refs.items() if isinstance(ref, SubconeRef)]
-    groups: dict = {}
-    for v in members:
-        if not refs[v].label.positive:
-            groups.setdefault(refs[v], []).append(v)
-    order = [ref for ref in reference_cones.subcones(scene, apex, False) if ref in groups]
-    assert index.negative_groups(apex, members) == [(ref, groups[ref]) for ref in order]
-    return len(groups)
+    refs = {
+        (u, v): _reference_or_error(scene, u, v)
+        for u in range(scene.n)
+        for v in range(scene.n)
+        if u != v
+    }
+    pairs = [pair for pair, ref in refs.items() if isinstance(ref, SubconeRef)]
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    got = index.codes(a, b).tolist()
+    assert [_code_ref(u, code) for u, code in zip(a.tolist(), got)] == [refs[p] for p in pairs]
+    both = {(u, v) for u, v in pairs if isinstance(refs[v, u], SubconeRef)}
+    want = []
+    for apex in range(scene.n):
+        groups: dict = {}
+        for v in range(scene.n):
+            if (apex, v) in both and not refs[apex, v].label.positive:
+                groups.setdefault(refs[apex, v], set()).add(v)
+        order = reference_cones.subcones(scene, apex, False)
+        want += [(ref, groups[ref]) for ref in order if ref in groups]
+    graph = Graph(scene.n, [(u, v) for u, v in both if u < v])
+    table = canonical_sequences(scene, graph, index)
+    assert [(ref, set(seq.vertices)) for ref, seq in table.items()] == want
+    return len(want)
 
 
 def test_index_matches_reference_classification():
     # Every ordered pair u != v of the six fixtures and of every seventh
     # acceptance configuration, the raising ones included, plus every
-    # split label and the order of the negative subcones.
+    # split label, the codes of every pair that classifies and the order
+    # of the negative subcones.
     scenes = [load_scene(name) for name in FIXTURE_NAMES]
     scenes += [generate(cfg) for cfg in configs()[::7]]
     raised = grouped = 0
@@ -76,7 +99,7 @@ def test_index_matches_reference_classification():
         for apex in range(scene.n):
             split = reference_cones.split_cone_label(scene, apex)
             assert index.split_label(apex) == split
-            grouped += _assert_negative_groups_as_reference(index, apex)
+        grouped += _assert_codes_and_sequences_as_reference(index)
     assert raised > 0 and grouped > 0
 
 
@@ -129,13 +152,45 @@ def test_index_subcones_raise_what_reference_raises():
     index = ConeIndex(RING)
     asks = (
         lambda: index.split_label(0),
-        lambda: index.negative_groups(0, []),
-        lambda: index.negative_groups(0, [1, 2]),
+        lambda: index.codes(np.array([0, 0]), np.array([1, 2])),
+        lambda: canonical_sequences(RING, Graph(3, [(0, 1), (0, 2)]), index),
     )
     for ask in asks:
         with pytest.raises(ValueError) as got:
             ask()
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_sequences_skip_a_vertex_without_edges_whose_split_raises():
+    # Vertex 0's split raises, but no edge of this graph leaves it, so
+    # no pair of it is read and the table holds vertex 2's one sequence.
+    # Only a hand-made graph on a scene that ``validate`` rejects gets
+    # here: a split raises only at a zero-length obstacle edge.
+    index = ConeIndex(RING)
+    table = canonical_sequences(RING, Graph(3, [(1, 2)]), index)
+    assert [str(ref) for ref in table] == ["C0-@2"]
+    with pytest.raises(ValueError, match="zero direction"):
+        index.split_label(0)
+
+
+def test_codes_raise_at_the_least_pair_that_cannot_classify():
+    # Seed 9 has nine pairs inside obstacle wedges; asked in any order,
+    # one gather raises what the least of them raises, every time.
+    scene = generate(GeneratorConfig(n_points=20, n_obstacles=3, obstacle_size=5, extent=1000, seed=9))
+    index = ConeIndex(scene)
+    a, b = np.nonzero(~np.eye(scene.n, dtype=bool))
+    codes = index.classification.codes[a, b]
+    marked = sorted(zip(a[codes >= cones.N_REFS].tolist(), b[codes >= cones.N_REFS].tolist()))
+    assert len(marked) == 9
+    with pytest.raises(ValueError) as want:
+        reference_cones.subcone_of(scene, *marked[0])
+    order = np.random.default_rng(5).permutation(a.size)
+    for _ in range(2):
+        with pytest.raises(ValueError) as got:
+            index.codes(a[order], b[order])
+        assert str(got.value) == str(want.value)
+    free = order[codes[order] < cones.N_REFS]
+    assert index.codes(a[free], b[free]).tolist() == codes[free].tolist()
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -431,3 +486,43 @@ def test_the_carried_index_is_not_part_of_equality():
     assert graphs[0] == graphs[1] == graphs[2]
     assert len({hash(g) for g in graphs}) == 1
     assert len(set(graphs)) == 1
+
+
+@pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
+def test_array_readers_ask_subcone_of_once_per_subcone(monkeypatch, fixture):
+    # On an honest run the per-edge bound reads all of vis's codes in
+    # one gather and asks subcone_of nothing; the sequence table asks
+    # once per nonempty negative subcone, for the ref it is keyed by.
+    scene = load_scene(fixture)
+    within = [None]
+    asked, ran = Counter(), Counter()
+    tables = []
+    real_ask = ConeIndex.subcone_of
+
+    def ask(self, apex, p):
+        asked[within[-1]] += 1
+        return real_ask(self, apex, p)
+
+    def counted(name, real):
+        def run(*args):
+            ran[name] += 1
+            within.append(name)
+            try:
+                result = real(*args)
+            finally:
+                within.pop()
+            if name == "sequences":
+                tables.append(result)
+            return result
+
+        return run
+
+    monkeypatch.setattr(ConeIndex, "subcone_of", ask)
+    monkeypatch.setattr(spanners, "_sequence_table", counted("sequences", spanners._sequence_table))
+    monkeypatch.setattr(verify, "check_per_edge_bound_ginf", counted("per-edge", verify.check_per_edge_bound_ginf))
+    assert all(o.ok for o in run_verification(scene))
+    (table,) = tables
+    assert len(table) > 0
+    assert asked["sequences"] == len(table)
+    assert ran == {"sequences": 1, "per-edge": 1}
+    assert asked["per-edge"] == 0

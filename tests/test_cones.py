@@ -21,6 +21,8 @@ from polyspanner.cones import (
 )
 from polyspanner.geom import cross
 from polyspanner.scene import Scene
+from polyspanner.spanners import canonical_sequences
+from polyspanner.visibility import Graph
 
 from tests import reference_cones
 from tests.reference_cones import cone_of
@@ -220,6 +222,13 @@ def test_subcone_unsplit_is_whole():
     assert ref.apex == 3
 
 
+def _sequences_at(scene, apex, members):
+    """(subcone, members) of apex's canonical sequences in a star graph."""
+    star = Graph(scene.n, [(apex, v) for v in members])
+    table = canonical_sequences(scene, star, ConeIndex(scene))
+    return [(str(ref), seq.vertices) for ref, seq in table.items() if ref.apex == apex]
+
+
 def test_subcones_enumeration():
     # The spike turned upside down splits C0- of vertex 0; vertices 3
     # and 4 lie on its two sides, 5 in C1- and 6 in C2-.
@@ -227,17 +236,26 @@ def test_subcones_enumeration():
     sc = Scene([(-x, -y) for x, y in SPIKE_UP + extra], [[0, 1, 2]])
     index = ConeIndex(sc)
     assert index.split_label(0) == ConeLabel(False, 0)
-    groups = index.negative_groups(0, [6, 5, 4, 3])
-    assert [(str(ref), members) for ref, members in groups] == [
-        ("C0-@0/right", [4]),
-        ("C0-@0/left", [3]),
-        ("C1-@0", [5]),
-        ("C2-@0", [6]),
+    assert _sequences_at(sc, 0, [6, 5, 4, 3]) == [
+        ("C0-@0/right", (4,)),
+        ("C0-@0/left", (3,)),
+        ("C1-@0", (5,)),
+        ("C2-@0", (6,)),
     ]
     # free vertex 5 has members in all three negative cones, each whole
-    groups = index.negative_groups(5, [0, 1, 2, 3, 4, 6, 7])
-    assert [ref.label for ref, _ in groups] == [ConeLabel(False, i) for i in range(3)]
-    assert {ref.side for ref, _ in groups} == {SIDE_WHOLE}
+    assert [ref for ref, _ in _sequences_at(sc, 5, [0, 1, 2, 3, 4, 6, 7])] == [
+        "C0-@5",
+        "C1-@5",
+        "C2-@5",
+    ]
+    # one gather classifies the same pairs, the right side's code first
+    codes = index.codes(np.zeros(4, dtype=np.intp), np.array([4, 3, 5, 6]))
+    assert [str(index.subcone_of(0, v)) for v in (4, 3, 5, 6)] == [
+        "C0-@0/right", "C0-@0/left", "C1-@0", "C2-@0"
+    ]
+    assert codes[0] + 1 == codes[1]
+    assert not cones.CODE_POSITIVE[codes].any()
+    assert cones.CODE_CONE[codes].tolist() == [0, 0, 1, 2]
 
 
 def test_ccw_sorted_within_cone():

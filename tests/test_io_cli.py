@@ -283,6 +283,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL oracle-equivalence(ginf)" in out
 
+    def test_verify_names_the_least_vis_pair_inside_a_wedge(self, tmp_path, capsys):
+        # Vertices 12 and 16 lie inside the obstacle wedges at 6 and 0; a
+        # vis list that holds both pairs fails the per-edge bound at the
+        # least of them, whichever order the list names them in.
+        scene = generate(GeneratorConfig(n_points=20, n_obstacles=2, seed=0))
+        vis = visibility_graph(scene)
+        inst, edges = tmp_path / "s.json", tmp_path / "vis.edges"
+        inst.write_text(write_instance(scene))
+        edges.write_text(write_edge_list(Graph(scene.n, [(6, 12), *vis.edges, (0, 16)])))
+        assert main(["verify", "--in", str(inst), "--graph", "vis", "--edges", str(edges)]) == 1
+        stdout, stderr = capsys.readouterr()
+        (line,) = [x for x in stdout.splitlines() if x.startswith("FAIL per-edge-bound")]
+        assert line == (
+            "FAIL per-edge-bound(ginf|vis): "
+            "vertex 16 lies strictly inside the obstacle wedge at vertex 0"
+        )
+        assert stderr == ""
+
     def test_verify_validates_the_scene_once(self, instance_file, monkeypatch, capsys):
         # Parsing rejects an invalid scene and run_verification reports
         # its scene-valid line from the same report.

@@ -1,6 +1,7 @@
-"""Every module-level function and class of the library is reached: it is
-used by name in its own module, imported by another library module, or
-named in a README code block or in the benchmark's Python. Every
+"""Every module-level function, class and assigned name of the library
+is reached: it is read by name in its own module, imported by another
+library module, or named in a README code block or in the benchmark's
+Python. Dunder names such as ``__all__`` are exempt. Every
 non-dunder method and property of a library class is reached by
 attribute name somewhere in the library, or named in the README's code
 blocks or the benchmark's Python. A name that only tests call belongs
@@ -45,15 +46,28 @@ def _named_outside() -> set:
     return {word for text in texts for word in re.findall(r"[A-Za-z_]\w*", text)}
 
 
+def _defined_at_top(tree) -> list:
+    """Names of the module's functions and classes, and every name its
+    top-level assignments bind, tuple targets included."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_name_is_reached(path):
     tree = ast.parse(path.read_text())
-    defined = [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
-    used_here = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    defined = _defined_at_top(tree)
+    used_here = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     imported = _imported_by_library()
     outside = _named_outside()
     unreached = [

@@ -14,7 +14,7 @@ from tests import (
     reference_stretch,
     reference_visibility,
 )
-from tests.conftest import load_scene
+from tests.conftest import edge_length, load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
 
 from polyspanner import verify
@@ -33,7 +33,6 @@ from polyspanner.verify import (
     check_planarity,
     degree_report,
     distance_matrix,
-    edge_length,
     edge_table,
     oracle_g_infinity,
     per_edge_bound,
@@ -67,11 +66,14 @@ _COORD = st.builds(
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(st.tuples(_COORD, _COORD, _COORD, _COORD))
 def test_edge_length_is_bit_identical_to_fraction_differences(coords):
+    # The edge runs from the lower index to the higher, so the two
+    # orders of the points give both orientations of one segment.
     x0, y0, x1, y1 = coords
-    sc = Scene([(x0, y0), (x1, y1)])
-    want = math.hypot(float(x1 - x0), float(y1 - y0))
-    assert edge_length(sc, 0, 1).hex() == want.hex()
-    assert edge_length(sc, 1, 0).hex() == want.hex()
+    for (ax, ay), (bx, by) in (((x0, y0), (x1, y1)), ((x1, y1), (x0, y0))):
+        table = edge_table(Scene([(ax, ay), (bx, by)]), Graph(2, [(0, 1)]))
+        dx, dy = float(bx - ax), float(by - ay)
+        got = [float(c[0]).hex() for c in (table.dx, table.dy, table.length)]
+        assert got == [dx.hex(), dy.hex(), math.hypot(dx, dy).hex()]
 
 
 # Scenes of 0, 1 and 2 points; each case pairs a scene with its own vis
@@ -136,7 +138,7 @@ def test_witnesses_are_first_in_sorted_order():
     sc = Scene([(0, 0), (1, 10), (20, 5), (9, 14), (12, -3)])
     vis = visibility_graph(sc)
     assert vis.m == 10
-    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), np.full((5, 5), np.inf), ConeIndex(sc))
+    rep = check_per_edge_bound_ginf(edge_table(sc, vis), np.full((5, 5), np.inf), ConeIndex(sc))
     assert [w[0] for w in rep.witnesses] == vis.sorted_edges()
 
 
@@ -208,18 +210,21 @@ def test_verification_builds_no_vis_matrix(monkeypatch, split_cones):
 
 @pytest.mark.parametrize("name", ["split_cones.json", "g7_structural.json"])
 def test_verification_reads_each_edge_length_once(monkeypatch, name):
+    # Each graph's table computes each of its lengths once, and the
+    # per-edge bound reads vis's table instead of computing its own.
     sc = load_scene(name)
     calls = []
-    real = verify.edge_length
+    real = math.hypot
 
-    def counting(scene, u, v):
-        calls.append((u, v))
-        return real(scene, u, v)
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
 
-    monkeypatch.setattr(verify, "edge_length", counting)
+    monkeypatch.setattr(math, "hypot", counting)
     assert all(o.ok for o in run_verification(sc))
+    monkeypatch.undo()
     graphs, _ = build_all(sc)
-    assert 0 < len(calls) <= sum(g.m for g in graphs.values())
+    assert len(calls) == sum(g.m for g in graphs.values())
 
 
 def test_per_edge_bound_spot_values():
@@ -232,7 +237,7 @@ def test_per_edge_bound_spot_values():
 def test_per_edge_bound_holds_on_fixture():
     for case, sc, vis in _graph_cases("split_cones"):
         ginf = build_g_infinity(sc, vis)
-        rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, ginf), ConeIndex(sc))
+        rep = check_per_edge_bound_ginf(edge_table(sc, vis), _dist(sc, ginf), ConeIndex(sc))
         assert rep.witnesses == (), case
 
 
@@ -264,7 +269,7 @@ def test_per_edge_bound_matches_reference():
             _dist(sc, _thinned(ginf)),
             np.full((sc.n, sc.n), np.inf),
         ):
-            got = check_per_edge_bound_ginf(sc, edge_table(sc, vis), dist, ConeIndex(sc)).witnesses
+            got = check_per_edge_bound_ginf(edge_table(sc, vis), dist, ConeIndex(sc)).witnesses
             want = reference_per_edge.check_per_edge_bound_ginf(
                 sc, ginf, vis, dist
             ).witnesses
@@ -283,7 +288,7 @@ def test_per_edge_bound_negative_control():
     ginf = build_g_infinity(sc, vis)
     assert ginf.edges == {(0, 1), (0, 2), (1, 2)}
     thinned = Graph(3, [(0, 2), (1, 2)])
-    rep = check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, thinned), ConeIndex(sc))
+    rep = check_per_edge_bound_ginf(edge_table(sc, vis), _dist(sc, thinned), ConeIndex(sc))
     assert [w[0] for w in rep.witnesses] == [(0, 1)]
     (_, have, bound), = rep.witnesses
     assert have == pytest.approx(edge_length(sc, 0, 2) + edge_length(sc, 1, 2))
@@ -297,7 +302,7 @@ def test_per_edge_bound_rejects_pair_inside_obstacle_wedge():
     sc = Scene([(0, 0), (20, 100), (-5, 101), (3, 150)], [[0, 1, 2]])
     vis = Graph(4, [(0, 3)])
     with pytest.raises(ValueError, match="obstacle wedge"):
-        check_per_edge_bound_ginf(sc, edge_table(sc, vis), _dist(sc, vis), ConeIndex(sc))
+        check_per_edge_bound_ginf(edge_table(sc, vis), _dist(sc, vis), ConeIndex(sc))
 
 
 def test_planarity_flags_crossing():
