@@ -74,6 +74,11 @@ def obstacle_wedges(scene: Scene, xy: np.ndarray) -> tuple:
     return corner, (xy[next_i] - xy).T, (xy[prev_i] - xy).T
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction, keeping one that already is (a parsed string)."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 class SceneError(ValueError):
     pass
 
@@ -93,7 +98,7 @@ class Scene:
     )
 
     def __init__(self, vertices: Sequence, obstacles: Sequence = ()):
-        self.vertices = tuple((Fraction(v[0]), Fraction(v[1])) for v in vertices)
+        self.vertices = tuple((_exact(v[0]), _exact(v[1])) for v in vertices)
         n = len(self.vertices)
         # Each coordinate's numerator times scale // its denominator is
         # the coordinate times scale, exactly and with no Fraction product.

@@ -18,7 +18,11 @@ test once per run. ``run_verification`` reads general
 position from its run's ``ConeIndex``, as ``build_g_infinity`` does,
 and hands that index to the per-edge, canonical-path and
 empty-triangle checks; the oracle checks again on its own, to stay
-independent.
+independent. The oracle shares no code with the builder except the
+exact predicates. It reads each apex's obstacle wedge once, and runs a
+pair's sector, side, key and comparison with its slot's best before
+its visibility test, so only a pair that can still win its slot is
+tested.
 """
 
 from __future__ import annotations
@@ -365,13 +369,13 @@ def _oracle_visible(scene: Scene, u: int, v: int) -> bool:
     return True
 
 
-def _oracle_wedge_side(scene: Scene, u: int, dx, dy, sector: int) -> int:
-    """0 for an unsplit sector, 1/2 for the clockwise/counterclockwise
-    side of a sector split by the obstacle corner at u. Raises if the
-    direction points strictly into the obstacle wedge."""
+def _oracle_wedge(scene: Scene, u: int):
+    """(sector, d_next, d_prev) of the convex obstacle corner at u when
+    both its boundary edges leave u inside one sector, which that corner
+    then splits; None when no sector is split at u."""
     nb = scene.boundary_neighbors(u)
     if nb is None:
-        return 0
+        return None
     ux, uy = scene.ipoints[u]
     prev_i, next_i = nb
     nx, ny = scene.ipoints[next_i]
@@ -382,11 +386,19 @@ def _oracle_wedge_side(scene: Scene, u: int, dx, dy, sector: int) -> int:
         sn = _oracle_sector(dn[0], dn[1])
         sp = _oracle_sector(dp[0], dp[1])
     except ValueError:
+        return None
+    if sn != sp or sign(cross(dn[0], dn[1], dp[0], dp[1])) <= 0:
+        return None
+    return sn, dn, dp
+
+
+def _oracle_wedge_side(wedge, u: int, dx, dy, sector: int) -> int:
+    """0 for an unsplit sector, 1/2 for the clockwise/counterclockwise
+    side of a sector split by the obstacle corner at u. Raises if the
+    direction points strictly into the obstacle wedge."""
+    if wedge is None or wedge[0] != sector:
         return 0
-    if sn != sector or sp != sector:
-        return 0
-    if sign(cross(dn[0], dn[1], dp[0], dp[1])) <= 0:
-        return 0
+    _, dn, dp = wedge
     if sign(cross(dx, dy, dn[0], dn[1])) >= 0:
         return 1
     if sign(cross(dp[0], dp[1], dx, dy)) >= 0:
@@ -400,7 +412,14 @@ def oracle_g_infinity(scene: Scene) -> Graph:
     bisector projection. Shares only the exact predicates with the
     builder. Scenes outside general position are refused, so no vertex
     lies inside another pair's segment and only obstacles can block; an
-    obstacle whose bounding box misses the segment's is not tested."""
+    obstacle whose bounding box misses the segment's is not tested.
+
+    Each apex's wedge is read once. Each pair then runs sector, side,
+    key and a comparison with its slot's best, and only a pair that can
+    still win its slot is tested for visibility: one whose key is at
+    most the best's, or the first of its slot. A slot's best is always
+    visible, so the skipped tests cannot change the minimum. A visible
+    projection tie, or a visible direction inside the wedge, raises."""
     report = check_general_position(scene)
     if not report.ok:
         raise ValueError("scene is not in general position")
@@ -408,6 +427,7 @@ def oracle_g_infinity(scene: Scene) -> Graph:
     edges = set()
     for u in range(scene.n):
         ux, uy = pts[u]
+        wedge = _oracle_wedge(scene, u)
         best: dict[tuple, tuple] = {}
         for v in range(scene.n):
             if v == u:
@@ -417,20 +437,24 @@ def oracle_g_infinity(scene: Scene) -> Graph:
             sector = _oracle_sector(dx, dy)
             if sector not in (1, 3, 5):
                 continue
-            if not _oracle_visible(scene, u, v):
+            try:
+                side = _oracle_wedge_side(wedge, u, dx, dy, sector)
+            except ValueError:
+                if _oracle_visible(scene, u, v):
+                    raise
                 continue
-            side = _oracle_wedge_side(scene, u, dx, dy, sector)
             key = _oracle_key(sector, dx, dy)
             slot = (sector, side)
-            if slot in best:
-                ka, kb = best[slot][0]
+            held = best.get(slot)
+            if held is not None:
+                ka, kb = held[0]
                 cmp = sqrt3_sign(key[0] - ka, key[1] - kb)
-                if cmp == 0:
-                    raise ValueError(
-                        f"projection tie between {best[slot][1]} and {v} at {u}"
-                    )
                 if cmp > 0:
                     continue
+            if not _oracle_visible(scene, u, v):
+                continue
+            if held is not None and cmp == 0:
+                raise ValueError(f"projection tie between {held[1]} and {v} at {u}")
             best[slot] = (key, v)
         for _, v in best.values():
             edges.add((u, v) if u < v else (v, u))

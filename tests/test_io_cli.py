@@ -77,6 +77,25 @@ class TestInstanceFormat:
         monkeypatch.undo()
         assert len(calls) == 2 * scene.n == 44
 
+    def test_parse_keeps_the_fraction_of_a_coordinate_string(self, monkeypatch):
+        # Strings become a Fraction in the parser, which Scene keeps; the
+        # three ints become one each in Scene: 6 calls for 6 coordinates.
+        text = write_instance(
+            Scene([(Fraction(1, 3), 0), (Fraction(-7, 2), Fraction(5, 4)), (2, 9)])
+        )
+        calls = []
+        real = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        scene = parse_instance(text)
+        monkeypatch.undo()
+        assert len(calls) == 6
+        assert scene.vertices[1] == (Fraction(-7, 2), Fraction(5, 4))
+
     @pytest.mark.parametrize(
         "text",
         [

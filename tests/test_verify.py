@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests import (
     reference_empty_triangles,
+    reference_oracle,
     reference_per_edge,
     reference_planarity,
     reference_stretch,
@@ -20,7 +22,7 @@ from tests.test_acceptance import FIXTURE_NAMES, configs
 from polyspanner import verify
 from polyspanner.cones import ConeIndex
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.geom import segments_properly_intersect
+from polyspanner.geom import segments_properly_intersect, sqrt3_sign
 from polyspanner.scene import Scene, check_general_position
 from polyspanner.spanners import build_all, build_g15, build_g_infinity
 from polyspanner.verify import (
@@ -527,14 +529,105 @@ def test_oracle_visibility_matches_reference():
                     assert _oracle_visible(scene, u, v) == want, (u, v)
 
 
+OFF_GENERAL_POSITION = {
+    "collinear-triple": [(0, 0), (2, 1), (4, 2), (1, 5)],
+    "boundary-parallel-pair": [(0, 0), (5, 0), (2, 7)],
+}
+
+
 @pytest.mark.parametrize(
-    "vertices",
-    [[(0, 0), (2, 1), (4, 2), (1, 5)], [(0, 0), (5, 0), (2, 7)]],
-    ids=["collinear-triple", "boundary-parallel-pair"],
+    "vertices", OFF_GENERAL_POSITION.values(), ids=OFF_GENERAL_POSITION.keys()
 )
 def test_oracle_refuses_scene_outside_general_position(vertices):
     with pytest.raises(ValueError, match="not in general position"):
         oracle_g_infinity(Scene(vertices))
+
+
+def _rescaled(scene, factor):
+    return Scene([(x * factor, y * factor) for x, y in scene.vertices], scene.obstacles)
+
+
+def _outcome(oracle, scene):
+    """The oracle's edge set, or the type and message of what it raised."""
+    try:
+        return oracle(scene).edges
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _blocked_closest_slots(scene) -> int:
+    """Slots whose closest candidate by key, visible or not, is blocked,
+    read with the reference's own sector, side and key."""
+    ref = reference_oracle
+    by_key = functools.cmp_to_key(lambda p, q: sqrt3_sign(p[0] - q[0], p[1] - q[1]))
+    pts = scene.ipoints
+    count = 0
+    for u in range(scene.n):
+        slots = {}
+        for v in range(scene.n):
+            if v == u:
+                continue
+            dx, dy = pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]
+            sector = ref._oracle_sector(dx, dy)
+            if sector not in (1, 3, 5):
+                continue
+            try:
+                side = ref._oracle_wedge_side(scene, u, dx, dy, sector)
+            except ValueError:
+                continue
+            slots.setdefault((sector, side), {})[v] = ref._oracle_key(sector, dx, dy)
+        for keys in slots.values():
+            closest = min(keys, key=lambda v: by_key(keys[v]))
+            count += not ref._oracle_visible(scene, u, closest)
+    return count
+
+
+def test_oracle_matches_reference():
+    # The oracle skips the visibility test of a pair that cannot win its
+    # slot; its edges and its exceptions must be the reference's, which
+    # tests every pair. A slot whose closest candidate is blocked makes
+    # an oracle that skips a needed test disagree.
+    fixtures = [load_scene(name) for name in FIXTURE_NAMES]
+    scenes = fixtures + [generate(cfg) for cfg in configs()]
+    scenes += [_rescaled(sc, f) for sc in fixtures for f in (2**60, Fraction(1, 3**40))]
+    scenes += [Scene(vertices) for vertices in OFF_GENERAL_POSITION.values()]
+    assert sum(_blocked_closest_slots(sc) for sc in fixtures) > 0
+    for sc in scenes:
+        want = _outcome(reference_oracle.oracle_g_infinity, sc)
+        assert _outcome(oracle_g_infinity, sc) == want
+
+
+def test_oracle_tests_visibility_only_for_pairs_that_can_win(monkeypatch):
+    # The reference tests one pair per positive sector, n(n-1)/2 in all;
+    # the oracle tests fewer. Sectors: one per ordered pair and two per
+    # ring corner, whose wedge is read once, not once per pair.
+    pinned = {
+        "split_cones.json": 41,
+        "nonconvex.json": 28,
+        "g7_structural.json": 240,
+        "g7_edge_removal.json": 362,
+    }
+    for name, visible_calls in pinned.items():
+        sc = load_scene(name)
+        calls = {"visible": 0, "sector": 0}
+        real_visible, real_sector = verify._oracle_visible, verify._oracle_sector
+
+        def visible(*args):
+            calls["visible"] += 1
+            return real_visible(*args)
+
+        def sector(*args):
+            calls["sector"] += 1
+            return real_sector(*args)
+
+        monkeypatch.setattr(verify, "_oracle_visible", visible)
+        monkeypatch.setattr(verify, "_oracle_sector", sector)
+        oracle_g_infinity(sc)
+        monkeypatch.undo()
+        corners = sum(len(ring) for ring in sc.obstacles)
+        assert corners > 0
+        assert calls["visible"] == visible_calls < sc.n * (sc.n - 1) // 2
+        assert calls["sector"] == sc.n * (sc.n - 1) + 2 * corners
 
 
 def test_run_verification_all_pass(split_cones):
