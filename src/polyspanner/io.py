@@ -177,7 +177,9 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"bad edge line {ln!r}")
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+        if u == v:
+            raise ParseError(f"loop edge at {u}")
+        if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
         edges.append((u, v))
     return Graph(n, edges)

@@ -34,9 +34,9 @@ Every per-pair cone fact comes from the run's ``cones.ConeIndex``,
 which classifies all ordered pairs of the scene in one array pass.
 ``build_g_infinity`` (vis's edges, positive subcones) and
 ``canonical_sequences`` (ginf's edges, negative subcones) share one
-grouping, ``_subcone_runs``, which reads the codes of a graph's edges
-in both directions in one ``ConeIndex.codes`` gather; the charge table
-and ``g7_transform`` ask ``subcone_of`` for single pairs. Both tables
+grouping, ``_subcone_runs``, which reads the codes of a graph's
+``Graph.pairs`` in both directions in one ``ConeIndex.codes`` gather;
+the charge table and ``g7_transform`` ask ``subcone_of`` for single pairs. Both tables
 are built once per ginf edge set on the index and shared read-only, so
 ``canonical_sequences``, ``compute_charges`` and ``g7_transform`` take
 the index as a required argument. ``build_g_infinity`` takes an
@@ -51,7 +51,6 @@ lives exactly as long as its ginf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -94,14 +93,13 @@ def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
 
 
 def _subcone_runs(index: ConeIndex, g: Graph, positive: bool):
-    """g's edges in both directions (a, b) whose b lies in a subcone of
-    a of the given sign, as arrays a, b and their codes, sorted by
+    """g's ``pairs`` in both directions (a, b) whose b lies in a subcone
+    of a of the given sign, as arrays a, b and their codes, sorted by
     apex, cone, side (right before left) and member, with ``first``
     marking the start of each subcone's run. Raises as
     ``ConeIndex.codes`` for the least pair that cannot classify."""
-    pairs = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m).reshape(-1, 2)
-    a = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    b = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    u, v = g.pairs()
+    a, b = np.concatenate((u, v)), np.concatenate((v, u))
     code = index.codes(a, b)
     keep = CODE_POSITIVE[code] == positive
     a, b, code = a[keep], b[keep], code[keep]

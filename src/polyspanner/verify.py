@@ -5,8 +5,8 @@ triangle emptiness. Metric statements (stretch factors, per-edge path
 bounds) run in floating point with a relative tolerance of 1e-9, which
 dominates double-precision accumulation error at the coordinate scales
 this package targets. ``run_verification`` turns each of the five
-graphs into one ``EdgeTable`` (its sorted edges as index arrays, with
-each edge's float offset and length) and does the metric work on those
+graphs into one ``EdgeTable`` (its ``Graph.pairs`` arrays, with each
+edge's float offset and length) and does the metric work on those
 arrays: one Dijkstra call per spanner for the distance matrix, and the
 stretch and per-edge reads on the base graph's edges, so the dense
 ``vis`` graph never needs a matrix. The per-edge bound reads ``vis``'s
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,17 +67,14 @@ class EdgeTable(NamedTuple):
 
 
 def edge_table(scene: Scene, g: Graph) -> EdgeTable:
-    """g's ``EdgeTable`` on the scene's points. Each offset is an exact
-    integer difference divided by the scale; int / int division is
-    correctly rounded, so it is the same float as ``float`` of the
-    Fraction difference, and the length is its ``math.hypot``."""
+    """g's ``EdgeTable`` on the scene's points, its endpoints read from
+    ``Graph.pairs``. Each offset is an exact integer difference divided
+    by the scale; int / int division is correctly rounded, so it is the
+    same float as ``float`` of the Fraction difference, and the length
+    is its ``math.hypot``."""
     if g.n != scene.n:
         raise ValueError("graphs must share the scene's vertex set")
-    # Sorting the index arrays gives sorted_edges' order without
-    # building and sorting a list of tuples.
-    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
-    order = np.lexsort((flat[1::2], flat[0::2]))
-    u, v = flat[0::2][order], flat[1::2][order]
+    u, v = g.pairs()
     s, ul, vl = scene.scale, u.tolist(), v.tolist()
     xs, ys = [p[0] for p in scene.ipoints], [p[1] for p in scene.ipoints]
     dx = [(xs[b] - xs[a]) / s for a, b in zip(ul, vl)]
@@ -204,11 +200,9 @@ class DegreeReport:
 
 
 def degree_report(g: Graph) -> DegreeReport:
-    degrees = [g.degree(v) for v in range(g.n)]
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[d] = hist.get(d, 0) + 1
-    return DegreeReport(max(degrees, default=0), tuple(sorted(hist.items())))
+    count = np.bincount(g.degrees()).tolist()
+    hist = tuple((d, c) for d, c in enumerate(count) if c)
+    return DegreeReport(max(len(count) - 1, 0), hist)
 
 
 # --- per-edge path bound ----------------------------------------------------
@@ -584,7 +578,7 @@ def run_verification(
         totals = [0] * scene.n
         for ref, cs in charges.items():
             totals[ref.apex] += len(cs)
-        uncovered = [v for v in range(scene.n) if totals[v] < g10.degree(v)]
+        uncovered = [v for v, d in enumerate(g10.degrees().tolist()) if totals[v] < d]
         neg_over = [
             (str(ref), len(cs))
             for ref, cs in charges.items()

@@ -19,6 +19,7 @@ The points and wedges are read from ``scene.exact_points`` and
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -31,12 +32,15 @@ from .scene import BLOCK, Scene, exact_points, obstacle_wedges
 class Graph:
     """Undirected graph on vertices 0..n-1 with a frozen edge set.
 
+    ``pairs`` is its one array view, built on first call and cached:
+    ``sorted_edges`` and ``degrees`` read it.
+
     ``index`` is the ``cones.ConeIndex`` that built the graph, set by
     ``spanners.build_g_infinity`` on the ginf it returns and None on
     every other graph; it lives as long as the graph and takes no part
     in equality or hashing."""
 
-    __slots__ = ("n", "edges", "index", "_adj")
+    __slots__ = ("n", "edges", "index", "_pairs")
 
     def __init__(self, n: int, edges: Iterable = ()):
         norm = set()
@@ -49,32 +53,31 @@ class Graph:
         self.n = n
         self.edges = frozenset(norm)
         self.index = None
-        self._adj = None
+        self._pairs = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict:
-        if self._adj is None:
-            adj = {u: [] for u in range(self.n)}
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-        return self._adj
+    def pairs(self) -> tuple:
+        """The edges as read-only index arrays u < v, sorted by u, then v."""
+        if self._pairs is None:
+            flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
+            order = np.lexsort((flat[1::2], flat[0::2]))
+            u, v = flat[0::2][order], flat[1::2][order]
+            u.flags.writeable = v.flags.writeable = False
+            self._pairs = (u, v)
+        return self._pairs
 
-    def neighbors(self, u: int) -> tuple:
-        return self.adjacency()[u]
-
-    def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate(self.pairs()), minlength=self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        u, v = self.pairs()
+        return list(zip(u.tolist(), v.tolist()))
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.n == other.n and self.edges <= other.edges

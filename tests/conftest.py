@@ -24,6 +24,11 @@ def edge_length(scene, u: int, v: int) -> float:
     return math.hypot((vx - ux) / s, (vy - uy) / s)
 
 
+def neighbors(g, u: int) -> tuple:
+    """u's neighbours in g, ascending, read from its edge set."""
+    return tuple(sorted(b if a == u else a for a, b in g.edges if u in (a, b)))
+
+
 @pytest.fixture
 def micro3():
     return load_scene("micro3.json")

@@ -16,6 +16,7 @@ from polyspanner.cones import ConeLabel, SubconeRef, ccw_sorted, key_compare
 from polyspanner.scene import Scene
 from polyspanner.visibility import Graph
 
+from tests.conftest import neighbors
 from tests.reference_cones import subcone_of, subcones
 
 
@@ -51,7 +52,7 @@ def canonical_sequence(
     if subcone.apex != apex or subcone.label.positive:
         raise ValueError(f"{subcone} is not a negative subcone of vertex {apex}")
     members = [
-        v for v in ginf.neighbors(apex) if subcone_of(scene, apex, v) == subcone
+        v for v in neighbors(ginf, apex) if subcone_of(scene, apex, v) == subcone
     ]
     return CanonicalSequence(apex, subcone, tuple(ccw_sorted(scene, apex, members)))
 

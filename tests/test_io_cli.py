@@ -139,6 +139,18 @@ class TestInstanceFormat:
         assert not validate(Scene(vertices, obstacles)).ok
 
 
+# Each malformed edge list and the message it is refused with.
+EDGE_LIST_ERRORS = {
+    "": "empty edge list",
+    "3\n": 'bad header \'3\', expected "n m"',
+    "3 2\n0 1\n": "header claims 2 edges, found 1",
+    "3 1\n0 3\n": "edge (0, 3) out of range for n=3",
+    "3 1\n1 1\n": "loop edge at 1",
+    "3 1\n0 x\n": "bad edge line '0 x'",
+    "x y\n": "bad header 'x y'",
+}
+
+
 class TestEdgeList:
     def test_round_trip(self, split_cones):
         g = visibility_graph(split_cones)
@@ -148,21 +160,11 @@ class TestEdgeList:
         g = Graph(3, [(2, 1), (0, 1)])
         assert write_edge_list(g) == "3 2\n0 1\n1 2\n"
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "3\n",
-            "3 2\n0 1\n",          # count mismatch
-            "3 1\n0 3\n",          # out of range
-            "3 1\n1 1\n",          # loop
-            "3 1\n0 x\n",
-            "x y\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(EDGE_LIST_ERRORS))
     def test_edge_list_errors(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_edge_list(text)
+        assert str(err.value) == EDGE_LIST_ERRORS[text]
 
 
 class TestGenerator:

@@ -229,6 +229,29 @@ def test_verification_reads_each_edge_length_once(monkeypatch, name):
     assert len(calls) == sum(g.m for g in graphs.values())
 
 
+def test_verification_builds_each_graph_array_view_once(monkeypatch, split_cones):
+    # One array build per distinct graph read as arrays: vis, ginf,
+    # g15, g10, g7 and the union that planarity sweeps. vis's arrays,
+    # grouped by build_g_infinity, are the ones its edge table reads.
+    builds, read = [], {}
+    real_fromiter, real_pairs = np.fromiter, Graph.pairs
+
+    def counting_fromiter(*args, **kwargs):
+        builds.append(kwargs.get("count"))
+        return real_fromiter(*args, **kwargs)
+
+    def recording_pairs(g):
+        read[id(g)] = g
+        return real_pairs(g)
+
+    monkeypatch.setattr(np, "fromiter", counting_fromiter)
+    monkeypatch.setattr(Graph, "pairs", recording_pairs)
+    assert all(o.ok for o in run_verification(split_cones))
+    monkeypatch.undo()
+    assert len(builds) == len(read) == 6
+    assert sorted(builds) == sorted(2 * g.m for g in read.values())
+
+
 def test_per_edge_bound_spot_values():
     assert per_edge_bound(0.0) == pytest.approx(math.sqrt(3), rel=1e-12)
     assert per_edge_bound(math.pi / 6) == pytest.approx(2.0, rel=1e-12)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from polyspanner.scene import INT64_GUARD, Scene, perturb_by_rotation
 from polyspanner.verify import degree_report
 from polyspanner.visibility import Graph, visibility_graph
 
+from tests.conftest import neighbors
 from tests.reference_visibility import visible
 
 
@@ -16,8 +18,8 @@ class TestGraph:
         assert g.m == 2
         assert g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
-        assert g.neighbors(1) == (0,)
-        assert g.degree(3) == 1
+        assert neighbors(g, 1) == (0,)
+        assert g.degrees()[3] == 1
         assert degree_report(g).max_degree == 1
         assert g.sorted_edges() == [(0, 1), (2, 3)]
 
@@ -34,6 +36,41 @@ class TestGraph:
         assert not g.is_subgraph_of(h)
         assert g == Graph(3, [(1, 2), (0, 1)])
         assert g != h
+
+
+@st.composite
+def edge_lists(draw):
+    """n up to 60 and an edge list on it, with pairs repeated as drawn
+    and in reverse; empty for n <= 1."""
+    n = draw(st.integers(0, 60))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=120))
+    again = draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    return n, edges + again + [(v, u) for u, v in again]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edge_lists())
+@example((0, []))
+@example((1, []))
+@example((5, []))
+def test_array_view_matches_edge_set(case):
+    n, edge_list = case
+    g = Graph(n, edge_list)
+    expected = sorted(g.edges)
+    u, v = g.pairs()
+    assert u.dtype == v.dtype == np.intp
+    assert (u.tolist(), v.tolist()) == ([a for a, _ in expected], [b for _, b in expected])
+    assert g.sorted_edges() == expected
+    count = [0] * n
+    for a, b in g.edges:
+        count[a] += 1
+        count[b] += 1
+    assert g.degrees().tolist() == count
+    assert g.pairs() is g.pairs()
+    assert not (u.flags.writeable or v.flags.writeable)
 
 
 def test_open_plane_sees_everything():
