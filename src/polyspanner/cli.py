@@ -71,6 +71,10 @@ def _cmd_verify(args) -> int:
     if len(args.graph or []) != len(args.edges or []):
         print("verify: each --graph needs a matching --edges", file=sys.stderr)
         return 2
+    for name in GRAPH_NAMES:
+        if (args.graph or []).count(name) > 1:
+            print(f"verify: --graph {name} given twice", file=sys.stderr)
+            return 2
     scene = parse_instance(_read(args.infile))
     substitutions = {}
     for name, path in zip(args.graph or [], args.edges or []):

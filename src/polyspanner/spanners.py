@@ -24,7 +24,9 @@ ccw-ordered ginf neighbors of every nonempty negative subcone and its
 closest member. The degree-15, degree-10 and degree-7 steps, the charge
 table and the structural checks in ``verify`` all read that table.
 ``compute_charges`` turns it into the charge table, the charges of each
-g10 edge by paying subcone; ``g7_transform`` rewires a private copy.
+g10 edge by paying subcone; ``g7_transform`` keeps a private ledger of
+only the positive subcones' scenario-C charges, the ones that decide a
+rewiring.
 ``pipeline`` is the one spelling of the chain's order: it builds the
 graphs lazily, so the CLI stops at the graph it was asked for.
 ``build_all`` runs it to the end and returns all five graphs, which
@@ -50,7 +52,7 @@ lives exactly as long as its ginf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -209,18 +211,17 @@ def build_g15(scene: Scene, ginf: Graph) -> Graph:
     edges = set()
     for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
         for v in (seq.vertices[0], seq.vertices[-1], seq.closest):
-            edges.add(_edge(seq.apex, v))
+            edges.add((seq.apex, v))
     return Graph(scene.n, edges)
 
 
 def build_g10(scene: Scene, ginf: Graph) -> Graph:
     """Keep the closest edge of every negative subcone plus the
     canonical path joining consecutive sequence members."""
-    edges = set()
+    edges = []
     for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
-        edges.add(_edge(seq.apex, seq.closest))
-        for p, q in seq.consecutive_pairs:
-            edges.add(_edge(p, q))
+        edges.append((seq.apex, seq.closest))
+        edges += seq.consecutive_pairs
     return Graph(scene.n, edges)
 
 
@@ -297,34 +298,18 @@ def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
             _positive_subcone_containing(index, seq.closest, u),
             Charge(e, "A", seq.subcone),
         )
+        ccw, cw = (j + 1) % 3, (j - 1) % 3
         for p, q in seq.consecutive_pairs:
             e = _edge(p, q)
-            # Looking from p toward its ccw successor q.
-            lab_pq = index.subcone_of(p, q).label
-            if not lab_pq.positive:
-                # scenario C at p; the edge sits in the negative cone
-                # adjacent (ccw) to the cone containing u.
-                add(
-                    _positive_subcone_containing(index, p, u),
-                    Charge(e, "C", seq.subcone),
-                )
-            else:
-                add(
-                    _scenario_d_target(index, p, (j + 1) % 3, SIDE_LEFT),
-                    Charge(e, "D", seq.subcone),
-                )
-            # Looking from q toward its cw predecessor p.
-            lab_qp = index.subcone_of(q, p).label
-            if not lab_qp.positive:
-                add(
-                    _positive_subcone_containing(index, q, u),
-                    Charge(e, "C", seq.subcone),
-                )
-            else:
-                add(
-                    _scenario_d_target(index, q, (j - 1) % 3, SIDE_RIGHT),
-                    Charge(e, "D", seq.subcone),
-                )
+            # Each end a looks at the other end b: from p toward its ccw
+            # successor q, then from q toward its cw predecessor p. An
+            # edge in a negative cone of a is scenario C at a; otherwise
+            # a pays scenario D to its negative cone on the path's side.
+            for a, b, cone, side in ((p, q, ccw, SIDE_LEFT), (q, p, cw, SIDE_RIGHT)):
+                if index.subcone_of(a, b).label.positive:
+                    add(_scenario_d_target(index, a, cone, side), Charge(e, "D", seq.subcone))
+                else:
+                    add(_positive_subcone_containing(index, a, u), Charge(e, "C", seq.subcone))
     return {ref: tuple(cs) for ref, cs in charges.items()}
 
 
@@ -362,16 +347,19 @@ def g7_transform(
     scene: Scene, ginf: Graph, g10: Graph, index: ConeIndex
 ) -> G7Result:
     """Resolve every positive subcone charged twice by one canonical
-    path, scanning vertices in index order and keeping a private copy
-    of the charge table current after each application; the shared
-    table is left as built."""
-    charges = {
-        ref: list(cs) for ref, cs in compute_charges(scene, ginf, index).items()
-    }
+    path, scanning vertices in index order. Only scenario-C charges,
+    which land in positive subcones, decide a resolution, so a private
+    ledger keeps just those, per subcone, and stays current after each
+    application; the shared table is left as built."""
+    ledger: dict[SubconeRef, list] = {}
+    for ref, cs in compute_charges(scene, ginf, index).items():
+        for c in cs:
+            if c.scenario == "C":
+                ledger.setdefault(ref, []).append(c)
     table = canonical_sequences(scene, ginf, index)
 
     def drop_edge(edge: tuple) -> None:
-        for cs in charges.values():
+        for cs in ledger.values():
             cs[:] = [c for c in cs if c.edge != edge]
 
     def closest_in_own_subcone(apex: int, member: int) -> bool:
@@ -382,23 +370,12 @@ def g7_transform(
     transcript = []
 
     candidates = []
-    for ref in sorted(charges):
-        if not ref.label.positive:
-            continue
-        groups: dict[SubconeRef, list] = {}
-        for c in charges[ref]:
-            if c.scenario == "C":
-                groups.setdefault(c.owner_subcone, []).append(c)
-        for owner_sub, cs in sorted(groups.items()):
-            if len(cs) == 2:
-                candidates.append((ref, owner_sub))
+    for ref in sorted(ledger):
+        owners = [c.owner_subcone for c in ledger[ref]]
+        candidates += [(ref, owner) for owner in sorted(set(owners)) if owners.count(owner) == 2]
 
     for ref, owner_sub in candidates:
-        current = [
-            c
-            for c in charges[ref]
-            if c.scenario == "C" and c.owner_subcone == owner_sub
-        ]
+        current = [c for c in ledger[ref] if c.owner_subcone == owner_sub]
         if len(current) != 2:
             continue  # an earlier application already resolved this cone
         v = ref.apex
@@ -418,29 +395,24 @@ def g7_transform(
             continue  # an overlapping application already rewired one edge
 
         if closest_in_own_subcone(v, x):
-            charges[ref].remove(charge_vx)
+            ledger[ref].remove(charge_vx)
             transcript.append(Transformation(owner_sub, v, x, y, absorbed=True))
             continue
         if closest_in_own_subcone(v, y):
-            charges[ref].remove(charge_vy)
+            ledger[ref].remove(charge_vy)
             transcript.append(Transformation(owner_sub, v, x, y, absorbed=True))
             continue
 
-        # Structural step: (v, y) goes away, (x, y) arrives.
+        # Structural step: (v, y) goes away, (x, y) arrives. Its charges
+        # at v go; those at y move to (x, y), placed after y's other
+        # charges, since ``freed`` below takes the first match.
         e_vy = _edge(v, y)
         e_xy = _edge(x, y)
-        y_side = [
-            (r, c)
-            for r, cs in charges.items()
-            if r.apex == y
-            for c in cs
-            if c.edge == e_vy
-        ]
-        drop_edge(e_vy)
+        for r, cs in ledger.items():
+            moved = [replace(c, edge=e_xy) for c in cs if c.edge == e_vy and r.apex == y]
+            cs[:] = [c for c in cs if c.edge != e_vy] + moved
         edges.discard(e_vy)
         edges.add(e_xy)
-        for r, c in y_side:
-            charges.setdefault(r, []).append(Charge(e_xy, c.scenario, c.owner_subcone))
 
         # At x the new edge takes over the slot of (x, w) when that edge
         # is redundant or removable; w is x's neighbor on the canonical
@@ -467,19 +439,15 @@ def g7_transform(
                 e_xw = _edge(x, w)
                 if closest_in_own_subcone(x, w):
                     # (x, w) was double counted at x; free its path charge.
-                    freed = [
-                        c
-                        for c in charges.get(slot, [])
-                        if c.edge == e_xw and c.scenario == "C"
-                    ]
-                    if freed:
-                        charges[slot].remove(freed[0])
+                    freed = next((c for c in ledger.get(slot, ()) if c.edge == e_xw), None)
+                    if freed is not None:
+                        ledger[slot].remove(freed)
                         uncharged_xw = e_xw
                 else:
                     drop_edge(e_xw)
                     edges.discard(e_xw)
                     removed_xw = e_xw
-        charges.setdefault(slot, []).append(Charge(e_xy, "C", sub_x))
+        ledger.setdefault(slot, []).append(Charge(e_xy, "C", sub_x))
         transcript.append(
             Transformation(
                 owner_sub,

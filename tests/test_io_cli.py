@@ -304,6 +304,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL oracle-equivalence(ginf)" in out
 
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-last"])
+    def test_verify_refuses_a_repeated_graph(self, instance_file, tmp_path, capsys, bad_first):
+        # Two lists for one graph, one of them missing g15's first edge:
+        # whichever comes last, neither may be dropped silently.
+        good = tmp_path / "good.edges"
+        main(["build", "--graph", "g15", "--in", str(instance_file), "--out", str(good)])
+        lines = good.read_text().splitlines()
+        n, m = lines[0].split()
+        bad = tmp_path / "bad.edges"
+        bad.write_text("\n".join([f"{n} {int(m) - 1}"] + lines[2:]) + "\n")
+        first, last = (bad, good) if bad_first else (good, bad)
+        capsys.readouterr()
+        rc = main(["verify", "--in", str(instance_file), "--graph", "g15", "--edges", str(first),
+                   "--graph", "g15", "--edges", str(last)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["verify: --graph g15 given twice"]
+
     def test_verify_names_the_least_vis_pair_inside_a_wedge(self, tmp_path, capsys):
         # Vertices 12 and 16 lie inside the obstacle wedges at 6 and 0; a
         # vis list that holds both pairs fails the per-edge bound at the
