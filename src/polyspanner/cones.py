@@ -13,13 +13,20 @@ two incident boundary edges; the two free angular parts are then
 separate "subcones" (side "right" before the wedge in ccw order, side
 "left" after it). Everything downstream works per subcone.
 
+Each cone is stated once, in ``_POSITIVE_KEYS``: the coefficients of
+its exact bisector projection key, from which its integer key bounds
+and float unit bisector follow. Only this module knows the cone layout
+and how a pair code packs sector and side.
+
 ``classify`` decides a whole scene in one exact integer array pass:
 each vertex's split label, then each ordered pair's code, 3 * sector +
 side, or a marker for a pair whose classification raises. A run's
 ``ConeIndex`` makes that pass on its first subcone question. Whole
 edge sets read it through ``ConeIndex.codes``, one gather that raises
-at the least pair that cannot classify, and read the sign and cone of
-each code from ``CODE_POSITIVE`` and ``CODE_CONE``; ``subcone_of``
+at the least pair that cannot classify, and read what they need of
+each code from this module: its sign (``CODE_POSITIVE``), its key
+bounds (``key_bounds``), its unit bisector (``CODE_BISECTOR``) and the
+order of its subcone's run (``CODE_RUN_ORDER``); ``subcone_of``
 answers one pair from the apex's row of codes, with one ``SubconeRef``
 per apex and code, made when first asked. The index also holds the
 canonical-sequence and charge tables of each distinct ``ginf`` (filled
@@ -34,6 +41,7 @@ the one test of a direction strictly inside an obstacle wedge;
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, cmp_to_key
 from typing import Iterable, NamedTuple, Optional
 
@@ -109,42 +117,45 @@ def _sectors(dx, dy) -> np.ndarray:
     return _SECTOR_BY_SIGNS[(dy > 0) * 4 + (dx > 0) * 2 + (dy * dy > 3 * dx * dx)]
 
 
-def _key_parts(label: ConeLabel, dx, dy):
-    """Rational pair (a, b) with doubled bisector projection a + b*sqrt3.
-    Elementwise on arrays; inside the cone a >= 0 and b >= 0."""
-    if label.positive:
-        if label.index == 0:  # bisector (0, 1)
-            return 2 * dy, 0
-        if label.index == 1:  # bisector (-sqrt3/2, -1/2)
-            return -dy, -dx
-        return -dy, dx  # bisector (sqrt3/2, -1/2)
-    if label.index == 0:  # bisector (0, -1)
-        return -2 * dy, 0
-    if label.index == 1:  # bisector (sqrt3/2, 1/2)
-        return dy, dx
-    return dy, -dx  # bisector (-sqrt3/2, 1/2)
+# Per positive cone C0+, C1+, C2+: the coefficients (ka, kb) of its
+# doubled bisector projection a + b*sqrt3, with a = ka*dy and b = kb*dx,
+# so its unit bisector is (kb*sqrt3/2, ka/2). Negative cone i negates
+# positive cone i. Inside a cone a >= 0 and b >= 0.
+_POSITIVE_KEYS = ((2, 0), (-1, -1), (-1, 1))
+
+
+def _key(label: ConeLabel) -> tuple:
+    """The coefficients (ka, kb) of the cone label."""
+    ka, kb = _POSITIVE_KEYS[label.index]
+    return (ka, kb) if label.positive else (-ka, -kb)
+
+
+# Per pair code: whether its cone is positive; the (ka, kb) and the
+# float unit bisector of that cone; and its run order among the codes
+# of one sign, by cone index, then side (right before left).
+CODE_POSITIVE = np.array([label.positive for label in _SECTOR_LABEL for _ in _SIDES])
+CODE_KEY = np.array([_key(label) for label in _SECTOR_LABEL for _ in _SIDES])
+CODE_BISECTOR = CODE_KEY[:, ::-1] * (math.sqrt(3.0) / 2, 0.5)
+CODE_RUN_ORDER = np.array([3 * label.index + side for label in _SECTOR_LABEL for side in range(3)])
 
 
 def key_compare(label: ConeLabel, d1, d2) -> int:
     """Exact sign of key(d1) - key(d2) for directions in the same cone."""
-    a1, b1 = _key_parts(label, d1[0], d1[1])
-    a2, b2 = _key_parts(label, d2[0], d2[1])
-    return sqrt3_sign(a1 - a2, b1 - b2)
+    ka, kb = _key(label)
+    return sqrt3_sign(ka * (d1[1] - d2[1]), kb * (d1[0] - d2[0]))
 
 
 # sqrt(3) lies strictly between these two ratios over KEY_SCALE.
 KEY_SCALE, SQRT3_BELOW, SQRT3_ABOVE = 10**6, 1732050, 1732051
 
 
-def key_bounds(sector, dx, dy):
+def key_bounds(code, dx, dy):
     """Integer arrays lo, hi with lo <= KEY_SCALE * key <= hi for the
-    doubled bisector projection a + b*sqrt3 of each direction in the
-    cone of its sector. As a, b >= 0 there, hi - lo = b, and the bounds
-    are strict when b > 0."""
-    a, b = np.empty_like(dx), np.empty_like(dx)
-    for s, label in enumerate(_SECTOR_LABEL):
-        at = sector == s
-        a[at], b[at] = _key_parts(label, dx[at], dy[at])
+    doubled bisector projection a + b*sqrt3 of each direction (dx, dy)
+    in the cone of its pair code. As a, b >= 0 there, hi - lo = b, and
+    the bounds are strict when b > 0."""
+    ka, kb = CODE_KEY[code].T
+    a, b = ka * dy, kb * dx
     return a * KEY_SCALE + b * SQRT3_BELOW, a * KEY_SCALE + b * SQRT3_ABOVE
 
 
@@ -210,11 +221,6 @@ def classify(scene) -> Classification:
     codes[flat] = BOUNDARY
     codes[flat & (dx == 0)] = ZERO
     return Classification(xy, split.tolist(), codes.astype(np.int8))
-
-
-# Per code: whether its cone is positive, and the index of that cone.
-CODE_POSITIVE = np.array([label.positive for label in _SECTOR_LABEL for _ in _SIDES])
-CODE_CONE = np.array([label.index for label in _SECTOR_LABEL for _ in _SIDES])
 
 
 class ConeIndex:

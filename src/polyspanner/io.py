@@ -174,12 +174,10 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"bad edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"bad edge line {ln!r}")
-        if u == v:
-            raise ParseError(f"loop edge at {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:  # a loop or an endpoint out of range
+        raise ParseError(str(exc))

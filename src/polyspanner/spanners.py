@@ -37,8 +37,11 @@ which classifies all ordered pairs of the scene in one array pass.
 ``build_g_infinity`` (vis's edges, positive subcones) and
 ``canonical_sequences`` (ginf's edges, negative subcones) share one
 grouping, ``_subcone_runs``, which reads the codes of a graph's
-``Graph.pairs`` in both directions in one ``ConeIndex.codes`` gather;
-the charge table and ``g7_transform`` ask ``subcone_of`` for single pairs. Both tables
+``Graph.pairs`` in both directions in one ``ConeIndex.codes`` gather
+and orders the runs by ``cones.CODE_RUN_ORDER``; ``build_g_infinity``
+hands the codes to ``cones.key_bounds``. Neither unpacks a code: only
+``cones`` knows their layout. The charge table and ``g7_transform``
+ask ``subcone_of`` for single pairs. Both tables
 are built once per ginf edge set on the index and shared read-only, so
 ``canonical_sequences``, ``compute_charges`` and ``g7_transform`` take
 the index as a required argument. ``build_g_infinity`` takes an
@@ -59,8 +62,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .cones import (
-    CODE_CONE,
     CODE_POSITIVE,
+    CODE_RUN_ORDER,
     ConeIndex,
     ConeLabel,
     GeneralPositionError,
@@ -105,7 +108,7 @@ def _subcone_runs(index: ConeIndex, g: Graph, positive: bool):
     code = index.codes(a, b)
     keep = CODE_POSITIVE[code] == positive
     a, b, code = a[keep], b[keep], code[keep]
-    order = np.lexsort((b, 3 * CODE_CONE[code] + code % 3, a))
+    order = np.lexsort((b, CODE_RUN_ORDER[code], a))
     a, b, code = a[order], b[order], code[order]
     first = np.ones(a.size, dtype=bool)
     first[1:] = (a[1:] != a[:-1]) | (code[1:] != code[:-1])
@@ -134,7 +137,7 @@ def build_g_infinity(
         )
     xy = index.classification.xy
     a, b, code, first = _subcone_runs(index, vis, True)
-    lo, hi = key_bounds(code // 3, xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
+    lo, hi = key_bounds(code, xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
     start, group = np.flatnonzero(first), np.cumsum(first) - 1
     alive = np.flatnonzero(lo <= np.minimum.reduceat(hi, start)[group])
     single = np.bincount(group[alive], minlength=start.size)[group[alive]] == 1

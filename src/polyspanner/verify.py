@@ -11,10 +11,11 @@ arrays: one Dijkstra call per spanner for the distance matrix, and the
 stretch and per-edge reads on the base graph's edges, so the dense
 ``vis`` graph never needs a matrix. The per-edge bound reads ``vis``'s
 table for its offsets and lengths and one ``ConeIndex.codes`` gather
-for its cones. Planarity is one ``check_planarity`` sweep over the
-union of ``ginf``, ``g15``, ``g10`` and ``g7``; each graph's report is
-the union's restricted to its edges, so every edge meets the obstacle
-test once per run. ``run_verification`` reads general
+for the unit bisectors of its cones, from the ``cones`` table.
+Planarity is one ``check_planarity`` sweep over the union of ``ginf``,
+``g15``, ``g10`` and ``g7``; each graph's report is the union's
+restricted to its edges, so every edge meets the obstacle test once per
+run. ``run_verification`` reads general
 position from its run's ``ConeIndex``, as ``build_g_infinity`` does,
 and hands that index to the per-edge, canonical-path and
 empty-triangle checks; the oracle checks again on its own, to stay
@@ -35,11 +36,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .cones import CODE_CONE, CODE_POSITIVE, ConeIndex
+from .cones import CODE_BISECTOR, ConeIndex
 from .geom import (
-    CW,
     cross,
-    orient,
     point_in_polygon,
     segment_properly_intersects_polygon,
     segments_properly_intersect,
@@ -224,14 +223,6 @@ def per_edge_bound(theta):
     return math.sqrt(3.0) * np.cos(theta) + np.sin(theta)
 
 
-# Unit bisectors of the positive cones C0+, C1+, C2+, one row per cone.
-_BISECTORS = np.array([
-    (0.0, 1.0),
-    (-math.sqrt(3.0) / 2, -0.5),
-    (math.sqrt(3.0) / 2, -0.5),
-])
-
-
 def check_per_edge_bound_ginf(
     vis: EdgeTable, ginf_dist: np.ndarray, index: ConeIndex
 ) -> WitnessReport:
@@ -244,17 +235,15 @@ def check_per_edge_bound_ginf(
     The codes of all edges (u, v) come from one ``ConeIndex.codes``
     gather, so an edge on a cone boundary or into an obstacle wedge
     raises ValueError at the first such edge in ``sorted_edges`` order.
-    The angle is atan2(|b x s|, b . s), where b is the unit bisector of
-    the edge's cone from ``_BISECTORS`` and s is the table's offset from
-    the apex to the far endpoint: (dx, dy) when u's cone is positive and
-    (-dx, -dy) when v is the apex, exact, as division rounds the same
-    under a sign flip. Witnesses come out in ``sorted_edges`` order.
+    The angle is atan2(|b x d|, b . d), where d is the table's offset
+    (dx, dy) from u to v and b is the ``cones.CODE_BISECTOR`` of the
+    code of (u, v), the bisector of u's cone that holds v. When that
+    cone is negative, v is the apex, and the angle equals the one
+    between -d and the bisector of v's positive cone of the same index.
+    Witnesses come out in ``sorted_edges`` order.
     """
-    code = index.codes(vis.u, vis.v)
-    positive = CODE_POSITIVE[code]
-    bx, by = _BISECTORS[CODE_CONE[code]].T
-    sx, sy = np.where(positive, vis.dx, -vis.dx), np.where(positive, vis.dy, -vis.dy)
-    theta = np.arctan2(np.abs(bx * sy - by * sx), bx * sx + by * sy)
+    bx, by = CODE_BISECTOR[index.codes(vis.u, vis.v)].T
+    theta = np.arctan2(np.abs(bx * vis.dy - by * vis.dx), bx * vis.dx + by * vis.dy)
     bound = per_edge_bound(theta) * vis.length
     have = ginf_dist[vis.u, vis.v]
     over = np.flatnonzero(have > bound * (1.0 + REL_TOL))
@@ -284,9 +273,12 @@ def check_empty_triangles(
 ) -> WitnessReport:
     """The triangle spanned by the apex and two consecutive canonical
     members contains no vertex in its open interior and no obstacle
-    piece crosses into it. Only a vertex strictly inside the triangle's
-    bounding box, and only an obstacle edge whose box reaches into the
-    open box, can meet the open interior; the others are skipped."""
+    piece crosses into it. The members come ``ccw_sorted``, so (apex, p,
+    q) is the counterclockwise polygon that ``point_in_polygon`` and
+    ``segment_properly_intersects_polygon`` take. Only a vertex strictly
+    inside the triangle's bounding box, and only an obstacle edge whose
+    box reaches into the open box, can meet the open interior; the
+    others are skipped."""
     pts = scene.ipoints
     edges = []  # (edge, a, b, closed box of ab)
     for e in scene.obstacle_edges():
@@ -297,8 +289,6 @@ def check_empty_triangles(
         u = seq.apex
         for p, q in seq.consecutive_pairs:
             tri = [pts[u], pts[p], pts[q]]
-            if orient(*tri) == CW:
-                tri.reverse()
             (x0, y0), (x1, y1), (x2, y2) = tri
             tx0, tx1 = min(x0, x1, x2), max(x0, x1, x2)
             ty0, ty1 = min(y0, y1, y2), max(y0, y1, y2)

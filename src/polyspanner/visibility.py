@@ -42,13 +42,13 @@ class Graph:
 
     __slots__ = ("n", "edges", "index", "_pairs")
 
-    def __init__(self, n: int, edges: Iterable = ()):
+    def __init__(self, n: int, edges: Iterable):
         norm = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge at {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)

@@ -5,8 +5,10 @@
 Imports ``polyspanner`` from the given ``src`` directory and prints one
 line per scene, ``<label> <digest>``. The digest covers the five edge
 lists, the g7 transcript, the canonical-sequence and charge tables in
-their order, and the ``run_verification`` lines, clean and under each
-substitution of ``SUBSTITUTIONS``. Two checkouts whose outputs agree
+their order, the ``run_verification`` lines, clean and under each
+substitution of ``SUBSTITUTIONS``, and ``check_per_edge_bound_ginf``'s
+witnesses for each thinned ginf of ``PER_EDGE_THINNINGS``, with every
+float as ``float.hex``. Two checkouts whose outputs agree
 print the same lines, so a refactor is checked with
 
     diff <(python tests/output_digest.py --src old/src --scenes full) \\
@@ -40,6 +42,10 @@ SUBSTITUTIONS = (
     ("g10", slice(0)),
 )
 
+# Slices of ginf's sorted edge list whose per-edge witnesses are digested
+# bit for bit; the ``run_verification`` lines print only their edges.
+PER_EDGE_THINNINGS = (slice(None, None, 2), slice(None, None, 3))
+
 
 def scenes(which: str = "fixtures") -> list:
     """(label, scene) for the named scene set. The dense scenes have the
@@ -69,7 +75,12 @@ def scenes(which: str = "fixtures") -> list:
 def digest(scene) -> str:
     from polyspanner.cones import ConeIndex
     from polyspanner.spanners import build_all, canonical_sequences, compute_charges
-    from polyspanner.verify import run_verification
+    from polyspanner.verify import (
+        check_per_edge_bound_ginf,
+        distance_matrix,
+        edge_table,
+        run_verification,
+    )
     from polyspanner.visibility import Graph
 
     index = ConeIndex(scene)
@@ -84,6 +95,12 @@ def digest(scene) -> str:
         sub = Graph(scene.n, sorted(graphs[name].edges)[kept])
         parts.append(f"-- {name} {kept}")
         parts += [o.line() for o in run_verification(scene, {name: sub})]
+    vis = edge_table(scene, graphs["vis"])
+    for kept in PER_EDGE_THINNINGS:
+        thinned = edge_table(scene, Graph(scene.n, sorted(ginf.edges)[kept]))
+        report = check_per_edge_bound_ginf(vis, distance_matrix(thinned), index)
+        parts.append(f"-- per-edge {kept}")
+        parts += [f"{pair} {have.hex()} {bound.hex()}" for pair, have, bound in report.witnesses]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 

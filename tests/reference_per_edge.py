@@ -3,8 +3,9 @@
 This is the original implementation of ``check_per_edge_bound_ginf``.
 It builds the exact canonical triangle of every visible pair, reads the
 cone bisector from the triangle's apex and far-side midpoint, and takes
-the angle with acos. The library now reads the bisector from a table of
-the three positive-cone unit bisectors and takes the angle with atan2;
+the angle with acos. The library now reads each edge's bisector from
+``cones.CODE_BISECTOR``, derived from the cone table, and takes the
+angle with atan2;
 the differential test in ``test_verify.py`` compares the two.
 ``ExactScalar``, the exact a + b*sqrt(3) arithmetic these triangles
 need, lives here too, since no library code uses it.

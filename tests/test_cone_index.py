@@ -343,7 +343,7 @@ def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
     code = index.classification.codes[0, 1:]
     assert code[0] == code[1] == 3 * 5
     dx, dy = index.classification.xy[1:].T
-    lo, hi = key_bounds(code // 3, dx, dy)
+    lo, hi = key_bounds(code, dx, dy)
     assert lo[0] < lo[1] <= hi[1] and lo[1] <= hi[0]
     settled = []
     real = spanners.key_compare

@@ -17,11 +17,13 @@ from polyspanner.cones import (
     SubconeRef,
     ccw_sorted,
     inside_wedge,
+    key_bounds,
     key_compare,
 )
-from polyspanner.geom import cross
+from polyspanner.geom import cross, sqrt3_sign
 from polyspanner.scene import Scene
 from polyspanner.spanners import canonical_sequences
+from polyspanner.verify import _oracle_key, _oracle_sector
 from polyspanner.visibility import Graph
 
 from tests import reference_cones
@@ -141,6 +143,54 @@ def test_key_compare_antisymmetry(p, q):
     assert key_compare(lab, p, q) == -key_compare(lab, q, p)
 
 
+def _directions_by_sector(rng, count, size) -> list:
+    """count random integer directions of |coordinate| <= size for each
+    sector 0..5, sorted into sectors by the oracle's half-plane test."""
+    out = [[] for _ in range(6)]
+    while min(map(len, out)) < count:
+        d = rng.randint(-size, size), rng.randint(-size, size)
+        try:
+            sector = _oracle_sector(*d)
+        except ValueError:
+            continue  # on a cone boundary
+        if len(out[sector]) < count:
+            out[sector].append(d)
+    return out
+
+
+def test_cone_table_matches_the_oracle():
+    # The one table of the six cones, against the oracle's own keys.
+    table = {
+        label: {tuple(row) for row in cones.CODE_KEY[3 * sector : 3 * sector + 3].tolist()}
+        for sector, label in enumerate(cones._SECTOR_LABEL)
+    }
+    for i in range(3):
+        (ka, kb), = table[ConeLabel(True, i)]
+        assert table[ConeLabel(False, i)] == {(-ka, -kb)}
+    for sector in range(6):
+        for bx, by in cones.CODE_BISECTOR[3 * sector : 3 * sector + 3].tolist():
+            assert math.hypot(bx, by) == pytest.approx(1.0, abs=1e-15)
+            assert 60 * sector < math.degrees(math.atan2(by, bx)) % 360 < 60 * (sector + 1)
+    rng = random.Random(2501)
+    for size, dtype in ((2**29 - 1, np.int64), (10**30, object)):
+        for sector, dirs in enumerate(_directions_by_sector(rng, 200, size)):
+            (ka, kb), = table[cones._SECTOR_LABEL[sector]]
+            keys = []
+            for dx, dy in dirs:
+                if cones._SECTOR_LABEL[sector].positive:
+                    keys.append(_oracle_key(sector, dx, dy))
+                    assert (ka * dy, kb * dx) == keys[-1]
+                else:  # the key of -d in the positive cone of one index
+                    keys.append(_oracle_key(_oracle_sector(-dx, -dy), -dx, -dy))
+            dx, dy = np.array(dirs, dtype=dtype).T
+            lo, hi = key_bounds(np.full(len(dirs), 3 * sector), dx, dy)
+            scale = cones.KEY_SCALE
+            for (a, b), low, high in zip(keys, lo.tolist(), hi.tolist()):
+                strict = 1 if b > 0 else 0
+                assert sqrt3_sign(scale * a - low, scale * b) >= strict
+                assert sqrt3_sign(high - scale * a, -scale * b) >= strict
+
+
 def test_canonical_triangle_unit_up():
     tri = canonical_triangle(O, (0, 1))
     apex, a, b, m = tri.float_points()
@@ -255,7 +305,7 @@ def test_subcones_enumeration():
     ]
     assert codes[0] + 1 == codes[1]
     assert not cones.CODE_POSITIVE[codes].any()
-    assert cones.CODE_CONE[codes].tolist() == [0, 0, 1, 2]
+    assert cones.CODE_RUN_ORDER[codes].tolist() == [1, 2, 3, 6]
 
 
 def test_ccw_sorted_within_cone():

@@ -146,6 +146,7 @@ EDGE_LIST_ERRORS = {
     "3 2\n0 1\n": "header claims 2 edges, found 1",
     "3 1\n0 3\n": "edge (0, 3) out of range for n=3",
     "3 1\n1 1\n": "loop edge at 1",
+    "3 2\n1 1\n0 x\n": "bad edge line '0 x'",
     "3 1\n0 x\n": "bad edge line '0 x'",
     "x y\n": "bad header 'x y'",
 }

@@ -22,9 +22,14 @@ from tests.test_acceptance import FIXTURE_NAMES, configs
 from polyspanner import verify
 from polyspanner.cones import ConeIndex
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.geom import segments_properly_intersect, sqrt3_sign
+from polyspanner.geom import CCW, orient, segments_properly_intersect, sqrt3_sign
 from polyspanner.scene import Scene, check_general_position
-from polyspanner.spanners import build_all, build_g15, build_g_infinity
+from polyspanner.spanners import (
+    build_all,
+    build_g15,
+    build_g_infinity,
+    canonical_sequences,
+)
 from polyspanner.verify import (
     REL_TOL,
     CheckOutcome,
@@ -87,7 +92,7 @@ def _graph_cases(fixture):
     scenes = {fixture: load_scene(f"{fixture}.json"), **TINY}
     for name, sc in scenes.items():
         yield f"{name}-vis", sc, visibility_graph(sc)
-        yield f"{name}-edgeless", sc, Graph(sc.n)
+        yield f"{name}-edgeless", sc, Graph(sc.n, ())
 
 
 def test_stretch_identity_is_one():
@@ -515,6 +520,24 @@ def test_empty_triangles_match_reference():
         assert check_empty_triangles(scene, ginf, ConeIndex(scene)).witnesses == want.witnesses
         kinds += [w[3] for w in want.witnesses]
     assert kinds.count("vertex") > 100 and kinds.count("obstacle-edge") > 100
+
+
+def test_canonical_triangles_are_counterclockwise():
+    # check_empty_triangles hands (apex, p, q) to point_in_polygon and
+    # segment_properly_intersects_polygon as it comes, which both take a
+    # counterclockwise polygon: ccw_sorted must make it one.
+    count = 0
+    for scene in [load_scene(name) for name in FIXTURE_NAMES] + [
+        generate(cfg) for cfg in configs()
+    ]:
+        index = ConeIndex(scene)
+        ginf = build_g_infinity(scene, visibility_graph(scene), index)
+        pts = scene.ipoints
+        for seq in canonical_sequences(scene, ginf, index).values():
+            for p, q in seq.consecutive_pairs:
+                assert orient(pts[seq.apex], pts[p], pts[q]) == CCW, (seq.apex, p, q)
+                count += 1
+    assert count > 2000
 
 
 def test_canonical_path_checker_negative_control():
