@@ -27,16 +27,15 @@ at the least pair that cannot classify, and read what they need of
 each code from this module: its sign (``CODE_POSITIVE``), its key
 bounds (``key_bounds``), its unit bisector (``CODE_BISECTOR``) and the
 order of its subcone's run (``CODE_RUN_ORDER``); ``subcone_of``
-answers one pair from the apex's row of codes, with one ``SubconeRef``
-per apex and code, made when first asked. The index also holds the
-canonical-sequence and charge tables of each distinct ``ginf`` (filled
-by ``spanners.canonical_sequences`` and ``compute_charges``) and, once
-asked, the run's general-position report. None has another entry: one
-index is made per run, handed to ``spanners.build_g_infinity`` and
-carried by the ginf it returns to the later steps. ``inside_wedge`` is
-the one test of a direction strictly inside an obstacle wedge;
-``classify`` and ``visibility`` run it elementwise on the wedges of
-``scene.obstacle_wedges``.
+answers one pair from its code, as a fresh ``SubconeRef`` value. The
+index also holds the canonical-sequence and charge tables of each
+distinct ``ginf`` (filled by ``spanners.canonical_sequences`` and
+``compute_charges``) and, once asked, the run's general-position
+report. None has another entry: one index is made per run, handed to
+``spanners.build_g_infinity`` and carried by the ginf it returns to
+the later steps. ``inside_wedge`` is the one test of a direction
+strictly inside an obstacle wedge; ``classify`` and ``visibility`` run
+it elementwise on the wedges of ``scene.obstacle_wedges``.
 """
 
 from __future__ import annotations
@@ -228,16 +227,16 @@ class ConeIndex:
 
     The first subcone question runs ``classify``; ``codes`` then
     gathers the codes of many pairs at once, and ``subcone_of`` reads
-    one pair's code from its apex's row and the code's ``SubconeRef``,
-    made on first use. ``tables`` and ``charges`` map a
-    ginf edge set to its read-only canonical-sequence and charge
-    tables. Make one index per run and pass it to
-    ``spanners.build_g_infinity``: the ginf it returns carries the index
-    as ``Graph.index``, and the later build steps read it from there, so
-    the index lives exactly as long as that ginf. Never keep it on a
-    ``Scene`` or at module level, where its memo would outlive the run
-    that paid for it. A question that raises is asked again each time,
-    so a repeated call raises again.
+    one pair's code and makes its ``SubconeRef``, a value that compares
+    equal to every other ref of the same subcone. The index keeps no
+    copy of the codes. ``tables`` and ``charges`` map a ginf edge set
+    to its read-only canonical-sequence and charge tables. Make one
+    index per run and pass it to ``spanners.build_g_infinity``: the ginf
+    it returns carries the index as ``Graph.index``, and the later build
+    steps read it from there, so the index lives exactly as long as that
+    ginf. Never keep it on a ``Scene`` or at module level, where its
+    memo would outlive the run that paid for it. A question that raises
+    is asked again each time, so a repeated call raises again.
     """
 
     def __init__(self, scene):
@@ -266,15 +265,6 @@ class ConeIndex:
         """``classify`` of the scene, on first use only."""
         return classify(self.scene)
 
-    @cached_property
-    def _rows(self) -> list:
-        return self.classification.codes.tolist()
-
-    @cached_property
-    def _refs(self) -> list:
-        # Per apex, the SubconeRef of each code that has been asked.
-        return [[None] * N_REFS for _ in range(self.scene.n)]
-
     def split_label(self, vi: int) -> Optional[ConeLabel]:
         """The cone of vi split in two by its obstacle wedge, if any."""
         s = self.classification.split[vi]
@@ -300,13 +290,10 @@ class ConeIndex:
         any visible vertex and raise ValueError; directions along a wedge
         edge classify with the free region they bound.
         """
-        code = self._rows[apex][p]
+        code = int(self.classification.codes[apex, p])
         if code >= N_REFS:
             self._refuse(apex, p, code)
-        refs = self._refs[apex]
-        if refs[code] is None:
-            refs[code] = SubconeRef(apex, _SECTOR_LABEL[code // 3], _SIDES[code % 3])
-        return refs[code]
+        return SubconeRef(apex, _SECTOR_LABEL[code // 3], _SIDES[code % 3])
 
     def _refuse(self, apex: int, p: int, code: int):
         """Raise what classifying the pair (apex, p) raises, by its marker."""

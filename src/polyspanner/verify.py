@@ -24,6 +24,11 @@ exact predicates. It reads each apex's obstacle wedge once, and runs a
 pair's sector, side, key and comparison with its slot's best before
 its visibility test, so only a pair that can still win its slot is
 tested.
+
+Every one of the 25 checks is one ``check`` step of
+``run_verification``: a function that returns (ok, detail), whose
+``ValueError`` becomes a failed outcome with the error as its detail.
+That step is the only place that makes a ``CheckOutcome``.
 """
 
 from __future__ import annotations
@@ -470,27 +475,33 @@ def run_verification(
     """All checks on one scene, in stable order. Substitutions replace
     one or more of the five pipeline graphs before checking (the
     remaining graphs are still built honestly), so a corrupted edge
-    list surfaces as failed checks."""
+    list surfaces as failed checks.
+
+    Every check is one ``check`` step: its function returns (ok,
+    detail), and a ValueError it raises, such as a substituted edge the
+    cones cannot classify, becomes a failed outcome with the error as
+    its detail. What the checks share is made once, before them, and
+    outside any step: the substituted graphs, whose errors reach the
+    caller, the union planarity sweep, and each graph's ``edge_table``
+    and spanner's ``distance_matrix``. The charge checks each read
+    ``compute_charges``, which keeps no table whose build raised, so on
+    a corrupted ginf all three report its error."""
     outcomes: list[CheckOutcome] = []
 
-    vres = scene.validation()
-    outcomes.append(
-        CheckOutcome(
-            "scene-valid",
-            vres.ok,
-            "; ".join(v.detail for v in vres.violations[:3]),
-        )
-    )
+    def check(name: str, fn) -> None:
+        try:
+            ok, detail = fn()
+        except ValueError as exc:
+            ok, detail = False, str(exc)
+        outcomes.append(CheckOutcome(name, ok, detail))
+
     index = ConeIndex(scene)
-    gp = index.general_position()
-    outcomes.append(
-        CheckOutcome(
-            "general-position",
-            gp.ok,
-            f"{gp.parallel_count} parallel pair(s), "
-            f"{gp.collinear_count} collinear triple(s)",
-        )
-    )
+    vres, gp = scene.validation(), index.general_position()
+    check("scene-valid", lambda: (vres.ok, "; ".join(v.detail for v in vres.violations[:3])))
+    check("general-position", lambda: (
+        gp.ok,
+        f"{gp.parallel_count} parallel pair(s), {gp.collinear_count} collinear triple(s)",
+    ))
     if not (vres.ok and gp.ok):
         return outcomes
 
@@ -504,37 +515,21 @@ def run_verification(
     vis, ginf = graphs["vis"], graphs["ginf"]
     g15, g10, g7 = graphs["g15"], graphs["g10"], graphs["g7"]
 
-    oracle = oracle_g_infinity(scene)
-    diff = ginf.edges ^ oracle.edges
-    outcomes.append(
-        CheckOutcome(
-            "oracle-equivalence(ginf)",
-            ginf.edges == oracle.edges,
-            f"{len(diff)} differing edge(s): {sorted(diff)[:4]}",
-        )
-    )
+    def oracle_equivalence():
+        diff = ginf.edges ^ oracle_g_infinity(scene).edges
+        return not diff, f"{len(diff)} differing edge(s): {sorted(diff)[:4]}"
 
-    chain_ok = (
-        g10.is_subgraph_of(g15)
-        and g15.is_subgraph_of(ginf)
-        and ginf.is_subgraph_of(vis)
-    )
-    outcomes.append(
-        CheckOutcome(
-            "subgraph-chain",
-            chain_ok,
-            "expected g10 within g15 within ginf within vis",
-        )
-    )
-    added = {t.added_xy for t in g7res.transformations if t.added_xy}
-    extras = g7.edges - g10.edges
-    outcomes.append(
-        CheckOutcome(
-            "g7-extra-edges",
-            extras <= added,
-            f"unexplained extra edge(s): {sorted(extras - added)[:4]}",
-        )
-    )
+    def g7_extra_edges():
+        added = {t.added_xy for t in g7res.transformations if t.added_xy}
+        unexplained = g7.edges - g10.edges - added
+        return not unexplained, f"unexplained extra edge(s): {sorted(unexplained)[:4]}"
+
+    check("oracle-equivalence(ginf)", oracle_equivalence)
+    check("subgraph-chain", lambda: (
+        g10.is_subgraph_of(g15) and g15.is_subgraph_of(ginf) and ginf.is_subgraph_of(vis),
+        "expected g10 within g15 within ginf within vis",
+    ))
+    check("g7-extra-edges", g7_extra_edges)
 
     # Crossings and conflicts are decided pair by pair, so one sweep over
     # the four graphs' union answers each of them; g15 and g10 thin ginf
@@ -544,71 +539,34 @@ def run_verification(
     union_rep = check_planarity(scene, union)
     for name in spanner_names:
         rep = union_rep.restricted_to(graphs[name])
-        outcomes.append(
-            CheckOutcome(
-                f"planarity({name})",
-                rep.ok,
-                f"{len(rep.crossing_pairs)} crossing(s), "
-                f"{len(rep.obstacle_conflicts)} obstacle conflict(s)",
-            )
-        )
+        check(f"planarity({name})", lambda: (
+            rep.ok,
+            f"{len(rep.crossing_pairs)} crossing(s), "
+            f"{len(rep.obstacle_conflicts)} obstacle conflict(s)",
+        ))
 
     for name, cap in (("g15", 15), ("g10", 10), ("g7", 7)):
-        rep = degree_report(graphs[name])
-        outcomes.append(
-            CheckOutcome(
-                f"degree({name}<={cap})",
-                rep.max_degree <= cap,
-                f"max degree {rep.max_degree}",
-            )
-        )
+        top = degree_report(graphs[name]).max_degree
+        check(f"degree({name}<={cap})", lambda: (top <= cap, f"max degree {top}"))
 
-    try:
-        charges = compute_charges(scene, ginf, index)
+    def cover_degree():
         totals = [0] * scene.n
-        for ref, cs in charges.items():
+        for ref, cs in compute_charges(scene, ginf, index).items():
             totals[ref.apex] += len(cs)
         uncovered = [v for v, d in enumerate(g10.degrees().tolist()) if totals[v] < d]
-        neg_over = [
+        return not uncovered, f"vertices undercharged: {uncovered[:4]}"
+
+    def capped(positive: bool, cap: int):
+        over = [
             (str(ref), len(cs))
-            for ref, cs in charges.items()
-            if not ref.label.positive and len(cs) > 1
+            for ref, cs in compute_charges(scene, ginf, index).items()
+            if ref.label.positive == positive and len(cs) > cap
         ]
-        pos_over = [
-            (str(ref), len(cs))
-            for ref, cs in charges.items()
-            if ref.label.positive and len(cs) > 2
-        ]
-        outcomes.append(
-            CheckOutcome(
-                "charges(cover-degree)",
-                not uncovered,
-                f"vertices undercharged: {uncovered[:4]}",
-            )
-        )
-        outcomes.append(
-            CheckOutcome(
-                "charges(negative-cap-1)",
-                not neg_over,
-                f"overcharged: {neg_over[:4]}",
-            )
-        )
-        outcomes.append(
-            CheckOutcome(
-                "charges(positive-cap-2)",
-                not pos_over,
-                f"overcharged: {pos_over[:4]}",
-            )
-        )
-    except ValueError as exc:
-        # A substituted graph can violate the cone structure the charging
-        # scheme relies on; surface that as a failed charge check.
-        for name in (
-            "charges(cover-degree)",
-            "charges(negative-cap-1)",
-            "charges(positive-cap-2)",
-        ):
-            outcomes.append(CheckOutcome(name, False, str(exc)))
+        return not over, f"overcharged: {over[:4]}"
+
+    check("charges(cover-degree)", cover_degree)
+    check("charges(negative-cap-1)", lambda: capped(False, 1))
+    check("charges(positive-cap-2)", lambda: capped(True, 2))
 
     tables = {name: edge_table(scene, g) for name, g in graphs.items()}
     dists = {name: distance_matrix(tables[name]) for name in spanner_names}
@@ -623,36 +581,25 @@ def run_verification(
     )
     for sub_name, base_name, bound in stretch_specs:
         rep = stretch_factor(tables[base_name], dists[sub_name])
-        outcomes.append(
-            CheckOutcome(
-                f"stretch({sub_name}|{base_name}<={bound:g})",
-                rep.within(bound),
-                f"max ratio {rep.max_ratio:.12g} at {_fmt_pair(rep.witness_pair)}",
-            )
-        )
+        check(f"stretch({sub_name}|{base_name}<={bound:g})", lambda: (
+            rep.within(bound),
+            f"max ratio {rep.max_ratio:.12g} at {_fmt_pair(rep.witness_pair)}",
+        ))
 
-    def witness_check(name, fn, describe):
-        try:
-            rep = fn()
-            outcomes.append(
-                CheckOutcome(name, rep.ok, describe(rep.witnesses))
-            )
-        except ValueError as exc:
-            outcomes.append(CheckOutcome(name, False, str(exc)))
+    def per_edge_bound():
+        rep = check_per_edge_bound_ginf(tables["vis"], dists["ginf"], index)
+        ws = rep.witnesses
+        return rep.ok, f"{len(ws)} edge(s) over bound: {[w[0] for w in ws[:4]]}"
 
-    witness_check(
-        "per-edge-bound(ginf|vis)",
-        lambda: check_per_edge_bound_ginf(tables["vis"], dists["ginf"], index),
-        lambda ws: f"{len(ws)} edge(s) over bound: {[w[0] for w in ws[:4]]}",
-    )
-    witness_check(
-        "canonical-path-edges(g15)",
-        lambda: check_canonical_paths(scene, ginf, g15, index),
-        lambda ws: f"missing path edge(s): {ws[:4]}",
-    )
-    witness_check(
-        "empty-canonical-triangles(ginf)",
-        lambda: check_empty_triangles(scene, ginf, index),
-        lambda ws: f"occupied triangle(s): {ws[:4]}",
-    )
+    def canonical_path_edges():
+        rep = check_canonical_paths(scene, ginf, g15, index)
+        return rep.ok, f"missing path edge(s): {rep.witnesses[:4]}"
+
+    def empty_triangles():
+        rep = check_empty_triangles(scene, ginf, index)
+        return rep.ok, f"occupied triangle(s): {rep.witnesses[:4]}"
+
+    check("per-edge-bound(ginf|vis)", per_edge_bound)
+    check("canonical-path-edges(g15)", canonical_path_edges)
+    check("empty-canonical-triangles(ginf)", empty_triangles)
     return outcomes

@@ -5,10 +5,12 @@
 Imports ``polyspanner`` from the given ``src`` directory and prints one
 line per scene, ``<label> <digest>``. The digest covers the five edge
 lists, the g7 transcript, the canonical-sequence and charge tables in
-their order, the ``run_verification`` lines, clean and under each
-substitution of ``SUBSTITUTIONS``, and ``check_per_edge_bound_ginf``'s
-witnesses for each thinned ginf of ``PER_EDGE_THINNINGS``, with every
-float as ``float.hex``. Two checkouts whose outputs agree
+their order, the ``run_verification`` lines, clean, under each
+substitution of ``SUBSTITUTIONS`` and, when the scene has a pair inside
+an obstacle wedge, under each of ``WEDGE_SUBSTITUTIONS`` given that
+pair too, and ``check_per_edge_bound_ginf``'s witnesses for each
+thinned ginf of ``PER_EDGE_THINNINGS``, with every float as
+``float.hex``. Two checkouts whose outputs agree
 print the same lines, so a refactor is checked with
 
     diff <(python tests/output_digest.py --src old/src --scenes full) \\
@@ -29,6 +31,8 @@ import pathlib
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -41,6 +45,11 @@ SUBSTITUTIONS = (
     ("vis", slice(1, None)),
     ("g10", slice(0)),
 )
+
+# Graphs substituted by their edges plus the least pair (u < v) that the
+# scene's classification marks ``cones.IN_WEDGE``, in either direction: a
+# pair no cone holds, so the checks that classify it fail by ValueError.
+WEDGE_SUBSTITUTIONS = ("ginf", "vis", "g15")
 
 # Slices of ginf's sorted edge list whose per-edge witnesses are digested
 # bit for bit; the ``run_verification`` lines print only their edges.
@@ -73,7 +82,7 @@ def scenes(which: str = "fixtures") -> list:
 
 
 def digest(scene) -> str:
-    from polyspanner.cones import ConeIndex
+    from polyspanner.cones import IN_WEDGE, ConeIndex
     from polyspanner.spanners import build_all, canonical_sequences, compute_charges
     from polyspanner.verify import (
         check_per_edge_bound_ginf,
@@ -95,6 +104,13 @@ def digest(scene) -> str:
         sub = Graph(scene.n, sorted(graphs[name].edges)[kept])
         parts.append(f"-- {name} {kept}")
         parts += [o.line() for o in run_verification(scene, {name: sub})]
+    wedged = np.argwhere(index.classification.codes == IN_WEDGE)
+    if len(wedged):
+        pair = min(tuple(sorted(map(int, uv))) for uv in wedged)
+        for name in WEDGE_SUBSTITUTIONS:
+            sub = Graph(scene.n, sorted(graphs[name].edges) + [pair])
+            parts.append(f"-- {name} + {pair}")
+            parts += [o.line() for o in run_verification(scene, {name: sub})]
     vis = edge_table(scene, graphs["vis"])
     for kept in PER_EDGE_THINNINGS:
         thinned = edge_table(scene, Graph(scene.n, sorted(ginf.edges)[kept]))

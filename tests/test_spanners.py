@@ -16,7 +16,7 @@ from polyspanner.spanners import (
     compute_charges,
     g7_transform,
 )
-from polyspanner.verify import degree_report
+from polyspanner.verify import degree_report, run_verification
 from polyspanner.visibility import Graph, visibility_graph
 
 
@@ -240,6 +240,32 @@ def test_build_g7_on_generated_instances():
         assert degree_report(g7).max_degree <= 7
         assert degree_report(g10).max_degree <= 10
         assert degree_report(g15).max_degree <= 15
+
+
+# Generated scenes that reach each g7 rewiring branch, with the count of
+# each kind they give: absorbed, structural, removed_xw, uncharged_xw.
+# Found by a seed scan; if the generator's output changes, scan again
+# and keep every branch reached.
+G7_BRANCH_SCENES = (
+    (GeneratorConfig(60, 6, obstacle_size=8, seed=183), (2, 1, 1, 0)),
+    (GeneratorConfig(60, 4, obstacle_size=12, seed=206), (0, 1, 1, 0)),
+    (GeneratorConfig(42, 5, obstacle_size=8, seed=20), (1, 1, 0, 1)),
+    (GeneratorConfig(42, 5, obstacle_size=8, seed=23), (1, 1, 0, 1)),
+)
+
+
+@pytest.mark.parametrize("config, kinds", G7_BRANCH_SCENES)
+def test_generated_scenes_pin_their_g7_branches(config, kinds):
+    scene = generate(config)
+    steps = spanners.build_all(scene)[1].transformations
+    assert (
+        sum(t.absorbed for t in steps),
+        sum(not t.absorbed for t in steps),
+        sum(t.removed_xw is not None for t in steps),
+        sum(t.uncharged_xw is not None for t in steps),
+    ) == kinds
+    outcomes = run_verification(scene)
+    assert len(outcomes) == 25 and all(o.ok for o in outcomes), [o.line() for o in outcomes if not o.ok]
 
 
 def test_pipeline_builds_in_graph_name_order(split_cones):
