@@ -32,8 +32,9 @@ index also holds the canonical-sequence and charge tables of each
 distinct ``ginf`` (filled by ``spanners.canonical_sequences`` and
 ``compute_charges``) and, once asked, the run's general-position
 report. None has another entry: one index is made per run, handed to
-``spanners.build_g_infinity`` and carried by the ginf it returns to
-the later steps. ``inside_wedge`` is the one test of a direction
+``visibility.visibility_graph``, which reads the report, and carried
+by the vis it returns to ``spanners.build_g_infinity`` and by that
+ginf to the later steps. ``inside_wedge`` is the one test of a direction
 strictly inside an obstacle wedge; ``classify`` and ``visibility`` run
 it elementwise on the wedges of ``scene.obstacle_wedges``.
 """
@@ -231,12 +232,14 @@ class ConeIndex:
     equal to every other ref of the same subcone. The index keeps no
     copy of the codes. ``tables`` and ``charges`` map a ginf edge set
     to its read-only canonical-sequence and charge tables. Make one
-    index per run and pass it to ``spanners.build_g_infinity``: the ginf
-    it returns carries the index as ``Graph.index``, and the later build
-    steps read it from there, so the index lives exactly as long as that
-    ginf. Never keep it on a ``Scene`` or at module level, where its
-    memo would outlive the run that paid for it. A question that raises
-    is asked again each time, so a repeated call raises again.
+    index per run and pass it to ``visibility.visibility_graph``: the
+    vis it returns carries the index as ``Graph.index``, so does the
+    ginf that ``spanners.build_g_infinity`` builds from that vis, and
+    the later build steps read it from there, so the index lives
+    exactly as long as those graphs. Never keep it on a ``Scene`` or
+    at module level, where its memo would outlive the run that paid
+    for it. A question that raises is asked again each time, so a
+    repeated call raises again.
     """
 
     def __init__(self, scene):

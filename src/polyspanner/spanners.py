@@ -44,13 +44,16 @@ hands the codes to ``cones.key_bounds``. Neither unpacks a code: only
 ask ``subcone_of`` for single pairs. Both tables
 are built once per ginf edge set on the index and shared read-only, so
 ``canonical_sequences``, ``compute_charges`` and ``g7_transform`` take
-the index as a required argument. ``build_g_infinity`` takes an
-optional one, makes its own without it, and returns a ginf that carries
-it as ``Graph.index``; ``build_g15``, ``build_g10`` and ``build_g7``
-read the index from their ginf, and make a fresh one only for a ginf
-that carries none or one of another scene. So a chain of steps called alone classifies the scene,
+the index as a required argument. The index enters the chain at its
+head: ``visibility.visibility_graph`` takes an optional one, makes its
+own without it, and returns a vis that carries it as ``Graph.index``.
+``build_g_infinity`` reads the index from its vis and
+``build_g15``, ``build_g10`` and ``build_g7`` read it from their ginf,
+by one rule, ``_index_of``, which makes a fresh index only for a graph
+that carries none or one of another scene; the ginf returned carries
+the index on. So a chain of steps called alone classifies the scene,
 builds each table and decides general position once, and the index
-lives exactly as long as its ginf.
+lives exactly as long as its vis and ginf.
 """
 
 from __future__ import annotations
@@ -115,19 +118,25 @@ def _subcone_runs(index: ConeIndex, g: Graph, positive: bool):
     return a, b, code, first
 
 
-def build_g_infinity(
-    scene: Scene, vis: Graph, index: Optional[ConeIndex] = None
-) -> Graph:
+def _index_of(scene: Scene, g: Graph) -> ConeIndex:
+    """The index that g, a vis or a ginf, carries, or a fresh one of
+    scene when g carries none or one of another scene."""
+    index = g.index
+    return index if index is not None and index.scene is scene else ConeIndex(scene)
+
+
+def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     """One edge per nonempty positive subcone, to the visible vertex
     with the smallest bisector projection. Refuses a scene outside
-    general position, as the index reports it. The graph returned
-    carries the index as ``Graph.index``, for the later steps.
+    general position, as the index reports it. The index is vis's,
+    through ``_index_of``; the graph returned carries it on as
+    ``Graph.index``, for the later steps.
 
     vis's edges are grouped by positive subcone with ``_subcone_runs``.
     Within a group only the members whose lower key bound reaches the
     group's least upper bound can be closest; a group left with several
     settles them by ``key_compare``, in vertex order."""
-    index = ConeIndex.of(scene, index)
+    index = _index_of(scene, vis)
     report = index.general_position()
     if not report.ok:
         raise GeneralPositionError(
@@ -150,13 +159,6 @@ def build_g_infinity(
     ginf = Graph(scene.n, edges)
     ginf.index = index
     return ginf
-
-
-def _index_of(scene: Scene, ginf: Graph) -> ConeIndex:
-    """The index that built ginf, or a fresh one of scene when ginf
-    carries none or one of another scene."""
-    index = ginf.index
-    return index if index is not None and index.scene is scene else ConeIndex(scene)
 
 
 @dataclass(frozen=True)
@@ -479,12 +481,13 @@ def pipeline(scene: Scene, index: ConeIndex):
     """The chain in order, lazily, each step built from the one before:
     (name, graph) for vis, ginf, g15 and g10, then ("g7", G7Result).
     A caller that stops early builds nothing past its graph; vis comes
-    before the general-position check of ``build_g_infinity``. The
-    index goes to ``build_g_infinity``; the later steps read it from
-    the ginf it returns."""
-    vis = visibility_graph(scene)
+    before the general-position check of ``build_g_infinity``, and asks
+    the index for the report that decides its ray test. The index goes
+    to ``visibility_graph``; ``build_g_infinity`` reads it from the vis
+    and the later steps from the ginf it returns."""
+    vis = visibility_graph(scene, index)
     yield "vis", vis
-    ginf = build_g_infinity(scene, vis, index)
+    ginf = build_g_infinity(scene, vis)
     yield "ginf", ginf
     yield "g15", build_g15(scene, ginf)
     g10 = build_g10(scene, ginf)

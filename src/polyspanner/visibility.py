@@ -8,7 +8,10 @@ predicate stays total).
 
 ``visibility_graph`` decides every pair of a scene in one exact array
 pass with three tests: the nearest vertex on each ray, the obstacle
-wedge at both endpoints, and proper crossings with obstacle edges. Only
+wedge at both endpoints, and proper crossings with obstacle edges. The
+ray test runs only when the run's general-position report (from its
+``cones.ConeIndex``) finds a collinear triple: without one, no vertex
+lies on another pair's open segment and every pair passes it. Only
 pairs with an irregular endpoint (see ``visibility_graph``) are left to
 ``Scene.crossed_obstacles``: every vertex of a scene that fails
 ``Scene.validation``, and a vertex inside an obstacle edge. Valid scenes
@@ -20,11 +23,11 @@ The points and wedges are read from ``scene.exact_points`` and
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .cones import inside_wedge
+from .cones import ConeIndex, inside_wedge
 from .geom import cross
 from .scene import BLOCK, Scene, exact_points, obstacle_wedges
 
@@ -35,10 +38,10 @@ class Graph:
     ``pairs`` is its one array view, built on first call and cached:
     ``sorted_edges`` and ``degrees`` read it.
 
-    ``index`` is the ``cones.ConeIndex`` that built the graph, set by
-    ``spanners.build_g_infinity`` on the ginf it returns and None on
-    every other graph; it lives as long as the graph and takes no part
-    in equality or hashing."""
+    ``index`` is the run's ``cones.ConeIndex``, set by
+    ``visibility_graph`` on the vis and by ``spanners.build_g_infinity``
+    on the ginf they return, and None on every other graph; it lives as
+    long as the graph and takes no part in equality or hashing."""
 
     __slots__ = ("n", "edges", "index", "_pairs")
 
@@ -116,7 +119,7 @@ def _nearest_on_rays(x, y, apex) -> np.ndarray:
     return nearest
 
 
-def visibility_graph(scene: Scene) -> Graph:
+def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
     """All mutually visible vertex pairs, exact on any input: the pairs
     with no vertex on their open segment that ``Scene.crossed_obstacles``
     finds clear. Three array tests decide a pair u < v, all from signs
@@ -124,7 +127,11 @@ def visibility_graph(scene: Scene) -> Graph:
 
     - ray: v is the nearest vertex on the gcd-reduced integer ray from
       u, by one row-wise ``lexsort`` over (ray, steps); so no
-      vertex, and so no obstacle corner, lies on the open segment;
+      vertex, and so no obstacle corner, lies on the open segment.
+      Such a vertex makes a collinear triple, so the test runs only
+      when ``index.general_position()`` counts one; the index is the
+      run's, through ``ConeIndex.of``, and the graph returned carries
+      it as ``Graph.index`` for ``spanners.build_g_infinity``;
     - wedge: the segment leaves neither endpoint strictly into that
       corner's obstacle wedge (``cones.inside_wedge``);
     - obstacle: no obstacle edge properly crosses the segment: its two
@@ -145,6 +152,7 @@ def visibility_graph(scene: Scene) -> Graph:
     below its guard, where every 2x2 determinant fits, and Python ints
     otherwise; only signs of determinants are multiplied or compared.
     Pairs go through in blocks of about ``BLOCK`` elements."""
+    index = ConeIndex.of(scene, index)
     n = scene.n
     pts = scene.ipoints
     xy = exact_points(scene)
@@ -167,13 +175,16 @@ def visibility_graph(scene: Scene) -> Graph:
     along = rel_x * (x[:, None] - cx[succ]) + rel_y * (y[:, None] - cy[succ])
     irregular = ((side == 0) & (along < 0)).any(axis=1) | (not scene.validation().ok)
 
+    rays = index.general_position().collinear_count > 0
     edges = []
     rows = max(1, BLOCK // max(n, 1))
     chunk = max(1, BLOCK // max(slot_vertex.size, 1))
     for u0 in range(0, n, rows):
         apex = np.arange(u0, min(n, u0 + rows))
-        later = np.arange(n)[None, :] > apex[:, None]
-        a, b = np.nonzero(_nearest_on_rays(x, y, apex) & later)
+        pair = np.arange(n)[None, :] > apex[:, None]
+        if rays:
+            pair &= _nearest_on_rays(x, y, apex)
+        a, b = np.nonzero(pair)
         a += u0
         dx, dy = x[b] - x[a], y[b] - y[a]
         keep = ~(inside_wedge(wedges[:, :, a], dx, dy) | inside_wedge(wedges[:, :, b], -dx, -dy))
@@ -190,4 +201,6 @@ def visibility_graph(scene: Scene) -> Graph:
             crossed = (corner * corner[:, succ] < 0) & (side[pa] * side[pb] < 0)
             clear = ~crossed.any(axis=1)
             edges.extend(zip(pa[clear].tolist(), pb[clear].tolist()))
-    return Graph(n, edges)
+    vis = Graph(n, edges)
+    vis.index = index
+    return vis

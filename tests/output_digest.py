@@ -10,7 +10,11 @@ substitution of ``SUBSTITUTIONS`` and, when the scene has a pair inside
 an obstacle wedge, under each of ``WEDGE_SUBSTITUTIONS`` given that
 pair too, and ``check_per_edge_bound_ginf``'s witnesses for each
 thinned ginf of ``PER_EDGE_THINNINGS``, with every float as
-``float.hex``. Two checkouts whose outputs agree
+``float.hex``. ``--scenes full`` also prints one line per scene of
+``off_general_position``, whose digest covers its vis edge list only:
+four of its six scenes have a collinear triple, so they take the ray
+test that ``visibility_graph`` skips without one. Two checkouts whose
+outputs agree
 print the same lines, so a refactor is checked with
 
     diff <(python tests/output_digest.py --src old/src --scenes full) \\
@@ -81,6 +85,28 @@ def scenes(which: str = "fixtures") -> list:
     return out
 
 
+def off_general_position() -> list:
+    """(label, scene) for ``test_visibility.py``'s scenes with a vertex on
+    an open segment or an irregular endpoint, as given and rescaled by
+    2^60."""
+    from polyspanner.scene import Scene
+
+    from tests.test_visibility import IRREGULAR_SCENES, ONE_RAY
+
+    out = []
+    for name, sc in [("one-ray", ONE_RAY), *IRREGULAR_SCENES.items()]:
+        big = Scene([(x * 2**60, y * 2**60) for x, y in sc.vertices], sc.obstacles)
+        out += [(f"vis-{name}", sc), (f"vis-{name}*2^60", big)]
+    return out
+
+
+def vis_digest(scene) -> str:
+    from polyspanner.visibility import visibility_graph
+
+    text = f"vis {sorted(visibility_graph(scene).edges)}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def digest(scene) -> str:
     from polyspanner.cones import IN_WEDGE, ConeIndex
     from polyspanner.spanners import build_all, canonical_sequences, compute_charges
@@ -130,6 +156,9 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(pathlib.Path(args.src).resolve()), str(ROOT)]
     for label, scene in scenes(args.scenes):
         print(label, digest(scene))
+    if args.scenes == "full":
+        for label, scene in off_general_position():
+            print(label, vis_digest(scene))
     return 0
 
 

@@ -214,7 +214,7 @@ def test_one_array_pass_per_index(name, monkeypatch):
 
 def test_index_belongs_to_one_scene():
     with pytest.raises(ValueError, match="another scene"):
-        build_g_infinity(SPIKE, visibility_graph(SPIKE), ConeIndex(RING))
+        visibility_graph(SPIKE, ConeIndex(RING))
 
 
 def _dropped_first(g):
@@ -295,20 +295,20 @@ def test_ginf_raises_for_a_vis_pair_it_cannot_classify():
     scene = generate(GeneratorConfig(n_points=20, n_obstacles=2, seed=0))
     vis = visibility_graph(scene)
     bad = Graph(scene.n, vis.sorted_edges() + [(0, 16)])
-    index = ConeIndex(scene)
+    bad.index = ConeIndex(scene)
     for _ in range(2):
         with pytest.raises(ValueError, match="vertex 16 lies strictly inside the obstacle wedge at vertex 0"):
-            build_g_infinity(scene, bad, index)
+            build_g_infinity(scene, bad)
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
 def test_general_position_checked_once_per_run(monkeypatch, fixture):
     # Every library binding of check_general_position counts its calls.
     # A run asks its index once and the oracle once on its own; a fresh
-    # build_g_infinity asks once; the later steps never ask, so an index
-    # that checked eagerly on construction would fail here.
+    # visibility_graph asks once, for the ray test; ginf and the later
+    # steps read that index and never ask, so an index that checked
+    # eagerly on construction would fail here.
     scene = load_scene(fixture)
-    vis = visibility_graph(scene)
     real = scene_module.check_general_position
     calls = Counter()
     for name, module in list(sys.modules.items()):
@@ -324,13 +324,13 @@ def test_general_position_checked_once_per_run(monkeypatch, fixture):
     run_verification(scene)
     assert calls == {"polyspanner.cones": 1, "polyspanner.verify": 1}
     calls.clear()
-    ginf = build_g_infinity(scene, vis)
+    vis = visibility_graph(scene)
     assert calls == {"polyspanner.cones": 1}
-    calls.clear()
+    ginf = build_g_infinity(scene, vis)
     g10 = build_g10(scene, ginf)
     build_g15(scene, ginf)
     build_g7(scene, ginf, g10)
-    assert not calls
+    assert calls == {"polyspanner.cones": 1}
 
 
 def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
@@ -353,7 +353,7 @@ def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
         return real(label, d1, d2)
 
     monkeypatch.setattr(spanners, "key_compare", probe)
-    ginf = build_g_infinity(scene, visibility_graph(scene), index)
+    ginf = build_g_infinity(scene, visibility_graph(scene, index))
     assert settled
     assert ginf == oracle_g_infinity(scene)
     assert ginf.has_edge(0, 2) and not ginf.has_edge(0, 1)
@@ -479,7 +479,7 @@ def test_the_carried_index_is_not_part_of_equality():
     vis = visibility_graph(scene)
     graphs = [
         build_g_infinity(scene, vis),
-        build_g_infinity(scene, vis, ConeIndex(scene)),
+        build_g_infinity(scene, visibility_graph(scene, ConeIndex(scene))),
         Graph(scene.n, build_g_infinity(scene, vis).edges),
     ]
     assert graphs[0].index is not graphs[1].index and graphs[2].index is None

@@ -21,7 +21,7 @@ def _runs():
     out = []
     for _, scene in scenes("full"):
         index = ConeIndex(scene)
-        ginf = build_g_infinity(scene, visibility_graph(scene), index)
+        ginf = build_g_infinity(scene, visibility_graph(scene, index))
         g10 = build_g10(scene, ginf)
         out.append((
             (list(compute_charges(scene, ginf, index).items()), g7_transform(scene, ginf, g10, index)),

@@ -109,7 +109,7 @@ def test_canonical_sequences_match_reference():
     scenes += [generate(cfg) for cfg in configs()[::7]]
     for scene in scenes:
         index = ConeIndex(scene)
-        ginf = build_g_infinity(scene, visibility_graph(scene), index)
+        ginf = build_g_infinity(scene, visibility_graph(scene, index))
         thinned = Graph(
             scene.n, [e for j, e in enumerate(ginf.sorted_edges()) if j % 3]
         )

@@ -531,7 +531,7 @@ def test_canonical_triangles_are_counterclockwise():
         generate(cfg) for cfg in configs()
     ]:
         index = ConeIndex(scene)
-        ginf = build_g_infinity(scene, visibility_graph(scene), index)
+        ginf = build_g_infinity(scene, visibility_graph(scene, index))
         pts = scene.ipoints
         for seq in canonical_sequences(scene, ginf, index).values():
             for p, q in seq.consecutive_pairs:

@@ -4,12 +4,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyspanner import visibility
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.scene import INT64_GUARD, Scene, perturb_by_rotation
+from polyspanner.io import parse_instance
+from polyspanner.scene import INT64_GUARD, Scene, check_general_position, exact_points, perturb_by_rotation
+from polyspanner.spanners import build_all
 from polyspanner.verify import degree_report
 from polyspanner.visibility import Graph, visibility_graph
 
-from tests.conftest import neighbors
+from tests.conftest import load_scene, neighbors
 from tests.reference_visibility import visible
+from tests.test_acceptance import FIXTURE_NAMES
 
 
 class TestGraph:
@@ -144,9 +147,12 @@ def test_visibility_graph_matches_pairwise_off_general_position(extra, with_obst
             assert g.has_edge(u, v) == visible(sc, u, v), (u, v)
 
 
+ONE_RAY = Scene([(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (6, 1)])
+
+
 def test_several_vertices_on_one_ray():
     # the first four share one ray: only neighbours along it see each other
-    sc = Scene([(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (6, 1)])
+    sc = ONE_RAY
     g = visibility_graph(sc)
     assert g.has_edge(0, 1) and g.has_edge(1, 2) and g.has_edge(2, 3)
     assert not g.has_edge(0, 2) and not g.has_edge(0, 3) and not g.has_edge(1, 3)
@@ -188,17 +194,28 @@ def grid_scenes(draw):
     return Scene(pts, rings)
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(grid_scenes())
 # One scene per kind of irregular endpoint, each blocking a pair that
 # the array tests alone would pass: two vertices inside a ring, two on
 # its edges, a corner repeated in one ring, a free duplicate of a
-# corner, and a corner shared by two rings.
-@example(Scene(NOTCHED + [(3, 3), (5, 3)], [range(5)]))
-@example(Scene(NOTCHED + [(4, 2), (6, 4)], [range(5)]))
-@example(Scene([(0, 0), (2, 2), (3, 1), (2, 1)], [[1, 2, 1, 0]]))
-@example(Scene([(0, 0), (0, 0), (0, 1), (2, 1), (3, 1)], [[0, 4, 1, 2]]))
-@example(Scene([(0, 0), (0, 1), (3, 3), (3, 0)], [[1, 3, 2], [0, 3, 1, 2]]))
+# corner, and a corner shared by two rings. The first, second and
+# fourth have a collinear triple, so the ray test runs on them;
+# ``tests/output_digest.py`` digests the vis of each, and of ONE_RAY.
+IRREGULAR_SCENES = {
+    "inside-ring": Scene(NOTCHED + [(3, 3), (5, 3)], [range(5)]),
+    "on-edges": Scene(NOTCHED + [(4, 2), (6, 4)], [range(5)]),
+    "repeated-corner": Scene([(0, 0), (2, 2), (3, 1), (2, 1)], [[1, 2, 1, 0]]),
+    "duplicate-corner": Scene([(0, 0), (0, 0), (0, 1), (2, 1), (3, 1)], [[0, 4, 1, 2]]),
+    "shared-corner": Scene([(0, 0), (0, 1), (3, 3), (3, 0)], [[1, 3, 2], [0, 3, 1, 2]]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(grid_scenes())
+@example(IRREGULAR_SCENES["inside-ring"])
+@example(IRREGULAR_SCENES["on-edges"])
+@example(IRREGULAR_SCENES["repeated-corner"])
+@example(IRREGULAR_SCENES["duplicate-corner"])
+@example(IRREGULAR_SCENES["shared-corner"])
 def test_visibility_graph_matches_reference_on_arbitrary_rings(sc):
     g = _matches_reference(sc)
     # A rational rotation keeps every orientation; scaling by 2^40
@@ -245,3 +262,45 @@ def test_visibility_graph_same_in_small_blocks(monkeypatch):
     expected = _matches_reference(sc)
     monkeypatch.setattr(visibility, "BLOCK", 50)
     assert visibility_graph(sc) == expected
+
+
+# --- the ray test runs only off general position -----------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=7))
+# Duplicates with no collinear triple, a duplicate on a line of two, and
+# a vertex on an open segment.
+@example([(0, 0), (0, 0), (1, 2), (1, 2), (3, 1)])
+@example([(0, 0), (2, 1), (2, 1)])
+@example([(0, 0), (1, 1), (2, 2), (4, 0)])
+def test_no_collinear_triple_leaves_every_ray_clear(pts):
+    # What visibility_graph relies on to skip the ray test: with no
+    # collinear triple, no vertex lies on another pair's open segment, so
+    # every vertex is nearest on its ray from every apex.
+    sc = Scene(pts)
+    x, y = exact_points(sc).T
+    nearest = visibility._nearest_on_rays(x, y, np.arange(sc.n))
+    if check_general_position(sc).collinear_count == 0:
+        assert nearest.all()
+
+
+def test_ray_test_runs_only_off_general_position(monkeypatch):
+    calls = []
+    real = visibility._nearest_on_rays
+
+    def probe(x, y, apex):
+        calls.append(apex.size)
+        return real(x, y, apex)
+
+    monkeypatch.setattr(visibility, "_nearest_on_rays", probe)
+    scenes = [load_scene(name) for name in FIXTURE_NAMES]
+    scenes.append(generate(GeneratorConfig(42, 5, obstacle_size=8, seed=20)))
+    for sc in scenes:
+        build_all(sc)
+    assert calls == []
+    # The collinear scene of the CLI's vis-only build.
+    sc = parse_instance('{"vertices": [[0, 0], [1, 1], [2, 2], [5, 0]]}')
+    g = visibility_graph(sc)
+    assert calls
+    assert g.edges == {(u, v) for u in range(4) for v in range(u + 1, 4) if visible(sc, u, v)}
