@@ -135,7 +135,10 @@ def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     vis's edges are grouped by positive subcone with ``_subcone_runs``.
     Within a group only the members whose lower key bound reaches the
     group's least upper bound can be closest; a group left with several
-    settles them by ``key_compare``, in vertex order."""
+    settles them by ``key_compare``, in vertex order. The winners become
+    ginf's sorted ``Graph.from_pairs`` arrays with one ``lexsort``: a vis
+    pair lies in a positive subcone of exactly one of its ends, so no
+    pair is won twice."""
     index = _index_of(scene, vis)
     report = index.general_position()
     if not report.ok:
@@ -150,13 +153,18 @@ def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     start, group = np.flatnonzero(first), np.cumsum(first) - 1
     alive = np.flatnonzero(lo <= np.minimum.reduceat(hi, start)[group])
     single = np.bincount(group[alive], minlength=start.size)[group[alive]] == 1
-    edges = list(zip(a[alive[single]].tolist(), b[alive[single]].tolist()))
     contested: dict = {}
     for u, v in zip(a[alive[~single]].tolist(), b[alive[~single]].tolist()):
         contested.setdefault(index.subcone_of(u, v), []).append(v)
-    for ref, members in contested.items():
-        edges.append((ref.apex, _closest(scene, ref.apex, ref.label, members)))
-    ginf = Graph(scene.n, edges)
+    won = np.array(
+        [(ref.apex, _closest(scene, ref.apex, ref.label, m)) for ref, m in contested.items()],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    u = np.concatenate((a[alive[single]], won[:, 0]))
+    v = np.concatenate((b[alive[single]], won[:, 1]))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    ginf = Graph.from_pairs(scene.n, lo[order], hi[order])
     ginf.index = index
     return ginf
 

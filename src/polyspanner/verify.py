@@ -4,12 +4,16 @@ Exact predicates decide planarity, canonical-path membership, and
 triangle emptiness. Metric statements (stretch factors, per-edge path
 bounds) run in floating point with a relative tolerance of 1e-9, which
 dominates double-precision accumulation error at the coordinate scales
-this package targets. ``run_verification`` turns each of the five
-graphs into one ``EdgeTable`` (its ``Graph.pairs`` arrays, with each
-edge's float offset and length) and does the metric work on those
-arrays: one Dijkstra call per spanner for the distance matrix, and the
-stretch and per-edge reads on the base graph's edges, so the dense
-``vis`` graph never needs a matrix. The per-edge bound reads ``vis``'s
+this package targets. ``run_verification`` makes one ``EdgeTable`` (a
+graph's ``Graph.pairs`` arrays, with each edge's float offset and
+length) over the union of the five graphs' edges, which on an honest
+run is ``vis``, and gathers each graph's table from it by sorted pair
+keys, so each edge's floats are computed once per run. The metric work
+runs on those arrays: one Dijkstra call per spanner for the distance
+matrix, and the stretch and per-edge reads on the base graph's edges,
+so the dense ``vis`` graph never needs a matrix. No check of an honest
+run reads ``vis``'s ``edges`` frozenset: the subgraph chain compares
+sorted pair keys too. The per-edge bound reads ``vis``'s
 table for its offsets and lengths and one ``ConeIndex.codes`` gather
 for the unit bisectors of its cones, from the ``cones`` table.
 Planarity is one ``check_planarity`` sweep over the union of ``ginf``,
@@ -50,7 +54,7 @@ from .geom import (
     sign,
     sqrt3_sign,
 )
-from .scene import Scene, check_general_position
+from .scene import Scene, check_general_position, exact_points
 from .spanners import build_all, canonical_sequences, compute_charges
 from .visibility import Graph
 
@@ -75,16 +79,42 @@ def edge_table(scene: Scene, g: Graph) -> EdgeTable:
     ``Graph.pairs``. Each offset is an exact integer difference divided
     by the scale; int / int division is correctly rounded, so it is the
     same float as ``float`` of the Fraction difference, and the length
-    is its ``math.hypot``."""
+    is its ``math.hypot`` (``np.hypot`` rounds some inputs differently).
+    The int64 arrays of ``exact_points`` divide as floats, exactly while
+    the scale is below 2**53 too; otherwise the differences are Python
+    ints, divided one by one."""
     if g.n != scene.n:
         raise ValueError("graphs must share the scene's vertex set")
     u, v = g.pairs()
-    s, ul, vl = scene.scale, u.tolist(), v.tolist()
-    xs, ys = [p[0] for p in scene.ipoints], [p[1] for p in scene.ipoints]
-    dx = [(xs[b] - xs[a]) / s for a, b in zip(ul, vl)]
-    dy = [(ys[b] - ys[a]) / s for a, b in zip(ul, vl)]
-    length = list(map(math.hypot, dx, dy))
-    return EdgeTable(scene.n, u, v, *(np.array(c, dtype=float) for c in (dx, dy, length)))
+    xy = exact_points(scene)
+    if scene.scale >= 2**53:
+        xy = xy.astype(object)
+    dx, dy = ((xy[v] - xy[u]) / scene.scale).astype(float, copy=False).T
+    length = list(map(math.hypot, dx.tolist(), dy.tolist()))
+    return EdgeTable(scene.n, u, v, dx, dy, np.array(length, dtype=float))
+
+
+def _union(n: int, graphs) -> Graph:
+    """The graph on n vertices holding every edge of the given graphs,
+    made from their ``Graph.pair_keys``: sorted, each kept once."""
+    keys = np.sort(np.concatenate([g.pair_keys() for g in graphs]))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return Graph.from_pairs(n, *np.divmod(keys[first], n))
+
+
+def _edge_tables(scene: Scene, graphs: dict) -> dict:
+    """Each graph's ``EdgeTable``, by name, gathered from one
+    ``edge_table`` over the union of their edges, so each edge's floats
+    are computed once however many graphs hold it. On an honest run the
+    union is vis."""
+    union = _union(scene.n, graphs.values())
+    whole, keys = edge_table(scene, union), union.pair_keys()
+    tables = {}
+    for name, g in graphs.items():
+        at = np.searchsorted(keys, g.pair_keys())
+        tables[name] = EdgeTable(scene.n, *g.pairs(), whole.dx[at], whole.dy[at], whole.length[at])
+    return tables
 
 
 def distance_matrix(table: EdgeTable) -> np.ndarray:
@@ -482,8 +512,9 @@ def run_verification(
     cones cannot classify, becomes a failed outcome with the error as
     its detail. What the checks share is made once, before them, and
     outside any step: the substituted graphs, whose errors reach the
-    caller, the union planarity sweep, and each graph's ``edge_table``
-    and spanner's ``distance_matrix``. The charge checks each read
+    caller, the union planarity sweep, each graph's edge table
+    (gathered from one ``edge_table`` of the five graphs' union) and
+    each spanner's ``distance_matrix``. The charge checks each read
     ``compute_charges``, which keeps no table whose build raised, so on
     a corrupted ginf all three report its error."""
     outcomes: list[CheckOutcome] = []
@@ -535,8 +566,7 @@ def run_verification(
     # the four graphs' union answers each of them; g15 and g10 thin ginf
     # and g7 rewires a few g10 edges, so the union is little more than ginf.
     spanner_names = ("ginf", "g15", "g10", "g7")
-    union = Graph(scene.n, frozenset().union(*(graphs[name].edges for name in spanner_names)))
-    union_rep = check_planarity(scene, union)
+    union_rep = check_planarity(scene, _union(scene.n, (graphs[name] for name in spanner_names)))
     for name in spanner_names:
         rep = union_rep.restricted_to(graphs[name])
         check(f"planarity({name})", lambda: (
@@ -568,7 +598,7 @@ def run_verification(
     check("charges(negative-cap-1)", lambda: capped(False, 1))
     check("charges(positive-cap-2)", lambda: capped(True, 2))
 
-    tables = {name: edge_table(scene, g) for name, g in graphs.items()}
+    tables = _edge_tables(scene, graphs)
     dists = {name: distance_matrix(tables[name]) for name in spanner_names}
     stretch_specs = (
         ("ginf", "vis", 2.0),

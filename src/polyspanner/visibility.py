@@ -17,7 +17,10 @@ pairs with an irregular endpoint (see ``visibility_graph``) are left to
 ``Scene.validation``, and a vertex inside an obstacle edge. Valid scenes
 in general position have none.
 The points and wedges are read from ``scene.exact_points`` and
-``scene.obstacle_wedges``.
+``scene.obstacle_wedges``. The visible pairs leave the pass as index
+arrays sorted by u, then v, and become the vis through
+``Graph.from_pairs``: no edge is walked in Python, and the ``edges``
+frozenset is built only if something reads it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,17 @@ from .scene import BLOCK, Scene, exact_points, obstacle_wedges
 class Graph:
     """Undirected graph on vertices 0..n-1 with a frozen edge set.
 
-    ``pairs`` is its one array view, built on first call and cached:
-    ``sorted_edges`` and ``degrees`` read it.
+    ``Graph(n, edges)`` validates and normalises any iterable of pairs,
+    as a user or ``io.parse_edge_list`` hands it. ``Graph.from_pairs``
+    takes index arrays that a builder made already valid, with no walk
+    over them; ``visibility_graph`` and ``spanners.build_g_infinity``
+    return graphs made that way. ``pairs`` is the one array view: an
+    array-built graph holds it from the start, any other builds it on
+    first call and caches it. ``sorted_edges``, ``degrees`` and
+    ``is_subgraph_of`` read it, and ``m`` its length once it exists.
+    ``edges`` is the frozenset of (u, v) pairs, u < v; an array-built
+    graph fills it on its first read, for ``has_edge``, equality and
+    hashing.
 
     ``index`` is the run's ``cones.ConeIndex``, set by
     ``visibility_graph`` on the vis and by ``spanners.build_g_infinity``
@@ -58,9 +70,31 @@ class Graph:
         self.index = None
         self._pairs = None
 
+    @classmethod
+    def from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """The graph whose ``pairs`` are u and v, which the caller
+        guarantees: intp arrays of one length, u < v < n elementwise, no
+        pair twice, sorted by u, then v. They are made read-only and
+        kept; nothing is checked or copied."""
+        g = cls.__new__(cls)
+        g.n, g.index = n, None
+        u.flags.writeable = v.flags.writeable = False
+        g._pairs = (u, v)
+        return g
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the edges of an array-built
+        # graph, before their first read.
+        if name != "edges":
+            raise AttributeError(name)
+        u, v = self._pairs
+        self.edges = frozenset(zip(u.tolist(), v.tolist()))
+        return self.edges
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        pairs = self._pairs
+        return len(self.edges) if pairs is None else pairs[0].size
 
     def pairs(self) -> tuple:
         """The edges as read-only index arrays u < v, sorted by u, then v."""
@@ -71,6 +105,11 @@ class Graph:
             u.flags.writeable = v.flags.writeable = False
             self._pairs = (u, v)
         return self._pairs
+
+    def pair_keys(self) -> np.ndarray:
+        """One key u * n + v per edge, in ``pairs`` order, so ascending."""
+        u, v = self.pairs()
+        return u * self.n + v
 
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.pairs()), minlength=self.n)
@@ -83,7 +122,13 @@ class Graph:
         return list(zip(u.tolist(), v.tolist()))
 
     def is_subgraph_of(self, other: "Graph") -> bool:
-        return self.n == other.n and self.edges <= other.edges
+        """Every edge of self is one of other's, decided on both graphs'
+        sorted ``pair_keys``."""
+        if self.n != other.n:
+            return False
+        mine, theirs = self.pair_keys(), other.pair_keys()
+        at = np.searchsorted(theirs, mine)
+        return bool((at < theirs.size).all() and (theirs[at] == mine).all())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -151,7 +196,9 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
     position have none. The arrays are of ``scene.exact_dtype``: int64
     below its guard, where every 2x2 determinant fits, and Python ints
     otherwise; only signs of determinants are multiplied or compared.
-    Pairs go through in blocks of about ``BLOCK`` elements."""
+    Pairs go through in blocks of about ``BLOCK`` elements, each
+    decided in row-major order, so the visible ones concatenate into
+    the sorted arrays of ``Graph.from_pairs``."""
     index = ConeIndex.of(scene, index)
     n = scene.n
     pts = scene.ipoints
@@ -176,7 +223,7 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
     irregular = ((side == 0) & (along < 0)).any(axis=1) | (not scene.validation().ok)
 
     rays = index.general_position().collinear_count > 0
-    edges = []
+    ends = [np.empty((2, 0), dtype=np.intp)]
     rows = max(1, BLOCK // max(n, 1))
     chunk = max(1, BLOCK // max(slot_vertex.size, 1))
     for u0 in range(0, n, rows):
@@ -189,18 +236,22 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
         dx, dy = x[b] - x[a], y[b] - y[a]
         keep = ~(inside_wedge(wedges[:, :, a], dx, dy) | inside_wedge(wedges[:, :, b], -dx, -dy))
         a, b = a[keep], b[keep]
+        # One verdict per pair, in the block's row-major order, so the
+        # visible pairs come out sorted by u, then v.
         odd = irregular[a] | irregular[b]
-        for u, v in zip(a[odd].tolist(), b[odd].tolist()):
-            if next(scene.crossed_obstacles(pts[u], pts[v]), None) is None:
-                edges.append((u, v))
-        a, b = a[~odd], b[~odd]
-        for i in range(0, a.size, chunk):
-            pa, pb = a[i:i + chunk], b[i:i + chunk]
+        clear = np.empty(a.size, dtype=bool)
+        for k in np.flatnonzero(odd).tolist():
+            clear[k] = next(scene.crossed_obstacles(pts[a[k]], pts[b[k]]), None) is None
+        even = np.flatnonzero(~odd)
+        for i in range(0, even.size, chunk):
+            k = even[i:i + chunk]
+            pa, pb = a[k], b[k]
             dx, dy = x[pb] - x[pa], y[pb] - y[pa]
             corner = _signs(cross(dx[:, None], dy[:, None], cx - x[pa, None], cy - y[pa, None]))
             crossed = (corner * corner[:, succ] < 0) & (side[pa] * side[pb] < 0)
-            clear = ~crossed.any(axis=1)
-            edges.extend(zip(pa[clear].tolist(), pb[clear].tolist()))
-    vis = Graph(n, edges)
+            clear[k] = ~crossed.any(axis=1)
+        ends.append(np.stack((a[clear], b[clear])))
+    u, v = np.concatenate(ends, axis=1)
+    vis = Graph.from_pairs(n, u, v)
     vis.index = index
     return vis

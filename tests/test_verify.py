@@ -217,8 +217,9 @@ def test_verification_builds_no_vis_matrix(monkeypatch, split_cones):
 
 @pytest.mark.parametrize("name", ["split_cones.json", "g7_structural.json"])
 def test_verification_reads_each_edge_length_once(monkeypatch, name):
-    # Each graph's table computes each of its lengths once, and the
-    # per-edge bound reads vis's table instead of computing its own.
+    # One table over the union of the five graphs computes each length
+    # once; every graph's table, and the per-edge bound, read from it.
+    # On an honest run every spanner edge is a vis edge.
     sc = load_scene(name)
     calls = []
     real = math.hypot
@@ -231,13 +232,40 @@ def test_verification_reads_each_edge_length_once(monkeypatch, name):
     assert all(o.ok for o in run_verification(sc))
     monkeypatch.undo()
     graphs, _ = build_all(sc)
-    assert len(calls) == sum(g.m for g in graphs.values())
+    union = frozenset().union(*(g.edges for g in graphs.values()))
+    assert len(calls) == len(union) == graphs["vis"].m
+
+
+def test_gathered_edge_tables_hold_each_graphs_floats(nonconvex):
+    # Each gathered table holds the graph's pairs and, bit for bit, the
+    # floats of its own integer differences, also for a substituted
+    # graph holding a pair that vis lacks: on int64 arrays with a small
+    # scale, on int64 arrays with a scale past 2**53, and past int64.
+    graphs, _ = build_all(nonconvex)
+    hidden = next(e for e in itertools.combinations(range(nonconvex.n), 2)
+                  if not graphs["vis"].has_edge(*e))
+    graphs["g15"] = Graph(nonconvex.n, graphs["g15"].sorted_edges() + [hidden])
+    for sc in (nonconvex, _rescaled(nonconvex, Fraction(1, 3**35)), _rescaled(nonconvex, 2**60)):
+        tables = verify._edge_tables(sc, graphs)
+        assert tables.keys() == graphs.keys()
+        pts, s = sc.ipoints, sc.scale
+        for name, g in graphs.items():
+            table = tables[name]
+            u, v = g.pairs()
+            assert table.n == sc.n and table.u is u and table.v is v
+            offsets = [
+                ((pts[b][0] - pts[a][0]) / s, (pts[b][1] - pts[a][1]) / s)
+                for a, b in g.sorted_edges()
+            ]
+            assert table.dx.tolist() == [d[0] for d in offsets], name
+            assert table.dy.tolist() == [d[1] for d in offsets], name
+            assert table.length.tolist() == [edge_length(sc, a, b) for a, b in g.sorted_edges()], name
 
 
 def test_verification_builds_each_graph_array_view_once(monkeypatch, split_cones):
-    # One array build per distinct graph read as arrays: vis, ginf,
-    # g15, g10, g7 and the union that planarity sweeps. vis's arrays,
-    # grouped by build_g_infinity, are the ones its edge table reads.
+    # vis, ginf and the two unions (the planarity sweep's and the edge
+    # tables') are made as arrays; only g15, g10 and g7, made from
+    # edge sets, build their array view, each once.
     builds, read = [], {}
     real_fromiter, real_pairs = np.fromiter, Graph.pairs
 
@@ -253,8 +281,9 @@ def test_verification_builds_each_graph_array_view_once(monkeypatch, split_cones
     monkeypatch.setattr(Graph, "pairs", recording_pairs)
     assert all(o.ok for o in run_verification(split_cones))
     monkeypatch.undo()
-    assert len(builds) == len(read) == 6
-    assert sorted(builds) == sorted(2 * g.m for g in read.values())
+    graphs, _ = build_all(split_cones)
+    assert len(read) == 7
+    assert sorted(builds) == sorted(2 * graphs[name].m for name in ("g15", "g10", "g7"))
 
 
 def test_per_edge_bound_spot_values():

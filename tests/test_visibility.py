@@ -1,13 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyspanner import visibility
+from polyspanner import cli, spanners, visibility
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.io import parse_instance
+from polyspanner.io import parse_instance, write_edge_list, write_instance
 from polyspanner.scene import INT64_GUARD, Scene, check_general_position, exact_points, perturb_by_rotation
-from polyspanner.spanners import build_all
-from polyspanner.verify import degree_report
+from polyspanner.spanners import build_all, build_g_infinity
+from polyspanner.verify import degree_report, run_verification
 from polyspanner.visibility import Graph, visibility_graph
 
 from tests.conftest import load_scene, neighbors
@@ -304,3 +306,83 @@ def test_ray_test_runs_only_off_general_position(monkeypatch):
     g = visibility_graph(sc)
     assert calls
     assert g.edges == {(u, v) for u in range(4) for v in range(u + 1, 4) if visible(sc, u, v)}
+
+
+# --- vis and ginf are made as arrays ------------------------------------------
+
+TWIN_SCENES = {
+    **{f"gen-{seed}": generate(GeneratorConfig(30, 3, obstacle_size=5, seed=seed)) for seed in range(3)},
+    "one-ray": ONE_RAY,
+    **IRREGULAR_SCENES,
+    "n0": Scene([]),
+    "n1": Scene([(0, 0)]),
+    "n2": Scene([(0, 0), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("factor", [1, 2**60], ids=["int64", "python-int"])
+@pytest.mark.parametrize("name", list(TWIN_SCENES))
+def test_array_built_graphs_equal_their_validated_twins(name, factor):
+    # vis, and ginf where the scene allows one, against the graph that
+    # Graph.__init__ validates from the same pairs. Everything that reads
+    # the arrays is compared before the first read of ``edges``.
+    sc = _scaled(TWIN_SCENES[name], factor)
+    vis = visibility_graph(sc)
+    built = [vis]
+    if sc.validation().ok and check_general_position(sc).ok:
+        built.append(build_g_infinity(sc, vis))
+    for g in built:
+        u, v = g.pairs()
+        assert u.dtype == v.dtype == np.intp
+        assert not (u.flags.writeable or v.flags.writeable)
+        assert ((0 <= u) & (u < v) & (v < sc.n)).all()
+        assert (np.diff(u * sc.n + v) > 0).all()  # sorted, no pair twice
+        twin = Graph(sc.n, list(zip(u.tolist(), v.tolist())))
+        assert g.m == twin.m
+        assert g.sorted_edges() == twin.sorted_edges()
+        assert g.degrees().tolist() == twin.degrees().tolist()
+        assert write_edge_list(g) == write_edge_list(twin)
+        assert g == twin and hash(g) == hash(twin)
+        every = list(combinations(range(sc.n), 2))
+        assert [g.has_edge(b, a) for a, b in every] == [twin.has_edge(a, b) for a, b in every]
+
+
+@pytest.mark.parametrize("run", ["run_verification", "build_all", "cli build g7"])
+def test_vis_and_ginf_skip_the_validating_loop(monkeypatch, tmp_path, run):
+    # Neither vis nor ginf goes through Graph.__init__'s loop, and vis's
+    # edge frozenset is never built; ginf's is, for the tables it keys.
+    sc = generate(GeneratorConfig(42, 5, obstacle_size=8, seed=20))
+    walked, filled, kept = [], [], {}
+    real_init, real_getattr = Graph.__init__, Graph.__getattr__
+
+    def recording_init(self, n, edges):
+        walked.append(self)
+        real_init(self, n, edges)
+
+    def recording_getattr(self, name):
+        if name == "edges":
+            filled.append(self)
+        return real_getattr(self, name)
+
+    def keeping(name, step):
+        def kept_step(*args):
+            kept[name] = step(*args)
+            return kept[name]
+
+        return kept_step
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    monkeypatch.setattr(Graph, "__getattr__", recording_getattr)
+    monkeypatch.setattr(spanners, "visibility_graph", keeping("vis", spanners.visibility_graph))
+    monkeypatch.setattr(spanners, "build_g_infinity", keeping("ginf", spanners.build_g_infinity))
+    if run == "run_verification":
+        assert all(o.ok for o in run_verification(sc))
+    elif run == "build_all":
+        build_all(sc)
+    else:
+        (tmp_path / "s.json").write_text(write_instance(sc))
+        argv = ["build", "--graph", "g7", "--in", str(tmp_path / "s.json"), "--out", str(tmp_path / "g7")]
+        assert cli.main(argv) == 0
+    vis, ginf = kept["vis"], kept["ginf"]
+    assert walked and not any(g is vis or g is ginf for g in walked)
+    assert any(g is ginf for g in filled) and not any(g is vis for g in filled)
