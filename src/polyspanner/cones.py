@@ -26,15 +26,16 @@ edge sets read it through ``ConeIndex.codes``, one gather that raises
 at the least pair that cannot classify, and read what they need of
 each code from this module: its sign (``CODE_POSITIVE``), its key
 bounds (``key_bounds``), its unit bisector (``CODE_BISECTOR``) and the
-order of its subcone's run (``CODE_RUN_ORDER``); ``subcone_of``
-answers one pair from its code, as a fresh ``SubconeRef`` value. The
-index also holds the canonical-sequence and charge tables of each
-distinct ``ginf`` (filled by ``spanners.canonical_sequences`` and
-``compute_charges``) and, once asked, the run's general-position
-report. None has another entry: one index is made per run, handed to
-``visibility.visibility_graph``, which reads the report, and carried
-by the vis it returns to ``spanners.build_g_infinity`` and by that
-ginf to the later steps. ``inside_wedge`` is the one test of a direction
+order of its subcone's run (``CODE_RUN_ORDER``) and the subcone it
+names (``subcone_ref``, a fresh ``SubconeRef`` value); ``subcone_of``
+answers one pair from its code through ``subcone_ref``. The index also
+holds the canonical-sequence, path-charge and charge tables of each
+distinct ``ginf`` (filled by ``spanners.canonical_sequences``,
+``path_charges`` and ``compute_charges``) and, once asked, the run's
+general-position report. None has another entry: one index is made
+per run, handed to ``visibility.visibility_graph``, which reads the
+report, and carried by the vis it returns to
+``spanners.build_g_infinity`` and by that ginf to the later steps. ``inside_wedge`` is the one test of a direction
 strictly inside an obstacle wedge; ``classify`` and ``visibility`` run
 it elementwise on the wedges of ``scene.obstacle_wedges``.
 """
@@ -139,6 +140,15 @@ CODE_BISECTOR = CODE_KEY[:, ::-1] * (math.sqrt(3.0) / 2, 0.5)
 CODE_RUN_ORDER = np.array([3 * label.index + side for label in _SECTOR_LABEL for side in range(3)])
 
 
+# Per pair code that classifies: the label and side it names.
+_CODE_SUBCONE = tuple((label, side) for label in _SECTOR_LABEL for side in _SIDES)
+
+
+def subcone_ref(apex: int, code: int) -> SubconeRef:
+    """The subcone of apex that a pair code below ``N_REFS`` names."""
+    return SubconeRef(apex, *_CODE_SUBCONE[code])
+
+
 def key_compare(label: ConeLabel, d1, d2) -> int:
     """Exact sign of key(d1) - key(d2) for directions in the same cone."""
     ka, kb = _key(label)
@@ -230,8 +240,9 @@ class ConeIndex:
     gathers the codes of many pairs at once, and ``subcone_of`` reads
     one pair's code and makes its ``SubconeRef``, a value that compares
     equal to every other ref of the same subcone. The index keeps no
-    copy of the codes. ``tables`` and ``charges`` map a ginf edge set
-    to its read-only canonical-sequence and charge tables. Make one
+    copy of the codes. ``tables``, ``paths`` and ``charges`` map a ginf
+    edge set to its read-only canonical-sequence, path-charge and
+    charge tables; a build reads the first two only. Make one
     index per run and pass it to ``visibility.visibility_graph``: the
     vis it returns carries the index as ``Graph.index``, so does the
     ginf that ``spanners.build_g_infinity`` builds from that vis, and
@@ -245,6 +256,7 @@ class ConeIndex:
     def __init__(self, scene):
         self.scene = scene
         self.tables: dict = {}
+        self.paths: dict = {}
         self.charges: dict = {}
         self._general_position = None
 
@@ -296,7 +308,7 @@ class ConeIndex:
         code = int(self.classification.codes[apex, p])
         if code >= N_REFS:
             self._refuse(apex, p, code)
-        return SubconeRef(apex, _SECTOR_LABEL[code // 3], _SIDES[code % 3])
+        return subcone_ref(apex, code)
 
     def _refuse(self, apex: int, p: int, code: int):
         """Raise what classifying the pair (apex, p) raises, by its marker."""

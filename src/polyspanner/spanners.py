@@ -20,13 +20,17 @@ endpoint and a negative cone of the other, so "per negative subcone"
 decisions cover each edge exactly once.
 
 ``canonical_sequences`` builds those per-subcone facts in one pass: the
-ccw-ordered ginf neighbors of every nonempty negative subcone and its
-closest member. The degree-15, degree-10 and degree-7 steps, the charge
-table and the structural checks in ``verify`` all read that table.
-``compute_charges`` turns it into the charge table, the charges of each
-g10 edge by paying subcone; ``g7_transform`` keeps a private ledger of
-only the positive subcones' scenario-C charges, the ones that decide a
-rewiring.
+ccw-ordered ginf neighbors of every nonempty negative subcone, its
+closest member and its consecutive pairs. The degree-15, degree-10 and
+degree-7 steps, the charge tables and the structural checks in
+``verify`` all read that table. ``path_charges`` states the C/D rule
+once: the charges of each sequence's canonical-path edges.
+``g7_transform`` fills a private ledger with only their scenario-C
+charges, which land in positive subcones and decide a rewiring, so no
+build makes the whole charge table. ``compute_charges`` makes it, the
+charges of each g10 edge by paying subcone, for ``verify``'s charge
+checks: each sequence's A and B charges of its closest edge, then its
+path charges.
 ``pipeline`` is the one spelling of the chain's order: it builds the
 graphs lazily, so the CLI stops at the graph it was asked for.
 ``build_all`` runs it to the end and returns all five graphs, which
@@ -39,14 +43,16 @@ which classifies all ordered pairs of the scene in one array pass.
 grouping, ``_subcone_runs``, which reads the codes of a graph's
 ``Graph.pairs`` in both directions in one ``ConeIndex.codes`` gather
 and orders the runs by ``cones.CODE_RUN_ORDER``; ``build_g_infinity``
-hands the codes to ``cones.key_bounds``. Neither unpacks a code: only
-``cones`` knows their layout. The charge table and ``g7_transform``
-ask ``subcone_of`` for single pairs. Both tables
+hands the codes to ``cones.key_bounds`` and ``canonical_sequences``
+keys each run by ``cones.subcone_ref`` of its code. Neither unpacks a
+code: only ``cones`` knows their layout. The charge tables and
+``g7_transform`` ask ``subcone_of`` for single pairs. The three tables
 are built once per ginf edge set on the index and shared read-only, so
-``canonical_sequences``, ``compute_charges`` and ``g7_transform`` take
-the index as a required argument. The index enters the chain at its
-head: ``visibility.visibility_graph`` takes an optional one, makes its
-own without it, and returns a vis that carries it as ``Graph.index``.
+``canonical_sequences``, ``path_charges``, ``compute_charges`` and
+``g7_transform`` take the index as a required argument. The index
+enters the chain at its head: ``visibility.visibility_graph`` takes an
+optional one, makes its own without it, and returns a vis that carries
+it as ``Graph.index``.
 ``build_g_infinity`` reads the index from its vis and
 ``build_g15``, ``build_g10`` and ``build_g7`` read it from their ginf,
 by one rule, ``_index_of``, which makes a fresh index only for a graph
@@ -58,9 +64,9 @@ lives exactly as long as its vis and ginf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,6 +83,7 @@ from .cones import (
     ccw_sorted,
     key_bounds,
     key_compare,
+    subcone_ref,
 )
 from .scene import Scene
 from .visibility import Graph, visibility_graph
@@ -169,21 +176,26 @@ def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     return ginf
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class CanonicalSequence(NamedTuple):
     """Neighbors of the apex inside one negative subcone, in
-    counterclockwise order around the apex, and the member with the
-    smallest bisector projection. ``consecutive_pairs`` holds each
-    member with its successor, built once with the sequence."""
+    counterclockwise order around the apex, the member with the
+    smallest bisector projection, and each member with its successor,
+    as the table builder makes them."""
 
     apex: int
     subcone: SubconeRef
     vertices: tuple
     closest: int
-    consecutive_pairs: tuple = field(init=False, repr=False, compare=False)
+    consecutive_pairs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "consecutive_pairs", tuple(zip(self.vertices, self.vertices[1:])))
+
+def _memo(memo: dict, build, scene: Scene, ginf: Graph, index: ConeIndex) -> Mapping:
+    """The read-only table that build makes of ginf, kept in memo by
+    ginf's edge set on its first ask; a build that raises is not kept."""
+    table = memo.get(ginf.edges)
+    if table is None:
+        table = memo[ginf.edges] = MappingProxyType(build(scene, ginf, index))
+    return table
 
 
 def canonical_sequences(
@@ -194,27 +206,24 @@ def canonical_sequences(
     order, each apex's subcones by cone, a split cone's right side before
     its left. Built once per ginf edge set and index, then shared
     read-only."""
-    table = index.tables.get(ginf.edges)
-    if table is None:
-        table = MappingProxyType(_sequence_table(scene, ginf, index))
-        index.tables[ginf.edges] = table
-    return table
+    return _memo(index.tables, _sequence_table, scene, ginf, index)
 
 
 def _sequence_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
-    a, b, _, first = _subcone_runs(index, ginf, False)
+    a, b, code, first = _subcone_runs(index, ginf, False)
     starts = np.flatnonzero(first).tolist()
-    a, b = a.tolist(), b.tolist()
+    a, b, code = a.tolist(), b.tolist(), code.tolist()
     table = {}
     for i, j in zip(starts, starts[1:] + [len(b)]):
-        apex, members = a[i], b[i:j]
-        ref = index.subcone_of(apex, members[0])
-        if len(members) == 1:
-            closest = members[0]
+        apex = a[i]
+        ref = subcone_ref(apex, code[i])
+        if j - i == 1:
+            seq = CanonicalSequence(apex, ref, (b[i],), b[i], ())
         else:
-            members = ccw_sorted(scene, apex, members)
+            members = tuple(ccw_sorted(scene, apex, b[i:j]))
             closest = _closest(scene, apex, ref.label, members)
-        table[ref] = CanonicalSequence(apex, ref, tuple(members), closest)
+            seq = CanonicalSequence(apex, ref, members, closest, tuple(zip(members, members[1:])))
+        table[ref] = seq
     return table
 
 
@@ -275,43 +284,31 @@ def _scenario_d_target(index: ConeIndex, vertex: int, cone: int, side_hint: str)
     return SubconeRef(vertex, label, SIDE_WHOLE)
 
 
-def compute_charges(
+def path_charges(
     scene: Scene, ginf: Graph, index: ConeIndex
 ) -> Mapping[SubconeRef, tuple]:
-    """The charge table of ginf: each paying subcone to the tuple of
-    its charges, for every edge of g10, the degree-10 graph of ginf.
+    """The path charges of ginf: each canonical sequence with a path
+    (two members or more), by its subcone, to the (paying subcone,
+    charge) pairs of its path edges, edge by edge, p's end before q's.
     Built once per ginf edge set and index, then shared read-only; a
     build that raises ValueError is not kept.
 
-    Closest edges pay scenario B at the sequence owner and scenario A at
-    the chosen vertex. A canonical-path edge lies in a negative cone of
-    one endpoint (scenario C, charged to the positive subcone containing
-    the owner) and a positive cone of the other (scenario D, charged to
-    the adjacent empty negative cone).
+    This is the one statement of the C/D rule. A canonical-path edge
+    lies in a negative cone of one endpoint (scenario C, charged to the
+    positive subcone containing the owner) and a positive cone of the
+    other (scenario D, charged to the adjacent empty negative cone).
     """
-    table = index.charges.get(ginf.edges)
-    if table is None:
-        table = MappingProxyType(_charge_table(scene, ginf, index))
-        index.charges[ginf.edges] = table
-    return table
+    return _memo(index.paths, _path_table, scene, ginf, index)
 
 
-def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
-    charges: dict[SubconeRef, list] = {}
-
-    def add(ref: SubconeRef, charge: Charge) -> None:
-        charges.setdefault(ref, []).append(charge)
-
-    for seq in canonical_sequences(scene, ginf, index).values():
-        u = seq.apex
-        j = seq.subcone.label.index
-        e = _edge(u, seq.closest)
-        add(seq.subcone, Charge(e, "B", seq.subcone))
-        add(
-            _positive_subcone_containing(index, seq.closest, u),
-            Charge(e, "A", seq.subcone),
-        )
+def _path_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
+    table = {}
+    for owner, seq in canonical_sequences(scene, ginf, index).items():
+        if not seq.consecutive_pairs:
+            continue
+        u, j = seq.apex, owner.label.index
         ccw, cw = (j + 1) % 3, (j - 1) % 3
+        pairs = []
         for p, q in seq.consecutive_pairs:
             e = _edge(p, q)
             # Each end a looks at the other end b: from p toward its ccw
@@ -320,9 +317,41 @@ def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
             # a pays scenario D to its negative cone on the path's side.
             for a, b, cone, side in ((p, q, ccw, SIDE_LEFT), (q, p, cw, SIDE_RIGHT)):
                 if index.subcone_of(a, b).label.positive:
-                    add(_scenario_d_target(index, a, cone, side), Charge(e, "D", seq.subcone))
+                    pairs.append((_scenario_d_target(index, a, cone, side), Charge(e, "D", owner)))
                 else:
-                    add(_positive_subcone_containing(index, a, u), Charge(e, "C", seq.subcone))
+                    pairs.append((_positive_subcone_containing(index, a, u), Charge(e, "C", owner)))
+        table[owner] = tuple(pairs)
+    return table
+
+
+def compute_charges(
+    scene: Scene, ginf: Graph, index: ConeIndex
+) -> Mapping[SubconeRef, tuple]:
+    """The charge table of ginf: each paying subcone to the tuple of
+    its charges, for every edge of g10, the degree-10 graph of ginf.
+    Built once per ginf edge set and index, then shared read-only; a
+    build that raises ValueError is not kept. No build step reads it:
+    ``g7_transform`` reads ``path_charges`` only, so it is made where
+    ``verify``'s charge checks ask for it.
+
+    Each sequence adds, in turn, scenario B at its owner and scenario A
+    at its closest vertex for the closest edge, then its path charges
+    from ``path_charges``.
+    """
+    return _memo(index.charges, _charge_table, scene, ginf, index)
+
+
+def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
+    paths = path_charges(scene, ginf, index)
+    charges: dict[SubconeRef, list] = {}
+    for owner, seq in canonical_sequences(scene, ginf, index).items():
+        e = _edge(seq.apex, seq.closest)
+        closest = (
+            (owner, Charge(e, "B", owner)),
+            (_positive_subcone_containing(index, seq.closest, seq.apex), Charge(e, "A", owner)),
+        )
+        for ref, charge in closest + paths.get(owner, ()):
+            charges.setdefault(ref, []).append(charge)
     return {ref: tuple(cs) for ref, cs in charges.items()}
 
 
@@ -362,11 +391,13 @@ def g7_transform(
     """Resolve every positive subcone charged twice by one canonical
     path, scanning vertices in index order. Only scenario-C charges,
     which land in positive subcones, decide a resolution, so a private
-    ledger keeps just those, per subcone, and stays current after each
-    application; the shared table is left as built."""
+    ledger keeps just those of ``path_charges``, per subcone, in the
+    charge table's order, and stays current after each application;
+    the shared tables are left as built, and the charge table is not
+    built."""
     ledger: dict[SubconeRef, list] = {}
-    for ref, cs in compute_charges(scene, ginf, index).items():
-        for c in cs:
+    for pairs in path_charges(scene, ginf, index).values():
+        for ref, c in pairs:
             if c.scenario == "C":
                 ledger.setdefault(ref, []).append(c)
     table = canonical_sequences(scene, ginf, index)

@@ -4,10 +4,11 @@ This is the original ``_charge_table``, which writes the scenario C/D
 rule once for each end of a canonical-path edge, and the original
 ``g7_transform``, which rewires a private copy of every charge (all four
 scenarios, both signs) and filters it by scenario and sign where it
-reads it. The library now writes the C/D rule once for both ends, and
-its ``g7_transform`` keeps a ledger of only the positive subcones'
-scenario-C charges; the differential test in ``test_g7_reference.py``
-compares the two, charge order and transcripts included.
+reads it. The library now writes the C/D rule once for both ends, in
+``path_charges``, and its ``g7_transform`` keeps a ledger of only the
+scenario-C path charges, so no build makes the whole table; the
+differential tests in ``test_g7_reference.py`` compare the two, charge
+order, path charges, first errors and transcripts included.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The per-run cone index against the reference classification, which
 recomputes every call from scratch, and the guards that one run
-classifies each scene once, builds each canonical-sequence and charge
-table and decides general position once."""
+classifies each scene once, builds each canonical-sequence, path-charge
+and charge table at most once and decides general position once, and
+that no build makes the charge table."""
 
 import sys
 from collections import Counter
@@ -9,10 +10,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polyspanner import cones, scene as scene_module, spanners, verify
+from polyspanner import cli, cones, scene as scene_module, spanners, verify
 from polyspanner.cones import ConeIndex, SubconeRef, key_bounds
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.io import parse_edge_list, write_edge_list
+from polyspanner.io import parse_edge_list, write_edge_list, write_instance
 from polyspanner.scene import INT64_GUARD, Scene, exact_dtype
 from polyspanner.spanners import (
     build_all,
@@ -233,44 +234,47 @@ def _dropped_first(g):
     ids=["honest", "ginf-differs", "ginf-same-edges", "g15-differs"],
 )
 def test_one_run_classifies_once(monkeypatch, fixture, name, corrupt, tables):
+    # The build reads the sequence and path-charge tables of the honest
+    # ginf; the charge checks read all three tables of the ginf they
+    # check. So each table is built once per distinct ginf that reads
+    # it, and the charge table only for the checked one.
     scene = load_scene(fixture)
     subs = None
     if name is not None:
         subs = {name: corrupt(build_all(scene)[0][name])}
+    checked = (subs or {}).get("ginf", build_all(scene)[0]["ginf"]).edges
     splits = Counter()
-    built = []
-    charged = []
+    built = {"sequences": [], "paths": [], "charges": []}
     real_classify = cones.classify
-    real_table = spanners._sequence_table
-    real_charges = spanners._charge_table
 
     def split_probe(sc):
         # One array pass decides the split label of every vertex.
         splits.update(range(sc.n))
         return real_classify(sc)
 
-    def table_probe(sc, ginf, index):
-        built.append(ginf.edges)
-        return real_table(sc, ginf, index)
+    def table_probe(name, real):
+        def probe(sc, ginf, index):
+            built[name].append(ginf.edges)
+            return real(sc, ginf, index)
 
-    def charge_probe(sc, ginf, index):
-        charged.append(ginf.edges)
-        return real_charges(sc, ginf, index)
+        return probe
 
     monkeypatch.setattr(cones, "classify", split_probe)
-    monkeypatch.setattr(spanners, "_sequence_table", table_probe)
-    monkeypatch.setattr(spanners, "_charge_table", charge_probe)
+    for name, attr in (("sequences", "_sequence_table"), ("paths", "_path_table"), ("charges", "_charge_table")):
+        monkeypatch.setattr(spanners, attr, table_probe(name, getattr(spanners, attr)))
     run_verification(scene, subs)
     assert max(splits.values()) == 1
-    assert len(built) == len(set(built)) == tables
-    assert len(charged) == len(set(charged)) == tables
+    for name in ("sequences", "paths"):
+        assert len(built[name]) == len(set(built[name])) == tables
+        assert checked in built[name]
+    assert built["charges"] == [checked]
 
 
 def test_charge_build_that_raises_is_not_kept():
-    # One extra vis edge in ginf makes the charge build ask for a
-    # direction inside vertex 0's obstacle wedge. It raises each time it
-    # is asked, the index keeps no table, and a run reports the error
-    # as its three charge lines.
+    # One extra vis edge in ginf makes the path-charge build, which the
+    # charge build reads, ask for a direction inside vertex 0's obstacle
+    # wedge. It raises each time it is asked, the index keeps neither
+    # table, and a run reports the error as its three charge lines.
     scene = generate(GeneratorConfig(n_points=20, n_obstacles=2, seed=0))
     graphs = build_all(scene)[0]
     assert graphs["vis"].has_edge(0, 6) and not graphs["ginf"].has_edge(0, 6)
@@ -280,7 +284,10 @@ def test_charge_build_that_raises_is_not_kept():
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             spanners.compute_charges(scene, bad, index)
-    assert bad.edges not in index.charges
+        with pytest.raises(ValueError, match=message):
+            spanners.path_charges(scene, bad, index)
+    assert bad.edges not in index.charges and bad.edges not in index.paths
+    assert bad.edges in index.tables
     lines = [
         (o.ok, o.detail)
         for o in run_verification(scene, {"ginf": bad})
@@ -396,12 +403,13 @@ def test_generated_scenes_take_the_int64_path():
 
 
 def _count_chain_work(monkeypatch):
-    """Calls of the four once-per-index builds, by name, with the scene
+    """Calls of the five once-per-index builds, by name, with the scene
     each was asked for."""
-    calls = {name: [] for name in ("classify", "sequences", "charges", "general_position")}
+    calls = {name: [] for name in ("classify", "sequences", "paths", "charges", "general_position")}
     for module, attr, name in (
         (cones, "classify", "classify"),
         (spanners, "_sequence_table", "sequences"),
+        (spanners, "_path_table", "paths"),
         (spanners, "_charge_table", "charges"),
         (cones, "check_general_position", "general_position"),
     ):
@@ -426,12 +434,13 @@ def _readme_chain(scene):
 @pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
 def test_steps_called_alone_share_the_index_of_their_ginf(monkeypatch, fixture):
     # The README's chain, each step called without an index, classifies,
-    # sequences, charges and checks general position once; the three
-    # later steps read the index their ginf carries.
+    # builds the sequence and path-charge tables and checks general
+    # position once, and never builds the charge table; the three later
+    # steps read the index their ginf carries.
     scene = load_scene(fixture)
     calls = _count_chain_work(monkeypatch)
     ginf, *later = _readme_chain(scene)
-    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 1)
+    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 1) | {"charges": 0}
     assert ginf.index.scene is scene
     assert all(g.index is None for g in later)
     assert [g.edges for g in later] == [build_all(scene)[0][name].edges for name in ("g15", "g10", "g7")]
@@ -446,7 +455,28 @@ def test_a_second_chain_classifies_again(monkeypatch):
     second = _readme_chain(scene)
     assert first == second
     assert first[0].index is not second[0].index
-    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 2)
+    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 2) | {"charges": 0}
+
+
+@pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
+@pytest.mark.parametrize("entry", ["build_all", "cli-build-g7"])
+def test_builds_never_make_the_charge_table(monkeypatch, tmp_path, fixture, entry):
+    # As for the README's chain above, g7 reads the path charges, built
+    # once, and never the charge table; the graph is the one build_all
+    # gives.
+    scene = load_scene(fixture)
+    want = build_all(scene)[0]["g7"]
+    calls = _count_chain_work(monkeypatch)
+    if entry == "build_all":
+        got = build_all(scene)[0]["g7"]
+    else:
+        instance, out = tmp_path / "scene.json", tmp_path / "g7.edges"
+        instance.write_text(write_instance(scene))
+        assert cli.main(["build", "--graph", "g7", "--in", str(instance), "--out", str(out)]) == 0
+        got = parse_edge_list(out.read_text())
+    assert got == want
+    assert len(calls["sequences"]) == len(calls["paths"]) == 1
+    assert calls["charges"] == []
 
 
 def test_a_ginf_of_another_scene_gets_a_fresh_index(monkeypatch):
@@ -491,8 +521,9 @@ def test_the_carried_index_is_not_part_of_equality():
 @pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
 def test_array_readers_ask_subcone_of_once_per_subcone(monkeypatch, fixture):
     # On an honest run the per-edge bound reads all of vis's codes in
-    # one gather and asks subcone_of nothing; the sequence table asks
-    # once per nonempty negative subcone, for the ref it is keyed by.
+    # one gather and asks subcone_of nothing; the sequence table keys
+    # each nonempty negative subcone by the code its run already
+    # gathered, so it asks nothing either.
     scene = load_scene(fixture)
     within = [None]
     asked, ran = Counter(), Counter()
@@ -523,6 +554,6 @@ def test_array_readers_ask_subcone_of_once_per_subcone(monkeypatch, fixture):
     assert all(o.ok for o in run_verification(scene))
     (table,) = tables
     assert len(table) > 0
-    assert asked["sequences"] == len(table)
+    assert asked["sequences"] == 0
     assert ran == {"sequences": 1, "per-edge": 1}
     assert asked["per-edge"] == 0

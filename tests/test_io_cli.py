@@ -273,10 +273,10 @@ class TestCli:
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_build_stops_at_its_graph(self, instance_file, tmp_path, name, monkeypatch):
-        # Each step is counted where the pipeline looks it up; compute_charges
-        # runs inside g7_transform.
+        # Each step is counted where the pipeline looks it up; path_charges
+        # runs inside g7_transform, and no build runs compute_charges.
         steps = ("visibility_graph", "build_g_infinity", "build_g15", "build_g10",
-                 "g7_transform", "compute_charges")
+                 "g7_transform", "path_charges", "compute_charges")
         expected = write_edge_list(build_all(load_scene("split_cones.json"))[0][name])
         calls = Counter()
         for step in steps:

@@ -15,6 +15,7 @@ from polyspanner.spanners import (
     canonical_sequences,
     compute_charges,
     g7_transform,
+    path_charges,
 )
 from polyspanner.verify import degree_report, run_verification
 from polyspanner.visibility import Graph, visibility_graph
@@ -182,15 +183,16 @@ def test_absorbed_transformation_keeps_graph():
 
 
 def _g7_keeps_shared_table(scene, ginf, g10):
-    """g7_transform on an explicit index. It rewires its own copy of the
-    charge table: the index's table is still the one a fresh index
-    builds, and it takes no item assignment."""
+    """g7_transform on an explicit index. It rewires its own ledger of
+    the path charges: the index's path-charge and charge tables are
+    still the ones a fresh index builds, and take no item assignment."""
     index = ConeIndex(scene)
     res = g7_transform(scene, ginf, g10, index)
-    table = compute_charges(scene, ginf, index)
-    assert table == compute_charges(scene, ginf, ConeIndex(scene))
-    with pytest.raises(TypeError):
-        table[next(iter(table))] = ()
+    for build in (path_charges, compute_charges):
+        table = build(scene, ginf, index)
+        assert table == build(scene, ginf, ConeIndex(scene))
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = ()
     return res
 
 
