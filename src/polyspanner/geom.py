@@ -5,7 +5,9 @@ rational expression, so no predicate can flip under rounding. Points are
 plain ``(x, y)`` tuples whose entries are ints or ``fractions.Fraction``
 (the two mix freely in arithmetic). The only irrational values anywhere
 in the pipeline are rational multiples of sqrt(3); ``sqrt3_sign``
-decides the sign of a + b*sqrt(3) exactly.
+decides the sign of a + b*sqrt(3) exactly, with comparisons alone.
+Where an array pass screens with floats first (``scene._slope_tie``),
+the floats only choose which exact work runs; they decide nothing.
 """
 
 from __future__ import annotations
@@ -30,20 +32,18 @@ def sign(x) -> int:
 
 
 def sqrt3_sign(a, b) -> int:
-    """Exact sign of a + b*sqrt(3) for rational a, b.
+    """Exact sign of a + b*sqrt(3) for rational a, b, by comparisons.
 
     When a and b disagree in sign the answer hinges on whether |a|
-    beats sqrt(3)*|b|, i.e. on the sign of a*a - 3*b*b.
+    beats sqrt(3)*|b|, i.e. on a*a against 3*b*b. As sqrt(3) is
+    irrational the two are equal only at a = b = 0, so that comparison
+    is never a tie.
     """
-    sa = sign(a)
-    sb = sign(b)
-    if sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    return sa * sign(a * a - 3 * b * b)
+    if b > 0:
+        return 1 if a >= 0 or 3 * b * b > a * a else -1
+    if b < 0:
+        return -1 if a <= 0 or 3 * b * b > a * a else 1
+    return 1 if a > 0 else -1 if a < 0 else 0
 
 
 def cross(ux, uy, vx, vy):
@@ -179,10 +179,13 @@ def segment_properly_intersects_polygon(a, b, poly) -> bool:
             # holds ab's direction iff d_next lies right of ab and d_prev
             # left of it (both at a convex corner, either at a reflex one).
             t = (c[0] - ax) * dx + (c[1] - ay) * dy
-            if orient(c, nxt, poly[i - 1]) == CW:  # reflex corner
+            if s_next * s_prev < 0:
+                # Neighbours on opposite sides: convex and reflex agree.
+                forward, backward = s_next < 0, s_next > 0
+            elif orient(c, nxt, poly[i - 1]) == CW:  # reflex corner
                 forward, backward = s_next < 0 or s_prev > 0, s_next > 0 or s_prev < 0
-            else:
-                forward, backward = s_next < 0 < s_prev, s_prev < 0 < s_next
+            else:  # convex corner, neighbours on one side or the line
+                forward = backward = False
             if forward and 0 <= t < length2 or backward and 0 < t <= length2:
                 return True
             if t == 0:

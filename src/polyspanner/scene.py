@@ -390,7 +390,11 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
     keys holds m(m-1)/2 triples. The first triple is at the least apex,
     in the line whose first member is least. Rows go through in blocks
     of about ``BLOCK`` elements, of ``exact_dtype``, so even collinear
-    input takes O(n^2) time and bounded memory."""
+    input takes O(n^2) time and bounded memory. On int64 coordinates a
+    float screen comes first: only a block in which ``_slope_tie``
+    finds two later points of one float slope makes the exact keys, so
+    floats choose which exact work runs and decide nothing. Python-int
+    coordinates, at or above ``INT64_GUARD``, always make the keys."""
     n = scene.n
     xy = exact_points(scene)
     x, y = xy[:, 0], xy[:, 1]
@@ -399,6 +403,9 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
     stride = 2 * int(y.max() - y.min()) + 1 if n else 1
     base = stride * (int(x.max() - x.min()) + 1) if n else 0
     fill = base + np.arange(n, dtype=xy.dtype)
+    screen = xy.dtype == np.int64
+    if screen:
+        xf, yf = x.astype(float), y.astype(float)
     parallel, first_pair = 0, None
     count, first = 0, None
     rows = max(1, BLOCK // max(n, 1))
@@ -411,6 +418,8 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
             if first_pair is None:
                 r, j = divmod(int(flat.argmax()), later.size)
                 first_pair = (i0 + r, i0 + 1 + j)
+        if screen and not _slope_tie(xf, yf, i0, i0 + apex.size):
+            continue
         key = _direction_keys(x, y, apex, later, stride, fill)
         key.sort(axis=1)
         same = key[:, 1:] == key[:, :-1]
@@ -429,11 +438,33 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
     return GeneralPositionReport(parallel, first_pair, count, first)
 
 
+def _slope_tie(xf, yf, i0, i1) -> bool:
+    """True iff a row of apexes i0..i1-1 has two vertices after i0 of
+    one float slope dy / dx from its apex: +inf where dx == 0, NaN at
+    the apex and at a duplicate of it. Below ``INT64_GUARD`` every dx
+    and dy is a float exactly and division rounds correctly, so two
+    points on one line through the apex get the same slope. Columns
+    before the apex are kept: three collinear vertices from i0 on put
+    a tie in the row of the least of them, so a block with no tie has
+    no collinear triple among its rows, and an extra tie only costs
+    the exact keys."""
+    dx, dy = xf[i0 + 1 :] - xf[i0:i1, None], yf[i0 + 1 :] - yf[i0:i1, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dy /= dx
+    np.abs(dy, out=dy, where=dx == 0)  # vertical both ways: +inf
+    del dx
+    dy.sort(axis=1)
+    return bool((dy[:, 1:] == dy[:, :-1]).any())
+
+
 def _direction_keys(x, y, apex, later, stride, fill) -> np.ndarray:
     """Rows for the apexes, columns for the vertices later: the packed
     reduced direction to each vertex after the apex, or fill's entry
     for the column at the apex itself, an earlier vertex or a duplicate
-    point."""
+    point. The exact counterpart of ``_slope_tie``'s float slopes: two
+    columns of a row share a key exactly when they share a slope. On
+    int64 coordinates only a block where the screen found a tie makes
+    these keys."""
     dx, dy = x[later] - x[apex, None], y[later] - y[apex, None]
     g = np.gcd(dx, dy)
     g[g == 0] = 1

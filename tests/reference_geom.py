@@ -1,17 +1,37 @@
-"""Reference obstacle predicate: exact Fraction cut-and-classify.
+"""Reference predicates: the original implementations of two ``geom``
+predicates, which the differential tests in ``test_geom.py`` compare
+with the library's.
 
-This is the original implementation of
-``segment_properly_intersects_polygon``. It cuts the segment at every
-boundary hit and classifies each open piece by its midpoint. The
-library now decides the same question from integer orientation signs;
-the differential tests in ``test_geom.py`` compare the two.
+``segment_properly_intersects_polygon`` cuts the segment at every
+boundary hit and classifies each open piece by its midpoint, in exact
+Fractions; the library decides the same question from integer
+orientation signs. ``sqrt3_sign`` combines three ``sign`` calls; the
+library decides with comparisons alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from polyspanner.geom import COLLINEAR, cross, orient, point_in_polygon
+from polyspanner.geom import COLLINEAR, cross, orient, point_in_polygon, sign
+
+
+def sqrt3_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(3) for rational a, b.
+
+    When a and b disagree in sign the answer hinges on whether |a|
+    beats sqrt(3)*|b|, i.e. on the sign of a*a - 3*b*b.
+    """
+    sa = sign(a)
+    sb = sign(b)
+    if sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    if sa == sb:
+        return sa
+    return sa * sign(a * a - 3 * b * b)
+
 
 def segment_polygon_hits(a, b, poly) -> list:
     """Sorted parameters t in [0, 1] where segment a + t*(b-a) meets the

@@ -46,6 +46,28 @@ def test_sqrt3_sign_matches_float(a, b):
         assert sqrt3_sign(a, b) == (1 if value > 0 else -1)
 
 
+def _sqrt3_sign_cases():
+    grid = [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    fractions = [(Fraction(a, 7), Fraction(b, 4)) for a, b in grid[::3]]
+    scaled = [(a * 2**80 + c, b * 2**80) for a, b in grid[::5] for c in (-1, 0, 1)]
+    # Convergents of sqrt(3): a + b*sqrt(3) is within 1e-3 of zero.
+    convergents = [(s * a, -s * b) for a, b in ((26, 15), (265, 153), (1351, 780)) for s in (1, -1)]
+    near = [(a * k + d, b * k) for a, b in convergents for k in (1, 3, 2**80) for d in (-1, 0, 1)]
+    return grid + fractions + scaled + convergents + near
+
+
+def test_sqrt3_sign_matches_the_three_sign_formula():
+    for a, b in _sqrt3_sign_cases():
+        for pair in ((a, b), (b, a), (-a, b)):
+            got = sqrt3_sign(*pair)
+            assert got == reference_geom.sqrt3_sign(*pair), pair
+            assert type(got) is int
+    # 1351 - 780*sqrt(3) is about 3.7e-4, -265 + 153*sqrt(3) about 3.8e-3.
+    assert [sqrt3_sign(1351, -780), sqrt3_sign(-1351, 780)] == [1, -1]
+    assert [sqrt3_sign(-265, 153), sqrt3_sign(265, -153)] == [1, -1]
+    assert [sqrt3_sign(26, -15), sqrt3_sign(-26, 15)] == [1, -1]
+
+
 def test_sqrt3_sign_exact_zero():
     assert sqrt3_sign(0, 0) == 0
     assert sqrt3_sign(Fraction(3), Fraction(-1)) == 1  # 3 - sqrt(3) > 0

@@ -1,14 +1,17 @@
 import dataclasses
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyspanner import scene as scene_module
-from polyspanner.generator import generate
+from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.geom import polygon_signed_area2
 from polyspanner.scene import (
     INT64_GUARD,
@@ -23,6 +26,8 @@ from polyspanner.scene import (
 from tests import reference_general_position, reference_scene_ints
 from tests.conftest import load_scene
 from tests.test_acceptance import FIXTURE_NAMES, configs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def kinds(result):
@@ -248,6 +253,77 @@ def test_general_position_same_report_across_the_int64_guard():
         reports.append(_same_report_as_reference(scene))
     assert reports[0] == reports[1]
     assert reports[0][0] and reports[0][2]
+
+
+def _count_exact_keys(monkeypatch) -> list:
+    """Record the apex count of every ``_direction_keys`` call."""
+    calls = []
+    keys = scene_module._direction_keys
+
+    def probe(x, y, apex, *rest):
+        calls.append(apex.size)
+        return keys(x, y, apex, *rest)
+
+    monkeypatch.setattr(scene_module, "_direction_keys", probe)
+    return calls
+
+
+def test_float_slope_tie_runs_the_exact_keys(monkeypatch):
+    # The slopes (2^28 + 1) / 2^28 and (2^28 + 2) / (2^28 + 1) differ by
+    # about 2^-56, under half a float step at 1: one double, no triple.
+    scene = Scene([(0, 0), (2**28, 2**28 + 1), (2**28 + 1, 2**28 + 2)])
+    assert exact_dtype(scene.ipoints) is np.int64
+    assert (2**28 + 1) / 2**28 == (2**28 + 2) / (2**28 + 1)
+    calls = _count_exact_keys(monkeypatch)
+    assert _same_report_as_reference(scene) == (0, None, 0, None)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (0, 5), (0, -3), (1, 7)],  # vertical, both ways: +-inf
+        [(0, 5), (0, 0), (2, 1), (0, -3)],
+        [(0, 0), (5, 0), (-5, 0), (1, 7)],  # horizontal, both ways: +-0.0
+        [(0, 0), (1, 2), (1, 2)],  # duplicates, in the three orders
+        [(1, 2), (1, 2), (0, 0)],
+        [(1, 2), (0, 0), (1, 2)],
+        [(0, 0), (0, 0), (0, 0), (3, 1)],
+        [(3, 1), (0, 0), (6, 2), (-3, -1), (2, 9)],  # collinear
+    ],
+)
+def test_float_screen_keeps_vertical_duplicate_and_collinear_reports(points):
+    _same_report_as_reference(Scene(points))
+
+
+def test_benchmark_sized_scenes_never_make_the_exact_keys(monkeypatch):
+    # Every scene of every benchmark workload, all variants: general
+    # position, so the float screen clears every block.
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = _count_exact_keys(monkeypatch)
+    variants = workloads.VARIANTS["full"]
+    for w in workloads.WORKLOADS.values():
+        for i, slot in enumerate(w.slots["full"]):
+            for seed in range(w.seed_base + i * variants, w.seed_base + (i + 1) * variants):
+                config = GeneratorConfig(slot.n, slot.obstacles, slot.obstacle_size, seed=seed)
+                assert check_general_position(generate(config)).ok
+    assert calls == []
+
+
+def test_object_path_makes_the_exact_keys_in_every_block(monkeypatch):
+    # The same general-position scene below and at the guard: the float
+    # screen clears every int64 block, Python ints make the keys anyway.
+    monkeypatch.setattr(scene_module, "BLOCK", 60)
+    pts = [(i, i * i) for i in range(12)]
+    calls = _count_exact_keys(monkeypatch)
+    for shift, dtype in ((0, np.int64), (INT64_GUARD, object)):
+        scene = Scene([(x + shift, y) for x, y in pts])
+        assert exact_dtype(scene.ipoints) is dtype
+        assert _same_report_as_reference(scene)[2] == 0
+    assert calls == [5, 5, 2]
 
 
 def test_perturb_by_rotation_is_isometry():
