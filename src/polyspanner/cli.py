@@ -11,10 +11,10 @@ import argparse
 import functools
 import sys
 
-from .cones import ConeIndex, GeneralPositionError
+from .cones import GeneralPositionError
 from .generator import GeneratorConfig, GeneratorError, generate
 from .io import ParseError, parse_edge_list, parse_instance, write_edge_list, write_instance
-from .scene import SceneError, check_general_position, perturb_by_rotation
+from .scene import SceneError, perturb_by_rotation
 from .spanners import GRAPH_NAMES, pipeline
 from .svg import render_svg
 from .verify import run_verification
@@ -39,7 +39,7 @@ def _build(scene, name: str):
     """One named graph, building the chain only up to it. vis is exact
     on any input; ginf and later refuse a scene outside general
     position."""
-    for step, built in pipeline(scene, ConeIndex(scene)):
+    for step, built in pipeline(scene):
         if step == name:
             return built.graph if step == "g7" else built
 
@@ -103,7 +103,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_perturb(args) -> int:
     scene = parse_instance(_read(args.infile))
-    report = check_general_position(scene)
+    report = scene.general_position()
     if report.collinear_count:
         print(
             "perturb: collinear triples cannot be fixed by rotation; "
@@ -117,7 +117,7 @@ def _cmd_perturb(args) -> int:
             print("perturb: no suitable rotation found", file=sys.stderr)
             return 2
         rotated = perturb_by_rotation(scene, k)
-        rep = check_general_position(rotated)
+        rep = rotated.general_position()
         if rep.ok:
             scene, report = rotated, rep
             break

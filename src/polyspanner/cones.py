@@ -18,12 +18,13 @@ its exact bisector projection key, from which its integer key bounds
 and float unit bisector follow. Only this module knows the cone layout
 and how a pair code packs sector and side.
 
-``classify`` decides a whole scene in one exact integer array pass:
-each vertex's split label, then each ordered pair's code, 3 * sector +
-side, or a marker for a pair whose classification raises. A run's
-``ConeIndex`` makes that pass on its first subcone question. Whole
-edge sets read it through ``ConeIndex.codes``, one gather that raises
-at the least pair that cannot classify, and read what they need of
+``classify`` decides a whole scene in one exact integer array pass over
+the scene's ``exact_points`` and ``obstacle_wedges``: each vertex's
+split label, then each ordered pair's code, 3 * sector + side, or a
+marker for a pair whose classification raises. A run's ``ConeIndex``
+makes that pass on its first subcone question. Whole edge sets read it
+through ``ConeIndex.codes``, one gather that raises at the least pair
+that cannot classify, and read what they need of
 each code from this module: its sign (``CODE_POSITIVE``), its key
 bounds (``key_bounds``), its unit bisector (``CODE_BISECTOR``) and the
 order of its subcone's run (``CODE_RUN_ORDER``) and the subcone it
@@ -31,13 +32,12 @@ names (``subcone_ref``, a fresh ``SubconeRef`` value); ``subcone_of``
 answers one pair from its code through ``subcone_ref``. The index also
 holds the canonical-sequence, path-charge and charge tables of each
 distinct ``ginf`` (filled by ``spanners.canonical_sequences``,
-``path_charges`` and ``compute_charges``) and, once asked, the run's
-general-position report. None has another entry: one index is made
-per run, handed to ``visibility.visibility_graph``, which reads the
-report, and carried by the vis it returns to
-``spanners.build_g_infinity`` and by that ginf to the later steps. ``inside_wedge`` is the one test of a direction
-strictly inside an obstacle wedge; ``classify`` and ``visibility`` run
-it elementwise on the wedges of ``scene.obstacle_wedges``.
+``path_charges`` and ``compute_charges``). None has another entry: one
+index is made per run, by ``spanners.build_g_infinity``, and carried by
+the ginf it returns to the later steps. ``inside_wedge`` is the one
+test of a direction strictly inside an obstacle wedge; ``classify`` and
+``visibility`` run it elementwise on the wedges of
+``Scene.obstacle_wedges``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .geom import cross, sign, sqrt3_sign
-from .scene import check_general_position, exact_points, obstacle_wedges
 
 
 class GeneralPositionError(ValueError):
@@ -174,7 +173,7 @@ def key_bounds(code, dx, dy):
 
 def inside_wedge(wedge, dx, dy) -> bool:
     """True iff direction (dx, dy) lies strictly inside the obstacle
-    wedge (d_next, d_prev) of ``scene.obstacle_wedges``: strictly
+    wedge (d_next, d_prev) of ``Scene.obstacle_wedges``: strictly
     counterclockwise of d_next and strictly clockwise of d_prev. At a
     convex or straight corner both must hold; at a reflex corner the
     wedge is wider than pi and either one suffices. Elementwise, so the
@@ -189,7 +188,6 @@ def inside_wedge(wedge, dx, dy) -> bool:
 class Classification(NamedTuple):
     """The array pass of one scene."""
 
-    xy: np.ndarray  # ``scene.exact_points``
     split: list  # per vertex: sector of its split cone, NO_SPLIT or SPLIT_RAISES
     codes: np.ndarray  # n x n int8, the code of (apex, p) at [apex, p]
 
@@ -210,8 +208,8 @@ def classify(scene) -> Classification:
     a split apex. Along a wedge edge a direction takes the free side
     that the edge bounds.
     """
-    xy = exact_points(scene)
-    corner, (nx, ny), (px, py) = obstacle_wedges(scene, xy)
+    xy = scene.exact_points()
+    corner, ((nx, ny), (px, py)) = scene.obstacle_wedges()
     raises = corner & ((nx == 0) & (ny == 0) | (ny != 0) & (px == 0) & (py == 0))
     sector = _sectors(nx, ny)
     splits = corner & (ny != 0) & (py != 0) & (sector == _sectors(px, py))
@@ -230,7 +228,7 @@ def classify(scene) -> Classification:
     flat = dy == 0
     codes[flat] = BOUNDARY
     codes[flat & (dx == 0)] = ZERO
-    return Classification(xy, split.tolist(), codes.astype(np.int8))
+    return Classification(split.tolist(), codes.astype(np.int8))
 
 
 class ConeIndex:
@@ -242,15 +240,13 @@ class ConeIndex:
     equal to every other ref of the same subcone. The index keeps no
     copy of the codes. ``tables``, ``paths`` and ``charges`` map a ginf
     edge set to its read-only canonical-sequence, path-charge and
-    charge tables; a build reads the first two only. Make one
-    index per run and pass it to ``visibility.visibility_graph``: the
-    vis it returns carries the index as ``Graph.index``, so does the
-    ginf that ``spanners.build_g_infinity`` builds from that vis, and
-    the later build steps read it from there, so the index lives
-    exactly as long as those graphs. Never keep it on a ``Scene`` or
-    at module level, where its memo would outlive the run that paid
-    for it. A question that raises is asked again each time, so a
-    repeated call raises again.
+    charge tables; a build reads the first two only.
+    ``spanners.build_g_infinity`` makes one index per run: the ginf it
+    returns carries the index as ``Graph.index``, and the later build
+    steps read it from there, so the index lives exactly as long as
+    that ginf. Never keep it on a ``Scene`` or at module level, where
+    its memo would outlive the run that paid for it. A question that
+    raises is asked again each time, so a repeated call raises again.
     """
 
     def __init__(self, scene):
@@ -258,22 +254,6 @@ class ConeIndex:
         self.tables: dict = {}
         self.paths: dict = {}
         self.charges: dict = {}
-        self._general_position = None
-
-    @classmethod
-    def of(cls, scene, index: Optional["ConeIndex"]) -> "ConeIndex":
-        """index itself, or a fresh index of scene when index is None."""
-        if index is None:
-            return cls(scene)
-        if index.scene is not scene:
-            raise ValueError("cone index belongs to another scene")
-        return index
-
-    def general_position(self):
-        """``check_general_position`` of the scene, on first call only."""
-        if self._general_position is None:
-            self._general_position = check_general_position(self.scene)
-        return self._general_position
 
     @cached_property
     def classification(self) -> Classification:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .geom import CCW, orient, point_in_polygon
-from .scene import Scene, check_general_position
+from .scene import Scene
 
 
 class GeneratorError(RuntimeError):
@@ -169,6 +169,6 @@ def generate(config: GeneratorConfig) -> Scene:
     scene = Scene(pool.points, ring_indices)
     if not scene.validation().ok:
         raise GeneratorError("generated scene failed validation")
-    if not check_general_position(scene).ok:
+    if not scene.general_position().ok:
         raise GeneratorError("generated scene failed general position")
     return scene

@@ -8,12 +8,12 @@ on plain ints: ``ipoints[i]`` is vertex i, ``ipolygons[oi]`` the corner
 points of obstacle oi and ``ibboxes[oi]`` its box (x0, y0, x1, y1).
 These tuples are the one spelling of the scene's integer geometry.
 
-The array passes of ``cones.classify``, ``visibility_graph`` and
-``check_general_position`` read that geometry as exact arrays:
-``exact_points`` is the n x 2 array of ``ipoints`` and
-``obstacle_wedges`` each vertex's corner flag and boundary edge
-directions. ``exact_dtype`` is the one switch between int64 arrays and
-Python-int arrays, at ``INT64_GUARD``.
+A scene also owns each pure function of itself, made on first call,
+kept in a slot and shared read-only: ``validation()``,
+``general_position()`` and the exact arrays that every array pass
+reads, ``exact_points()`` (int64, or Python ints at ``INT64_GUARD``)
+and ``obstacle_wedges()``. Nothing of a run, such as its
+``cones.ConeIndex``, is kept on a scene.
 """
 
 from __future__ import annotations
@@ -48,32 +48,6 @@ BLOCK = 1 << 16
 INT64_GUARD = 1 << 29
 
 
-def exact_dtype(points) -> type:
-    """np.int64 when every |coordinate| of the integer points is below
-    ``INT64_GUARD``, else object, for arrays of Python ints."""
-    coords = [c for p in points for c in p]
-    small = -INT64_GUARD < min(coords, default=0) and max(coords, default=0) < INT64_GUARD
-    return np.int64 if small else object
-
-
-def exact_points(scene: Scene) -> np.ndarray:
-    """The n x 2 array of ``scene.ipoints``, of ``exact_dtype``."""
-    return np.array(scene.ipoints, dtype=exact_dtype(scene.ipoints)).reshape(scene.n, 2)
-
-
-def obstacle_wedges(scene: Scene, xy: np.ndarray) -> tuple:
-    """(corner, d_next, d_prev) for the scene's ``exact_points`` xy:
-    whether each vertex is an obstacle corner, and the 2 x n arrays of
-    the directions of the boundary edges leaving it toward its next and
-    previous ring neighbour. The obstacle interior near a corner spans
-    d_next counterclockwise to d_prev; a free vertex gets two zero
-    edges, inside which no direction lies."""
-    ends = [scene.boundary_neighbors(v) for v in range(scene.n)]
-    corner = np.array([e is not None for e in ends], dtype=bool)
-    prev_i, next_i = np.array([e or (v, v) for v, e in enumerate(ends)], dtype=np.intp).reshape(scene.n, 2).T
-    return corner, (xy[next_i] - xy).T, (xy[prev_i] - xy).T
-
-
 def _exact(c) -> Fraction:
     """c as a Fraction, keeping one that already is (a parsed string)."""
     return c if type(c) is Fraction else Fraction(c)
@@ -95,6 +69,9 @@ class Scene:
         "ibboxes",
         "_boundary_prev_next",
         "_validation",
+        "_general_position",
+        "_exact_points",
+        "_obstacle_wedges",
     )
 
     def __init__(self, vertices: Sequence, obstacles: Sequence = ()):
@@ -140,7 +117,8 @@ class Scene:
             )
             for poly in self.ipolygons
         )
-        self._validation = None
+        self._validation = self._general_position = None
+        self._exact_points = self._obstacle_wedges = None
 
     # -- basic accessors -----------------------------------------------
 
@@ -176,6 +154,43 @@ class Scene:
         if self._validation is None:
             self._validation = validate(self)
         return self._validation
+
+    def general_position(self) -> "GeneralPositionReport":
+        """``check_general_position`` of this scene, on first call only,
+        so generating, building and verifying it share one report."""
+        if self._general_position is None:
+            self._general_position = check_general_position(self)
+        return self._general_position
+
+    def exact_points(self) -> np.ndarray:
+        """The read-only n x 2 array of ``ipoints``, made on first call:
+        int64 when every |coordinate| is below ``INT64_GUARD``, else
+        Python ints (dtype object)."""
+        if self._exact_points is None:
+            coords = [c for p in self.ipoints for c in p]
+            small = -INT64_GUARD < min(coords, default=0) and max(coords, default=0) < INT64_GUARD
+            xy = np.array(self.ipoints, dtype=np.int64 if small else object).reshape(self.n, 2)
+            xy.flags.writeable = False
+            self._exact_points = xy
+        return self._exact_points
+
+    def obstacle_wedges(self) -> tuple:
+        """(corner, wedges), read-only, made on first call: whether each
+        vertex is an obstacle corner, and the 2 x 2 x n array (d_next,
+        d_prev) of the boundary edges leaving it toward its next and
+        previous ring neighbour, on ``exact_points``. The obstacle
+        interior near a corner spans d_next counterclockwise to d_prev;
+        a free vertex gets two zero edges, inside which nothing lies."""
+        if self._obstacle_wedges is None:
+            n, xy = self.n, self.exact_points()
+            corner = np.zeros(n, dtype=bool)
+            corner[list(self._boundary_prev_next)] = True
+            ends = [self._boundary_prev_next.get(v, (v, v))[::-1] for v in range(n)]
+            to = np.array(ends, dtype=np.intp).reshape(n, 2).T
+            wedges = np.ascontiguousarray((xy[to] - xy).transpose(0, 2, 1))
+            corner.flags.writeable = wedges.flags.writeable = False
+            self._obstacle_wedges = (corner, wedges)
+        return self._obstacle_wedges
 
     def obstacle_edges(self):
         for oi, ring in enumerate(self.obstacles):
@@ -389,14 +404,15 @@ def check_general_position(scene: Scene) -> GeneralPositionReport:
     lines up the later points on each line through i, and a run of m
     keys holds m(m-1)/2 triples. The first triple is at the least apex,
     in the line whose first member is least. Rows go through in blocks
-    of about ``BLOCK`` elements, of ``exact_dtype``, so even collinear
-    input takes O(n^2) time and bounded memory. On int64 coordinates a
-    float screen comes first: only a block in which ``_slope_tie``
-    finds two later points of one float slope makes the exact keys, so
-    floats choose which exact work runs and decide nothing. Python-int
-    coordinates, at or above ``INT64_GUARD``, always make the keys."""
+    of about ``BLOCK`` elements of the scene's ``exact_points``, so even
+    collinear input takes O(n^2) time and bounded memory. On int64
+    coordinates a float screen comes first: only a block in which
+    ``_slope_tie`` finds two later points of one float slope makes the
+    exact keys, so floats choose which exact work runs and decide
+    nothing. Python-int coordinates, at or above ``INT64_GUARD``, always
+    make the keys."""
     n = scene.n
-    xy = exact_points(scene)
+    xy = scene.exact_points()
     x, y = xy[:, 0], xy[:, 1]
     # |dy| < stride / 2 keeps dx * stride + dy one-to-one; the pairs left out
     # get keys from base up, above every direction's and distinct per column.

@@ -50,16 +50,15 @@ code: only ``cones`` knows their layout. The charge tables and
 are built once per ginf edge set on the index and shared read-only, so
 ``canonical_sequences``, ``path_charges``, ``compute_charges`` and
 ``g7_transform`` take the index as a required argument. The index
-enters the chain at its head: ``visibility.visibility_graph`` takes an
-optional one, makes its own without it, and returns a vis that carries
-it as ``Graph.index``.
-``build_g_infinity`` reads the index from its vis and
-``build_g15``, ``build_g10`` and ``build_g7`` read it from their ginf,
-by one rule, ``_index_of``, which makes a fresh index only for a graph
-that carries none or one of another scene; the ginf returned carries
-the index on. So a chain of steps called alone classifies the scene,
-builds each table and decides general position once, and the index
-lives exactly as long as its vis and ginf.
+enters the chain at ``build_g_infinity``, the first step that reads a
+cone: it makes the run's index and returns a ginf that carries it as
+``Graph.index``. ``build_g15``, ``build_g10`` and ``build_g7`` read it
+from their ginf by one rule, ``_index_of``, which makes a fresh index
+only for a ginf that carries none or one of another scene. So a chain
+of steps called alone classifies the scene and builds each table once,
+and the index lives exactly as long as its ginf. General position and
+the exact arrays belong to the scene (``Scene.general_position``,
+``Scene.exact_points``), so vis and ginf share them with no plumbing.
 """
 
 from __future__ import annotations
@@ -125,18 +124,18 @@ def _subcone_runs(index: ConeIndex, g: Graph, positive: bool):
     return a, b, code, first
 
 
-def _index_of(scene: Scene, g: Graph) -> ConeIndex:
-    """The index that g, a vis or a ginf, carries, or a fresh one of
-    scene when g carries none or one of another scene."""
-    index = g.index
+def _index_of(scene: Scene, ginf: Graph) -> ConeIndex:
+    """The index that ginf carries, or a fresh one of scene when ginf
+    carries none or one of another scene."""
+    index = ginf.index
     return index if index is not None and index.scene is scene else ConeIndex(scene)
 
 
 def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     """One edge per nonempty positive subcone, to the visible vertex
     with the smallest bisector projection. Refuses a scene outside
-    general position, as the index reports it. The index is vis's,
-    through ``_index_of``; the graph returned carries it on as
+    general position, as ``Scene.general_position`` reports it. Makes
+    the run's ``ConeIndex``; the graph returned carries it as
     ``Graph.index``, for the later steps.
 
     vis's edges are grouped by positive subcone with ``_subcone_runs``.
@@ -146,15 +145,15 @@ def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     ginf's sorted ``Graph.from_pairs`` arrays with one ``lexsort``: a vis
     pair lies in a positive subcone of exactly one of its ends, so no
     pair is won twice."""
-    index = _index_of(scene, vis)
-    report = index.general_position()
+    report = scene.general_position()
     if not report.ok:
         raise GeneralPositionError(
             f"scene is not in general position: "
             f"{report.parallel_count} boundary-parallel pair(s), "
             f"{report.collinear_count} collinear triple(s)"
         )
-    xy = index.classification.xy
+    index = ConeIndex(scene)
+    xy = scene.exact_points()
     a, b, code, first = _subcone_runs(index, vis, True)
     lo, hi = key_bounds(code, xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
     start, group = np.flatnonzero(first), np.cumsum(first) - 1
@@ -516,28 +515,28 @@ def build_g7(scene: Scene, ginf: Graph, g10: Graph) -> Graph:
 GRAPH_NAMES = ("vis", "ginf", "g15", "g10", "g7")
 
 
-def pipeline(scene: Scene, index: ConeIndex):
+def pipeline(scene: Scene):
     """The chain in order, lazily, each step built from the one before:
     (name, graph) for vis, ginf, g15 and g10, then ("g7", G7Result).
     A caller that stops early builds nothing past its graph; vis comes
-    before the general-position check of ``build_g_infinity``, and asks
-    the index for the report that decides its ray test. The index goes
-    to ``visibility_graph``; ``build_g_infinity`` reads it from the vis
-    and the later steps from the ginf it returns."""
-    vis = visibility_graph(scene, index)
+    before the general-position check of ``build_g_infinity``, and
+    reads the scene's report for its ray test. ``build_g_infinity``
+    makes the run's index and the later steps read it from the ginf it
+    returns."""
+    vis = visibility_graph(scene)
     yield "vis", vis
     ginf = build_g_infinity(scene, vis)
     yield "ginf", ginf
     yield "g15", build_g15(scene, ginf)
     g10 = build_g10(scene, ginf)
     yield "g10", g10
-    yield "g7", g7_transform(scene, ginf, g10, index)
+    yield "g7", g7_transform(scene, ginf, g10, ginf.index)
 
 
-def build_all(scene: Scene, index: Optional[ConeIndex] = None):
+def build_all(scene: Scene):
     """The five graphs of the pipeline, by name, plus the g7
-    transformation log."""
-    graphs = dict(pipeline(scene, ConeIndex.of(scene, index)))
+    transformation log; ``graphs["ginf"].index`` is the run's index."""
+    graphs = dict(pipeline(scene))
     g7res = graphs["g7"]
     graphs["g7"] = g7res.graph
     return graphs, g7res

@@ -19,12 +19,13 @@ for the unit bisectors of its cones, from the ``cones`` table.
 Planarity is one ``check_planarity`` sweep over the union of ``ginf``,
 ``g15``, ``g10`` and ``g7``; each graph's report is the union's
 restricted to its edges, so every edge meets the obstacle test once per
-run. ``run_verification`` reads general
-position from its run's ``ConeIndex``, as ``build_g_infinity`` does,
-and hands that index to the per-edge, canonical-path and
-empty-triangle checks; the oracle checks again on its own, to stay
-independent. The oracle shares no code with the builder except the
-exact predicates. It reads each apex's obstacle wedge once, and runs a
+run. ``run_verification`` reads general position from
+``Scene.general_position``, as ``build_g_infinity`` does, takes the
+run's ``ConeIndex`` from the honest ginf that ``build_all`` returns,
+and hands that index to the per-edge, canonical-path, empty-triangle
+and charge checks; the oracle calls ``check_general_position`` on its
+own, to stay independent. The oracle shares no code with the builder
+except the exact predicates. It reads each apex's obstacle wedge once, and runs a
 pair's sector, side, key and comparison with its slot's best before
 its visibility test, so only a pair that can still win its slot is
 tested.
@@ -54,7 +55,7 @@ from .geom import (
     sign,
     sqrt3_sign,
 )
-from .scene import Scene, check_general_position, exact_points
+from .scene import Scene, check_general_position
 from .spanners import build_all, canonical_sequences, compute_charges
 from .visibility import Graph
 
@@ -80,13 +81,13 @@ def edge_table(scene: Scene, g: Graph) -> EdgeTable:
     by the scale; int / int division is correctly rounded, so it is the
     same float as ``float`` of the Fraction difference, and the length
     is its ``math.hypot`` (``np.hypot`` rounds some inputs differently).
-    The int64 arrays of ``exact_points`` divide as floats, exactly while
-    the scale is below 2**53 too; otherwise the differences are Python
-    ints, divided one by one."""
+    The int64 arrays of ``Scene.exact_points`` divide as floats, exactly
+    while the scale is below 2**53 too; otherwise the differences are
+    Python ints, divided one by one."""
     if g.n != scene.n:
         raise ValueError("graphs must share the scene's vertex set")
     u, v = g.pairs()
-    xy = exact_points(scene)
+    xy = scene.exact_points()
     if scene.scale >= 2**53:
         xy = xy.astype(object)
     dx, dy = ((xy[v] - xy[u]) / scene.scale).astype(float, copy=False).T
@@ -514,9 +515,11 @@ def run_verification(
     outside any step: the substituted graphs, whose errors reach the
     caller, the union planarity sweep, each graph's edge table
     (gathered from one ``edge_table`` of the five graphs' union) and
-    each spanner's ``distance_matrix``. The charge checks each read
-    ``compute_charges``, which keeps no table whose build raised, so on
-    a corrupted ginf all three report its error."""
+    each spanner's ``distance_matrix``. The checks that read cones use
+    the run's index, taken from the honest ginf before any substitution.
+    The charge checks each read ``compute_charges``, which keeps no
+    table whose build raised, so on a corrupted ginf all three report
+    its error."""
     outcomes: list[CheckOutcome] = []
 
     def check(name: str, fn) -> None:
@@ -526,8 +529,7 @@ def run_verification(
             ok, detail = False, str(exc)
         outcomes.append(CheckOutcome(name, ok, detail))
 
-    index = ConeIndex(scene)
-    vres, gp = scene.validation(), index.general_position()
+    vres, gp = scene.validation(), scene.general_position()
     check("scene-valid", lambda: (vres.ok, "; ".join(v.detail for v in vres.violations[:3])))
     check("general-position", lambda: (
         gp.ok,
@@ -536,7 +538,8 @@ def run_verification(
     if not (vres.ok and gp.ok):
         return outcomes
 
-    graphs, g7res = build_all(scene, index)
+    graphs, g7res = build_all(scene)
+    index = graphs["ginf"].index
     for name, g in (substitutions or {}).items():
         if name not in graphs:
             raise ValueError(f"unknown graph name {name!r}")

@@ -9,15 +9,16 @@ predicate stays total).
 ``visibility_graph`` decides every pair of a scene in one exact array
 pass with three tests: the nearest vertex on each ray, the obstacle
 wedge at both endpoints, and proper crossings with obstacle edges. The
-ray test runs only when the run's general-position report (from its
-``cones.ConeIndex``) finds a collinear triple: without one, no vertex
-lies on another pair's open segment and every pair passes it. Only
-pairs with an irregular endpoint (see ``visibility_graph``) are left to
+ray test runs only when the scene's ``Scene.general_position`` report
+finds a collinear triple: without one, no vertex lies on another pair's
+open segment and every pair passes it. No cone is read: vis needs only
+orientation signs and general position. Only pairs with an irregular
+endpoint (see ``visibility_graph``) are left to
 ``Scene.crossed_obstacles``: every vertex of a scene that fails
 ``Scene.validation``, and a vertex inside an obstacle edge. Valid scenes
 in general position have none.
-The points and wedges are read from ``scene.exact_points`` and
-``scene.obstacle_wedges``. The visible pairs leave the pass as index
+The points and wedges are read from ``Scene.exact_points`` and
+``Scene.obstacle_wedges``. The visible pairs leave the pass as index
 arrays sorted by u, then v, and become the vis through
 ``Graph.from_pairs``: no edge is walked in Python, and the ``edges``
 frozenset is built only if something reads it.
@@ -26,13 +27,13 @@ frozenset is built only if something reads it.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .cones import ConeIndex, inside_wedge
+from .cones import inside_wedge
 from .geom import cross
-from .scene import BLOCK, Scene, exact_points, obstacle_wedges
+from .scene import BLOCK, Scene
 
 
 class Graph:
@@ -51,9 +52,9 @@ class Graph:
     hashing.
 
     ``index`` is the run's ``cones.ConeIndex``, set by
-    ``visibility_graph`` on the vis and by ``spanners.build_g_infinity``
-    on the ginf they return, and None on every other graph; it lives as
-    long as the graph and takes no part in equality or hashing."""
+    ``spanners.build_g_infinity`` on the ginf it returns, and None on
+    every other graph, vis included; it lives as long as the graph and
+    takes no part in equality or hashing."""
 
     __slots__ = ("n", "edges", "index", "_pairs")
 
@@ -164,7 +165,7 @@ def _nearest_on_rays(x, y, apex) -> np.ndarray:
     return nearest
 
 
-def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
+def visibility_graph(scene: Scene) -> Graph:
     """All mutually visible vertex pairs, exact on any input: the pairs
     with no vertex on their open segment that ``Scene.crossed_obstacles``
     finds clear. Three array tests decide a pair u < v, all from signs
@@ -174,9 +175,7 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
       u, by one row-wise ``lexsort`` over (ray, steps); so no
       vertex, and so no obstacle corner, lies on the open segment.
       Such a vertex makes a collinear triple, so the test runs only
-      when ``index.general_position()`` counts one; the index is the
-      run's, through ``ConeIndex.of``, and the graph returned carries
-      it as ``Graph.index`` for ``spanners.build_g_infinity``;
+      when ``Scene.general_position`` counts one;
     - wedge: the segment leaves neither endpoint strictly into that
       corner's obstacle wedge (``cones.inside_wedge``);
     - obstacle: no obstacle edge properly crosses the segment: its two
@@ -193,18 +192,18 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
     ``Scene.validation`` counts as irregular, and of a valid scene only
     a vertex inside an edge. Pairs with an irregular endpoint keep the
     kernel, through ``Scene.crossed_obstacles``; valid scenes in general
-    position have none. The arrays are of ``scene.exact_dtype``: int64
-    below its guard, where every 2x2 determinant fits, and Python ints
-    otherwise; only signs of determinants are multiplied or compared.
+    position have none. The arrays have the dtype of
+    ``Scene.exact_points``: int64 below ``INT64_GUARD``, where every 2x2
+    determinant fits, and Python ints otherwise; only signs of
+    determinants are multiplied or compared.
     Pairs go through in blocks of about ``BLOCK`` elements, each
     decided in row-major order, so the visible ones concatenate into
     the sorted arrays of ``Graph.from_pairs``."""
-    index = ConeIndex.of(scene, index)
     n = scene.n
     pts = scene.ipoints
-    xy = exact_points(scene)
+    xy = scene.exact_points()
     x, y = xy[:, 0], xy[:, 1]
-    wedges = np.array(obstacle_wedges(scene, xy)[1:])
+    wedges = scene.obstacle_wedges()[1]
 
     # Obstacle edges run from corner slot j to slot succ[j].
     rings = scene.obstacles
@@ -222,7 +221,7 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
     along = rel_x * (x[:, None] - cx[succ]) + rel_y * (y[:, None] - cy[succ])
     irregular = ((side == 0) & (along < 0)).any(axis=1) | (not scene.validation().ok)
 
-    rays = index.general_position().collinear_count > 0
+    rays = scene.general_position().collinear_count > 0
     ends = [np.empty((2, 0), dtype=np.intp)]
     rows = max(1, BLOCK // max(n, 1))
     chunk = max(1, BLOCK // max(slot_vertex.size, 1))
@@ -252,6 +251,4 @@ def visibility_graph(scene: Scene, index: Optional[ConeIndex] = None) -> Graph:
             clear[k] = ~crossed.any(axis=1)
         ends.append(np.stack((a[clear], b[clear])))
     u, v = np.concatenate(ends, axis=1)
-    vis = Graph.from_pairs(n, u, v)
-    vis.index = index
-    return vis
+    return Graph.from_pairs(n, u, v)

@@ -108,7 +108,7 @@ def vis_digest(scene) -> str:
 
 
 def digest(scene) -> str:
-    from polyspanner.cones import IN_WEDGE, ConeIndex
+    from polyspanner.cones import IN_WEDGE
     from polyspanner.spanners import build_all, canonical_sequences, compute_charges
     from polyspanner.verify import (
         check_per_edge_bound_ginf,
@@ -118,9 +118,9 @@ def digest(scene) -> str:
     )
     from polyspanner.visibility import Graph
 
-    index = ConeIndex(scene)
-    graphs, g7res = build_all(scene, index)
+    graphs, g7res = build_all(scene)
     ginf = graphs["ginf"]
+    index = ginf.index
     parts = [f"{name} {sorted(g.edges)}" for name, g in graphs.items()]
     parts += [repr(t) for t in g7res.transformations]
     parts += [repr((ref, seq.vertices, seq.closest)) for ref, seq in canonical_sequences(scene, ginf, index).items()]

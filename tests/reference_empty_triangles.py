@@ -9,8 +9,6 @@ of it; the differential test in ``test_verify.py`` compares the two.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from polyspanner.cones import ConeIndex
 from polyspanner.geom import CW, orient, point_in_polygon, segment_properly_intersects_polygon
 from polyspanner.scene import Scene
@@ -19,14 +17,12 @@ from polyspanner.verify import WitnessReport
 from polyspanner.visibility import Graph
 
 
-def check_empty_triangles(
-    scene: Scene, ginf: Graph, index: Optional[ConeIndex] = None
-) -> WitnessReport:
+def check_empty_triangles(scene: Scene, ginf: Graph) -> WitnessReport:
     """The triangle spanned by the apex and two consecutive canonical
     members contains no vertex in its open interior and no obstacle
     piece crosses into it."""
     bad = []
-    for seq in canonical_sequences(scene, ginf, ConeIndex.of(scene, index)).values():
+    for seq in canonical_sequences(scene, ginf, ConeIndex(scene)).values():
         u = seq.apex
         for p, q in seq.consecutive_pairs:
             tri = [scene.ipoints[u], scene.ipoints[p], scene.ipoints[q]]

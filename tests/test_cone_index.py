@@ -1,8 +1,8 @@
 """The per-run cone index against the reference classification, which
 recomputes every call from scratch, and the guards that one run
-classifies each scene once, builds each canonical-sequence, path-charge
-and charge table at most once and decides general position once, and
-that no build makes the charge table."""
+classifies each scene once and builds each canonical-sequence,
+path-charge and charge table at most once, that general position is
+decided once per scene, and that no build makes the charge table."""
 
 import sys
 from collections import Counter
@@ -14,7 +14,7 @@ from polyspanner import cli, cones, scene as scene_module, spanners, verify
 from polyspanner.cones import ConeIndex, SubconeRef, key_bounds
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.io import parse_edge_list, write_edge_list, write_instance
-from polyspanner.scene import INT64_GUARD, Scene, exact_dtype
+from polyspanner.scene import INT64_GUARD, Scene
 from polyspanner.spanners import (
     build_all,
     canonical_sequences,
@@ -206,16 +206,11 @@ def test_one_array_pass_per_index(name, monkeypatch):
         return real_classify(sc)
 
     monkeypatch.setattr(cones, "classify", classify_probe)
-    build_all(scene, ConeIndex(scene))
+    build_all(scene)
     assert passes == [scene]
     passes.clear()
     assert all(o.ok for o in run_verification(scene))
     assert passes == [scene]
-
-
-def test_index_belongs_to_one_scene():
-    with pytest.raises(ValueError, match="another scene"):
-        visibility_graph(SPIKE, ConeIndex(RING))
 
 
 def _dropped_first(g):
@@ -302,20 +297,14 @@ def test_ginf_raises_for_a_vis_pair_it_cannot_classify():
     scene = generate(GeneratorConfig(n_points=20, n_obstacles=2, seed=0))
     vis = visibility_graph(scene)
     bad = Graph(scene.n, vis.sorted_edges() + [(0, 16)])
-    bad.index = ConeIndex(scene)
     for _ in range(2):
         with pytest.raises(ValueError, match="vertex 16 lies strictly inside the obstacle wedge at vertex 0"):
             build_g_infinity(scene, bad)
 
 
-@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
-def test_general_position_checked_once_per_run(monkeypatch, fixture):
-    # Every library binding of check_general_position counts its calls.
-    # A run asks its index once and the oracle once on its own; a fresh
-    # visibility_graph asks once, for the ray test; ginf and the later
-    # steps read that index and never ask, so an index that checked
-    # eagerly on construction would fail here.
-    scene = load_scene(fixture)
+def _count_general_position(monkeypatch) -> Counter:
+    """Calls of check_general_position, by the library module whose
+    binding made them."""
     real = scene_module.check_general_position
     calls = Counter()
     for name, module in list(sys.modules.items()):
@@ -328,16 +317,32 @@ def test_general_position_checked_once_per_run(monkeypatch, fixture):
                 return real(sc)
 
             monkeypatch.setattr(module, "check_general_position", probe)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_general_position_checked_once_per_run(monkeypatch, fixture):
+    # Every library binding of check_general_position counts its calls.
+    # The scene keeps its report: a run asks once, through
+    # Scene.general_position, and the oracle once on its own; a second
+    # run on the same scene asks only the oracle again. On a fresh
+    # scene, visibility_graph asks once, for the ray test, and ginf and
+    # the later steps read the scene's report and never ask.
+    scene = load_scene(fixture)
+    calls = _count_general_position(monkeypatch)
     run_verification(scene)
-    assert calls == {"polyspanner.cones": 1, "polyspanner.verify": 1}
+    assert calls == {"polyspanner.scene": 1, "polyspanner.verify": 1}
+    run_verification(scene)
+    assert calls == {"polyspanner.scene": 1, "polyspanner.verify": 2}
     calls.clear()
+    scene = load_scene(fixture)
     vis = visibility_graph(scene)
-    assert calls == {"polyspanner.cones": 1}
+    assert calls == {"polyspanner.scene": 1}
     ginf = build_g_infinity(scene, vis)
     g10 = build_g10(scene, ginf)
     build_g15(scene, ginf)
     build_g7(scene, ginf, g10)
-    assert calls == {"polyspanner.cones": 1}
+    assert calls == {"polyspanner.scene": 1}
 
 
 def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
@@ -349,7 +354,7 @@ def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
     index = ConeIndex(scene)
     code = index.classification.codes[0, 1:]
     assert code[0] == code[1] == 3 * 5
-    dx, dy = index.classification.xy[1:].T
+    dx, dy = scene.exact_points()[1:].T
     lo, hi = key_bounds(code, dx, dy)
     assert lo[0] < lo[1] <= hi[1] and lo[1] <= hi[0]
     settled = []
@@ -360,7 +365,7 @@ def test_ginf_settles_keys_closer_than_the_bracket(monkeypatch):
         return real(label, d1, d2)
 
     monkeypatch.setattr(spanners, "key_compare", probe)
-    ginf = build_g_infinity(scene, visibility_graph(scene, index))
+    ginf = build_g_infinity(scene, visibility_graph(scene))
     assert settled
     assert ginf == oracle_g_infinity(scene)
     assert ginf.has_edge(0, 2) and not ginf.has_edge(0, 1)
@@ -383,9 +388,9 @@ def test_same_codes_and_graphs_across_the_int64_guard():
     for top, dtype in ((INT64_GUARD - 1, np.int64), (INT64_GUARD, object)):
         scene = _at_top(base, top)
         assert max(abs(c) for p in scene.ipoints for c in p) == top
-        index = ConeIndex(scene)
-        graphs = build_all(scene, index)[0]
-        assert index.classification.xy.dtype == dtype
+        graphs = build_all(scene)[0]
+        index = graphs["ginf"].index
+        assert scene.exact_points().dtype == dtype
         assert (index.classification.codes == cones.IN_WEDGE).sum() == 9
         results.append((index.classification.codes, [graphs[g].edges for g in ("ginf", "g15", "g10", "g7")]))
     (codes_a, graphs_a), (codes_b, graphs_b) = results
@@ -398,20 +403,20 @@ def test_generated_scenes_take_the_int64_path():
     # to Python-int arrays would show only as a slower benchmark.
     for cfg in configs()[::10]:
         scene = generate(cfg)
-        assert exact_dtype(scene.ipoints) is np.int64
-        assert ConeIndex(scene).classification.xy.dtype == np.int64
+        assert scene.exact_points().dtype == np.int64
+        assert scene.obstacle_wedges()[1].dtype == np.int64
 
 
 def _count_chain_work(monkeypatch):
-    """Calls of the five once-per-index builds, by name, with the scene
-    each was asked for."""
+    """Calls of the four once-per-index builds and of the once-per-scene
+    general-position check, by name, with the scene each was asked for."""
     calls = {name: [] for name in ("classify", "sequences", "paths", "charges", "general_position")}
     for module, attr, name in (
         (cones, "classify", "classify"),
         (spanners, "_sequence_table", "sequences"),
         (spanners, "_path_table", "paths"),
         (spanners, "_charge_table", "charges"),
-        (cones, "check_general_position", "general_position"),
+        (scene_module, "check_general_position", "general_position"),
     ):
         real = getattr(module, attr)
 
@@ -433,10 +438,10 @@ def _readme_chain(scene):
 
 @pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
 def test_steps_called_alone_share_the_index_of_their_ginf(monkeypatch, fixture):
-    # The README's chain, each step called without an index, classifies,
-    # builds the sequence and path-charge tables and checks general
-    # position once, and never builds the charge table; the three later
-    # steps read the index their ginf carries.
+    # The README's chain classifies, builds the sequence and path-charge
+    # tables and checks general position once, and never builds the
+    # charge table; the three later steps read the index their ginf
+    # carries.
     scene = load_scene(fixture)
     calls = _count_chain_work(monkeypatch)
     ginf, *later = _readme_chain(scene)
@@ -447,15 +452,48 @@ def test_steps_called_alone_share_the_index_of_their_ginf(monkeypatch, fixture):
 
 
 def test_a_second_chain_classifies_again(monkeypatch):
-    # Nothing is kept on the scene or at module level: the index lives
-    # as long as its ginf, so a second chain does all of its own work.
+    # No index is kept on the scene or at module level: the index lives
+    # as long as its ginf, so a second chain classifies and builds its
+    # tables again. Only the general-position report is the scene's own.
     scene = load_scene("split_cones.json")
     calls = _count_chain_work(monkeypatch)
     first = _readme_chain(scene)
     second = _readme_chain(scene)
     assert first == second
     assert first[0].index is not second[0].index
-    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 2) | {"charges": 0}
+    assert {name: len(scenes) for name, scenes in calls.items()} == dict.fromkeys(calls, 2) | {
+        "charges": 0,
+        "general_position": 1,
+    }
+
+
+def test_a_scene_makes_its_arrays_and_report_once(monkeypatch):
+    # From generate through the README's chain, build_all and
+    # run_verification, every reader shares one exact-point array, one
+    # wedge build and one library general-position report; only the
+    # oracle checks again, on its own. The arrays are read-only.
+    returned = {"exact_points": [], "obstacle_wedges": []}
+    for name, kept in returned.items():
+        real = getattr(Scene, name)
+
+        def probe(self, real=real, kept=kept):
+            kept.append(real(self))
+            return kept[-1]
+
+        monkeypatch.setattr(Scene, name, probe)
+    calls = _count_general_position(monkeypatch)
+    scene = generate(GeneratorConfig(42, 5, obstacle_size=8, seed=1))
+    _readme_chain(scene)
+    build_all(scene)
+    assert all(o.ok for o in run_verification(scene))
+    for kept in returned.values():
+        assert len(kept) > 1 and all(x is kept[0] for x in kept)
+    assert calls == {"polyspanner.scene": 1, "polyspanner.verify": 1}
+    xy, (corner, wedges) = scene.exact_points(), scene.obstacle_wedges()
+    assert xy.dtype == wedges.dtype == np.int64
+    for array in (xy, corner, wedges):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("fixture", ["split_cones.json", "g7_structural.json"])
@@ -498,8 +536,9 @@ def test_a_ginf_of_another_scene_gets_a_fresh_index(monkeypatch):
 
 def test_graphs_built_elsewhere_carry_no_index():
     scene = load_scene("split_cones.json")
-    ginf = build_g_infinity(scene, visibility_graph(scene))
-    assert ginf.index is not None
+    vis = visibility_graph(scene)
+    ginf = build_g_infinity(scene, vis)
+    assert vis.index is None and ginf.index is not None
     assert Graph(scene.n, ginf.edges).index is None
     assert parse_edge_list(write_edge_list(ginf)).index is None
 
@@ -509,7 +548,7 @@ def test_the_carried_index_is_not_part_of_equality():
     vis = visibility_graph(scene)
     graphs = [
         build_g_infinity(scene, vis),
-        build_g_infinity(scene, visibility_graph(scene, ConeIndex(scene))),
+        build_g_infinity(scene, visibility_graph(scene)),
         Graph(scene.n, build_g_infinity(scene, vis).edges),
     ]
     assert graphs[0].index is not graphs[1].index and graphs[2].index is None

@@ -44,8 +44,8 @@ def _runs():
     its g7_transform, on the same index."""
     out = []
     for _, scene in scenes("full"):
-        index = ConeIndex(scene)
-        ginf = build_g_infinity(scene, visibility_graph(scene, index))
+        ginf = build_g_infinity(scene, visibility_graph(scene))
+        index = ginf.index
         g10 = build_g10(scene, ginf)
         got = (list(compute_charges(scene, ginf, index).items()), g7_transform(scene, ginf, g10, index))
         want = (list(reference_g7.compute_charges(scene, ginf, index).items()),

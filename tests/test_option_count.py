@@ -8,7 +8,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "polyspanner"
-CEILING = 9
+CEILING = 7
 
 
 def _options() -> list:

@@ -18,10 +18,10 @@ from polyspanner.scene import (
     Scene,
     SceneError,
     check_general_position,
-    exact_dtype,
     perturb_by_rotation,
     validate,
 )
+from polyspanner.verify import run_verification
 
 from tests import reference_general_position, reference_scene_ints
 from tests.conftest import load_scene
@@ -249,7 +249,7 @@ def test_general_position_same_report_across_the_int64_guard():
         shift = top - s * max(c for p in pts for c in p)
         scene = Scene([(s * x + shift, s * y + shift) for x, y in pts])
         assert max(abs(c) for p in scene.ipoints for c in p) == top
-        assert exact_dtype(scene.ipoints) is dtype
+        assert scene.exact_points().dtype == dtype
         reports.append(_same_report_as_reference(scene))
     assert reports[0] == reports[1]
     assert reports[0][0] and reports[0][2]
@@ -272,7 +272,7 @@ def test_float_slope_tie_runs_the_exact_keys(monkeypatch):
     # The slopes (2^28 + 1) / 2^28 and (2^28 + 2) / (2^28 + 1) differ by
     # about 2^-56, under half a float step at 1: one double, no triple.
     scene = Scene([(0, 0), (2**28, 2**28 + 1), (2**28 + 1, 2**28 + 2)])
-    assert exact_dtype(scene.ipoints) is np.int64
+    assert scene.exact_points().dtype == np.int64
     assert (2**28 + 1) / 2**28 == (2**28 + 2) / (2**28 + 1)
     calls = _count_exact_keys(monkeypatch)
     assert _same_report_as_reference(scene) == (0, None, 0, None)
@@ -321,9 +321,31 @@ def test_object_path_makes_the_exact_keys_in_every_block(monkeypatch):
     calls = _count_exact_keys(monkeypatch)
     for shift, dtype in ((0, np.int64), (INT64_GUARD, object)):
         scene = Scene([(x + shift, y) for x, y in pts])
-        assert exact_dtype(scene.ipoints) is dtype
+        assert scene.exact_points().dtype == dtype
         assert _same_report_as_reference(scene)[2] == 0
     assert calls == [5, 5, 2]
+
+
+@pytest.mark.parametrize(
+    "points, collinear",
+    [
+        ([(0, 0), (1, 2), (1, 2)], 1),
+        ([(1, 2), (1, 2), (0, 0)], 0),
+        ([(1, 2), (0, 0), (1, 2)], 0),
+    ],
+)
+def test_duplicate_points_count_by_order_but_fail_validation(points, collinear):
+    # The two copies of (1, 2) make one collinear triple only when an
+    # earlier apex sees both along one direction; an apex at a copy skips
+    # the other as a zero direction. So the count, and with it the
+    # general-position detail line, depends on vertex order. Every order
+    # fails scene-valid, and the run stops before any graph is built,
+    # so no ok flag depends on the order.
+    report = check_general_position(Scene(points))
+    assert (report.parallel_count, report.collinear_count) == (1, collinear)
+    outcomes = run_verification(Scene(points))
+    assert [(o.name, o.ok) for o in outcomes] == [("scene-valid", False), ("general-position", False)]
+    assert outcomes[1].detail == f"1 parallel pair(s), {collinear} collinear triple(s)"
 
 
 def test_perturb_by_rotation_is_isometry():

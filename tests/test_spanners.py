@@ -109,8 +109,8 @@ def test_canonical_sequences_match_reference():
     scenes = [load_scene(name) for name in FIXTURE_NAMES]
     scenes += [generate(cfg) for cfg in configs()[::7]]
     for scene in scenes:
-        index = ConeIndex(scene)
-        ginf = build_g_infinity(scene, visibility_graph(scene, index))
+        ginf = build_g_infinity(scene, visibility_graph(scene))
+        index = ginf.index
         thinned = Graph(
             scene.n, [e for j, e in enumerate(ginf.sorted_edges()) if j % 3]
         )
@@ -271,5 +271,5 @@ def test_generated_scenes_pin_their_g7_branches(config, kinds):
 
 
 def test_pipeline_builds_in_graph_name_order(split_cones):
-    steps = spanners.pipeline(split_cones, ConeIndex(split_cones))
+    steps = spanners.pipeline(split_cones)
     assert tuple(name for name, _ in steps) == spanners.GRAPH_NAMES

@@ -559,8 +559,8 @@ def test_canonical_triangles_are_counterclockwise():
     for scene in [load_scene(name) for name in FIXTURE_NAMES] + [
         generate(cfg) for cfg in configs()
     ]:
-        index = ConeIndex(scene)
-        ginf = build_g_infinity(scene, visibility_graph(scene, index))
+        ginf = build_g_infinity(scene, visibility_graph(scene))
+        index = ginf.index
         pts = scene.ipoints
         for seq in canonical_sequences(scene, ginf, index).values():
             for p, q in seq.consecutive_pairs:

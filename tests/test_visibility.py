@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from polyspanner import cli, spanners, visibility
 from polyspanner.generator import GeneratorConfig, generate
 from polyspanner.io import parse_instance, write_edge_list, write_instance
-from polyspanner.scene import INT64_GUARD, Scene, check_general_position, exact_points, perturb_by_rotation
+from polyspanner.scene import INT64_GUARD, Scene, check_general_position, perturb_by_rotation
 from polyspanner.spanners import build_all, build_g_infinity
 from polyspanner.verify import degree_report, run_verification
 from polyspanner.visibility import Graph, visibility_graph
@@ -281,7 +281,7 @@ def test_no_collinear_triple_leaves_every_ray_clear(pts):
     # collinear triple, no vertex lies on another pair's open segment, so
     # every vertex is nearest on its ray from every apex.
     sc = Scene(pts)
-    x, y = exact_points(sc).T
+    x, y = sc.exact_points().T
     nearest = visibility._nearest_on_rays(x, y, np.arange(sc.n))
     if check_general_position(sc).collinear_count == 0:
         assert nearest.all()
