@@ -47,18 +47,21 @@ hands the codes to ``cones.key_bounds`` and ``canonical_sequences``
 keys each run by ``cones.subcone_ref`` of its code. Neither unpacks a
 code: only ``cones`` knows their layout. The charge tables and
 ``g7_transform`` ask ``subcone_of`` for single pairs. The three tables
-are built once per ginf edge set on the index and shared read-only, so
-``canonical_sequences``, ``path_charges``, ``compute_charges`` and
-``g7_transform`` take the index as a required argument. The index
-enters the chain at ``build_g_infinity``, the first step that reads a
-cone: it makes the run's index and returns a ginf that carries it as
-``Graph.index``. ``build_g15``, ``build_g10`` and ``build_g7`` read it
-from their ginf by one rule, ``_index_of``, which makes a fresh index
-only for a ginf that carries none or one of another scene. So a chain
-of steps called alone classifies the scene and builds each table once,
-and the index lives exactly as long as its ginf. General position and
-the exact arrays belong to the scene (``Scene.general_position``,
+are built once per ginf edge set on the index, kept by the bytes of
+its ``pair_keys``, and shared read-only, so ``canonical_sequences``,
+``path_charges``, ``compute_charges`` and ``g7_transform`` take the
+index as a required argument. The index enters the chain at
+``build_g_infinity``, the first step that reads a cone: it makes the
+run's index and returns a ginf that carries it as ``Graph.index``.
+``build_g15``, ``build_g10`` and ``build_g7`` read it from their ginf
+by one rule, ``_index_of``, which makes a fresh index only for a ginf
+that carries none or one of another scene. So a chain of steps called
+alone classifies the scene and builds each table once, and the index
+lives exactly as long as its ginf. General position and the exact
+arrays belong to the scene (``Scene.general_position``,
 ``Scene.exact_points``), so vis and ginf share them with no plumbing.
+Every step makes its graph with ``Graph.from_keys``: no build makes a
+graph's ``edges`` frozenset.
 """
 
 from __future__ import annotations
@@ -90,6 +93,10 @@ from .visibility import Graph, visibility_graph
 
 def _edge(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
+
+
+def _key(n: int, u: int, v: int) -> int:
+    return u * n + v if u < v else v * n + u
 
 
 def _closest(scene: Scene, apex: int, label: ConeLabel, members) -> int:
@@ -141,10 +148,10 @@ def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     vis's edges are grouped by positive subcone with ``_subcone_runs``.
     Within a group only the members whose lower key bound reaches the
     group's least upper bound can be closest; a group left with several
-    settles them by ``key_compare``, in vertex order. The winners become
-    ginf's sorted ``Graph.from_pairs`` arrays with one ``lexsort``: a vis
-    pair lies in a positive subcone of exactly one of its ends, so no
-    pair is won twice."""
+    settles them by ``key_compare``, in vertex order. The winners' pair
+    keys become ginf through ``Graph.from_keys``: a vis pair lies in a
+    positive subcone of exactly one of its ends, so no pair is won
+    twice."""
     report = scene.general_position()
     if not report.ok:
         raise GeneralPositionError(
@@ -168,9 +175,7 @@ def build_g_infinity(scene: Scene, vis: Graph) -> Graph:
     ).reshape(-1, 2)
     u = np.concatenate((a[alive[single]], won[:, 0]))
     v = np.concatenate((b[alive[single]], won[:, 1]))
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    ginf = Graph.from_pairs(scene.n, lo[order], hi[order])
+    ginf = Graph.from_keys(scene.n, np.minimum(u, v) * scene.n + np.maximum(u, v))
     ginf.index = index
     return ginf
 
@@ -189,11 +194,13 @@ class CanonicalSequence(NamedTuple):
 
 
 def _memo(memo: dict, build, scene: Scene, ginf: Graph, index: ConeIndex) -> Mapping:
-    """The read-only table that build makes of ginf, kept in memo by
-    ginf's edge set on its first ask; a build that raises is not kept."""
-    table = memo.get(ginf.edges)
+    """The read-only table that build makes of ginf, kept in memo by the
+    bytes of ginf's ``pair_keys`` on its first ask; a build that raises
+    is not kept."""
+    key = ginf.pair_keys().tobytes()
+    table = memo.get(key)
     if table is None:
-        table = memo[ginf.edges] = MappingProxyType(build(scene, ginf, index))
+        table = memo[key] = MappingProxyType(build(scene, ginf, index))
     return table
 
 
@@ -229,21 +236,22 @@ def _sequence_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
 def build_g15(scene: Scene, ginf: Graph) -> Graph:
     """Keep the two angular extremes and the projection-closest edge of
     every negative subcone."""
-    edges = set()
+    n, keys = scene.n, []
     for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
         for v in (seq.vertices[0], seq.vertices[-1], seq.closest):
-            edges.add((seq.apex, v))
-    return Graph(scene.n, edges)
+            keys.append(_key(n, seq.apex, v))
+    return Graph.from_keys(n, keys)
 
 
 def build_g10(scene: Scene, ginf: Graph) -> Graph:
     """Keep the closest edge of every negative subcone plus the
     canonical path joining consecutive sequence members."""
-    edges = []
+    n, keys = scene.n, []
     for seq in canonical_sequences(scene, ginf, _index_of(scene, ginf)).values():
-        edges.append((seq.apex, seq.closest))
-        edges += seq.consecutive_pairs
-    return Graph(scene.n, edges)
+        keys.append(_key(n, seq.apex, seq.closest))
+        for p, q in seq.consecutive_pairs:
+            keys.append(_key(n, p, q))
+    return Graph.from_keys(n, keys)
 
 
 # --- the charge table --------------------------------------------------------
@@ -409,7 +417,7 @@ def g7_transform(
         seq = table.get(index.subcone_of(apex, member))
         return seq is not None and seq.closest == member
 
-    edges = set(g10.edges)
+    n, edges = scene.n, set(g10.pair_keys().tolist())
     transcript = []
 
     candidates = []
@@ -454,8 +462,8 @@ def g7_transform(
         for r, cs in ledger.items():
             moved = [replace(c, edge=e_xy) for c in cs if c.edge == e_vy and r.apex == y]
             cs[:] = [c for c in cs if c.edge != e_vy] + moved
-        edges.discard(e_vy)
-        edges.add(e_xy)
+        edges.discard(_key(n, v, y))
+        edges.add(_key(n, x, y))
 
         # At x the new edge takes over the slot of (x, w) when that edge
         # is redundant or removable; w is x's neighbor on the canonical
@@ -488,7 +496,7 @@ def g7_transform(
                         uncharged_xw = e_xw
                 else:
                     drop_edge(e_xw)
-                    edges.discard(e_xw)
+                    edges.discard(_key(n, x, w))
                     removed_xw = e_xw
         ledger.setdefault(slot, []).append(Charge(e_xy, "C", sub_x))
         transcript.append(
@@ -505,7 +513,7 @@ def g7_transform(
             )
         )
 
-    return G7Result(Graph(scene.n, edges), tuple(transcript))
+    return G7Result(Graph.from_keys(n, list(edges)), tuple(transcript))
 
 
 def build_g7(scene: Scene, ginf: Graph, g10: Graph) -> Graph:

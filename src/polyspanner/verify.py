@@ -13,9 +13,9 @@ runs on those arrays: one Dijkstra call per spanner for the distance
 matrix, and the stretch and per-edge reads on the base graph's edges,
 so the dense ``vis`` graph never needs a matrix. No check of an honest
 run reads ``vis``'s ``edges`` frozenset: the subgraph chain compares
-sorted pair keys too. The per-edge bound reads ``vis``'s
-table for its offsets and lengths and one ``ConeIndex.codes`` gather
-for the unit bisectors of its cones, from the ``cones`` table.
+sorted pair keys too. The per-edge bound reads ``vis``'s table for its
+offsets and lengths and one ``ConeIndex.codes`` gather for the unit
+bisectors of its cones, from the ``cones`` table.
 Planarity is one ``check_planarity`` sweep over the union of ``ginf``,
 ``g15``, ``g10`` and ``g7``; each graph's report is the union's
 restricted to its edges, so every edge meets the obstacle test once per
@@ -96,12 +96,8 @@ def edge_table(scene: Scene, g: Graph) -> EdgeTable:
 
 
 def _union(n: int, graphs) -> Graph:
-    """The graph on n vertices holding every edge of the given graphs,
-    made from their ``Graph.pair_keys``: sorted, each kept once."""
-    keys = np.sort(np.concatenate([g.pair_keys() for g in graphs]))
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return Graph.from_pairs(n, *np.divmod(keys[first], n))
+    """The union of graphs on n vertices, one ``Graph.from_keys`` call."""
+    return Graph.from_keys(n, np.concatenate([g.pair_keys() for g in graphs]))
 
 
 def _edge_tables(scene: Scene, graphs: dict) -> dict:

@@ -18,15 +18,15 @@ endpoint (see ``visibility_graph``) are left to
 ``Scene.validation``, and a vertex inside an obstacle edge. Valid scenes
 in general position have none.
 The points and wedges are read from ``Scene.exact_points`` and
-``Scene.obstacle_wedges``. The visible pairs leave the pass as index
-arrays sorted by u, then v, and become the vis through
-``Graph.from_pairs``: no edge is walked in Python, and the ``edges``
+``Scene.obstacle_wedges``. The visible pairs leave the pass as pair
+keys u * n + v, already ascending, and become the vis through
+``Graph.from_keys``: no edge is walked in Python, and the ``edges``
 frozenset is built only if something reads it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -37,74 +37,69 @@ from .scene import BLOCK, Scene
 
 
 class Graph:
-    """Undirected graph on vertices 0..n-1 with a frozen edge set.
+    """Undirected graph on vertices 0..n-1, held as one state: ``pairs``,
+    read-only int64 arrays u < v, sorted by u, then v, no pair twice.
 
-    ``Graph(n, edges)`` validates and normalises any iterable of pairs,
-    as a user or ``io.parse_edge_list`` hands it. ``Graph.from_pairs``
-    takes index arrays that a builder made already valid, with no walk
-    over them; ``visibility_graph`` and ``spanners.build_g_infinity``
-    return graphs made that way. ``pairs`` is the one array view: an
-    array-built graph holds it from the start, any other builds it on
-    first call and caches it. ``sorted_edges``, ``degrees`` and
-    ``is_subgraph_of`` read it, and ``m`` its length once it exists.
-    ``edges`` is the frozenset of (u, v) pairs, u < v; an array-built
-    graph fills it on its first read, for ``has_edge``, equality and
-    hashing.
+    ``Graph.from_keys`` is the one normaliser: it takes keys u * n + v
+    in any order, repeats allowed, and ``pair_keys`` is its inverse. The
+    builders call it with keys they made valid. ``Graph(n, edges)`` is
+    the validating boundary for any iterable of pairs, as a user or
+    ``io.parse_edge_list`` hands it, and then hands its keys to
+    ``from_keys``. ``m``, ``sorted_edges``, ``degrees``,
+    ``is_subgraph_of``, equality and hashing read the arrays. ``edges``
+    is the frozenset of the (u, v) pairs, built on its first read, for
+    ``has_edge`` and set algebra.
 
     ``index`` is the run's ``cones.ConeIndex``, set by
     ``spanners.build_g_infinity`` on the ginf it returns, and None on
     every other graph, vis included; it lives as long as the graph and
     takes no part in equality or hashing."""
 
-    __slots__ = ("n", "edges", "index", "_pairs")
+    __slots__ = ("n", "index", "_pairs", "_edges")
 
     def __init__(self, n: int, edges: Iterable):
-        norm = set()
+        if not 0 <= operator.index(n) < 2**31:
+            raise ValueError(f"n={n} is out of range for a graph (0 to {2**31 - 1} vertices)")
+        keys = []
         for u, v in edges:
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"loop edge at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(norm)
-        self.index = None
-        self._pairs = None
+            keys.append(u * n + v if u < v else v * n + u)
+        self.n, self.index, self._pairs, self._edges = n, None, self.from_keys(n, keys)._pairs, None
 
     @classmethod
-    def from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """The graph whose ``pairs`` are u and v, which the caller
-        guarantees: intp arrays of one length, u < v < n elementwise, no
-        pair twice, sorted by u, then v. They are made read-only and
-        kept; nothing is checked or copied."""
-        g = cls.__new__(cls)
-        g.n, g.index = n, None
+    def from_keys(cls, n: int, keys) -> "Graph":
+        """The graph whose edges are the pairs (u, v) of keys u * n + v,
+        which the caller guarantees have u < v < n; keys may come in any
+        order and repeat. Nothing is checked."""
+        keys = np.sort(np.asarray(keys, dtype=np.int64))
+        fresh = np.ones(keys.size, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        u, v = np.divmod(keys[fresh], n)
         u.flags.writeable = v.flags.writeable = False
-        g._pairs = (u, v)
+        g = cls.__new__(cls)
+        g.n, g.index, g._pairs, g._edges = n, None, (u, v), None
         return g
 
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: the edges of an array-built
-        # graph, before their first read.
-        if name != "edges":
-            raise AttributeError(name)
-        u, v = self._pairs
-        self.edges = frozenset(zip(u.tolist(), v.tolist()))
-        return self.edges
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            u, v = self._pairs
+            self._edges = frozenset(zip(u.tolist(), v.tolist()))
+        return self._edges
 
     @property
     def m(self) -> int:
-        pairs = self._pairs
-        return len(self.edges) if pairs is None else pairs[0].size
+        return self._pairs[0].size
 
     def pairs(self) -> tuple:
         """The edges as read-only index arrays u < v, sorted by u, then v."""
-        if self._pairs is None:
-            flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
-            order = np.lexsort((flat[1::2], flat[0::2]))
-            u, v = flat[0::2][order], flat[1::2][order]
-            u.flags.writeable = v.flags.writeable = False
-            self._pairs = (u, v)
         return self._pairs
 
     def pair_keys(self) -> np.ndarray:
@@ -132,10 +127,11 @@ class Graph:
         return bool((at < theirs.size).all() and (theirs[at] == mine).all())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        same_n = isinstance(other, Graph) and self.n == other.n
+        return same_n and all(map(np.array_equal, self._pairs, other._pairs))
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, *(a.tobytes() for a in self._pairs)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -198,7 +194,7 @@ def visibility_graph(scene: Scene) -> Graph:
     determinants are multiplied or compared.
     Pairs go through in blocks of about ``BLOCK`` elements, each
     decided in row-major order, so the visible ones concatenate into
-    the sorted arrays of ``Graph.from_pairs``."""
+    ascending keys for ``Graph.from_keys``."""
     n = scene.n
     pts = scene.ipoints
     xy = scene.exact_points()
@@ -222,7 +218,7 @@ def visibility_graph(scene: Scene) -> Graph:
     irregular = ((side == 0) & (along < 0)).any(axis=1) | (not scene.validation().ok)
 
     rays = scene.general_position().collinear_count > 0
-    ends = [np.empty((2, 0), dtype=np.intp)]
+    keys = [np.empty(0, dtype=np.intp)]
     rows = max(1, BLOCK // max(n, 1))
     chunk = max(1, BLOCK // max(slot_vertex.size, 1))
     for u0 in range(0, n, rows):
@@ -236,7 +232,7 @@ def visibility_graph(scene: Scene) -> Graph:
         keep = ~(inside_wedge(wedges[:, :, a], dx, dy) | inside_wedge(wedges[:, :, b], -dx, -dy))
         a, b = a[keep], b[keep]
         # One verdict per pair, in the block's row-major order, so the
-        # visible pairs come out sorted by u, then v.
+        # visible pairs' keys come out ascending.
         odd = irregular[a] | irregular[b]
         clear = np.empty(a.size, dtype=bool)
         for k in np.flatnonzero(odd).tolist():
@@ -249,6 +245,5 @@ def visibility_graph(scene: Scene) -> Graph:
             corner = _signs(cross(dx[:, None], dy[:, None], cx - x[pa, None], cy - y[pa, None]))
             crossed = (corner * corner[:, succ] < 0) & (side[pa] * side[pb] < 0)
             clear[k] = ~crossed.any(axis=1)
-        ends.append(np.stack((a[clear], b[clear])))
-    u, v = np.concatenate(ends, axis=1)
-    return Graph.from_pairs(n, u, v)
+        keys.append(a[clear] * n + b[clear])
+    return Graph.from_keys(n, np.concatenate(keys))

@@ -145,10 +145,13 @@ EDGE_LIST_ERRORS = {
     "3\n": 'bad header \'3\', expected "n m"',
     "3 2\n0 1\n": "header claims 2 edges, found 1",
     "3 1\n0 3\n": "edge (0, 3) out of range for n=3",
+    "3 1\n0 99999999999999999999999999\n": "edge (0, 99999999999999999999999999) out of range for n=3",
+    "3 1\n-1 2\n": "edge (-1, 2) out of range for n=3",
     "3 1\n1 1\n": "loop edge at 1",
     "3 2\n1 1\n0 x\n": "bad edge line '0 x'",
     "3 1\n0 x\n": "bad edge line '0 x'",
     "x y\n": "bad header 'x y'",
+    "-1 0\n": "n=-1 is out of range for a graph (0 to 2147483647 vertices)",
 }
 
 
@@ -405,6 +408,20 @@ class TestCli:
     def test_verify_mismatched_substitution_flags(self, instance_file, capsys):
         rc = main(["verify", "--in", str(instance_file), "--graph", "ginf"])
         assert rc == 2
+
+    def test_verify_substitution_past_the_key_range(self, instance_file, tmp_path, capsys):
+        # A vertex count whose pair keys overflow int64 is refused while
+        # parsing, not by an overflow deep in the checks.
+        edges = tmp_path / "g15.edges"
+        edges.write_text("1000000000000000000000000000000 1\n0 1\n")
+        rc = main(["verify", "--in", str(instance_file),
+                   "--graph", "g15", "--edges", str(edges)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("verify: n=1000000000000000000000000000000 ")
+        assert "coordinate too large for a float" not in line
 
     def test_verify_substitution_vertex_count_mismatch(
         self, instance_file, tmp_path, capsys

@@ -263,9 +263,9 @@ def test_gathered_edge_tables_hold_each_graphs_floats(nonconvex):
 
 
 def test_verification_builds_each_graph_array_view_once(monkeypatch, split_cones):
-    # vis, ginf and the two unions (the planarity sweep's and the edge
-    # tables') are made as arrays; only g15, g10 and g7, made from
-    # edge sets, build their array view, each once.
+    # Every graph holds its pair arrays from the start: the five graphs
+    # and the two unions (the planarity sweep's and the edge tables')
+    # have their pairs read, and no array view is built from a set.
     builds, read = [], {}
     real_fromiter, real_pairs = np.fromiter, Graph.pairs
 
@@ -280,10 +280,8 @@ def test_verification_builds_each_graph_array_view_once(monkeypatch, split_cones
     monkeypatch.setattr(np, "fromiter", counting_fromiter)
     monkeypatch.setattr(Graph, "pairs", recording_pairs)
     assert all(o.ok for o in run_verification(split_cones))
-    monkeypatch.undo()
-    graphs, _ = build_all(split_cones)
     assert len(read) == 7
-    assert sorted(builds) == sorted(2 * graphs[name].m for name in ("g15", "g10", "g7"))
+    assert builds == []
 
 
 def test_per_edge_bound_spot_values():

@@ -1,12 +1,13 @@
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyspanner import cli, spanners, visibility
+from polyspanner import cli, spanners, verify, visibility
 from polyspanner.generator import GeneratorConfig, generate
-from polyspanner.io import parse_instance, write_edge_list, write_instance
+from polyspanner.io import parse_edge_list, parse_instance, write_edge_list, write_instance
 from polyspanner.scene import INT64_GUARD, Scene, check_general_position, perturb_by_rotation
 from polyspanner.spanners import build_all, build_g_infinity
 from polyspanner.verify import degree_report, run_verification
@@ -33,6 +34,33 @@ class TestGraph:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edge", [(0.5, 1), (0, 1.0), ("0", 1), (None, 1)])
+    def test_rejects_a_non_integer_endpoint(self, edge):
+        # Not truncated to (0, 1) by the intp arrays.
+        with pytest.raises(ValueError, match="non-integer endpoint"):
+            Graph(3, [edge])
+
+    def test_integer_like_endpoints_are_taken(self):
+        g = Graph(3, [(np.int64(2), np.intp(0)), (True, 2)])
+        assert g.sorted_edges() == [(0, 2), (1, 2)]
+
+    def test_rejects_a_vertex_count_past_the_key_range(self):
+        # Pair keys u * n + v must fit int64, and a negative n has no
+        # vertices to count.
+        with pytest.raises(ValueError, match=f"n={2**31}"):
+            Graph(2**31, [])
+        with pytest.raises(ValueError, match="n=-1"):
+            Graph(-1, [])
+        assert Graph(2**31 - 1, [(0, 2**31 - 2)]).sorted_edges() == [(0, 2**31 - 2)]
+        with pytest.raises(TypeError):
+            Graph(3.0, [(0, 1)])
+
+    def test_from_keys_normalises_any_order(self):
+        g = Graph.from_keys(4, [2 * 4 + 3, 0 * 4 + 1, 2 * 4 + 3, 1 * 4 + 2])
+        assert g.sorted_edges() == [(0, 1), (1, 2), (2, 3)]
+        assert g == Graph(4, [(3, 2), (1, 0), (2, 1)])
+        assert Graph.from_keys(4, []).m == 0
 
     def test_subgraph_and_equality(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -76,6 +104,13 @@ def test_array_view_matches_edge_set(case):
     assert g.degrees().tolist() == count
     assert g.pairs() is g.pairs()
     assert not (u.flags.writeable or v.flags.writeable)
+    # The same edges in any order, either way round and repeated make an
+    # equal graph with an equal hash.
+    shuffled = random.Random(len(edge_list)).sample(edge_list, len(edge_list))
+    for other in (shuffled, edge_list[::-1], [(b, a) for a, b in edge_list], edge_list * 2):
+        twin = Graph(n, other)
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.pair_keys().tolist() == g.pair_keys().tolist()
 
 
 def test_open_plane_sees_everything():
@@ -347,22 +382,64 @@ def test_array_built_graphs_equal_their_validated_twins(name, factor):
         assert [g.has_edge(b, a) for a, b in every] == [twin.has_edge(a, b) for a, b in every]
 
 
+def _assert_one_state(g: Graph, n: int) -> None:
+    """g holds read-only intp arrays u < v, sorted, with no pair twice,
+    and has not built its edge frozenset."""
+    assert g.n == n and g._edges is None
+    u, v = g.pairs()
+    assert u.dtype == v.dtype == np.intp and u.shape == v.shape
+    assert not (u.flags.writeable or v.flags.writeable)
+    assert ((0 <= u) & (u < v) & (v < n)).all()
+    assert (np.diff(u * n + v) > 0).all()
+
+
+@pytest.mark.parametrize("name", ["split_cones", "gen-obstacles", "gen-open", "n0", "n1", "n2"])
+def test_every_public_graph_holds_one_state(name):
+    sc = {
+        "split_cones": load_scene("split_cones.json"),
+        "gen-obstacles": generate(GeneratorConfig(42, 5, obstacle_size=8, seed=20)),
+        "gen-open": generate(GeneratorConfig(30, 0, seed=4)),
+        "n0": Scene([]),
+        "n1": Scene([(0, 0)]),
+        "n2": Scene([(0, 0), (1, 3)]),
+    }[name]
+    n = sc.n
+    vis = visibility_graph(sc)
+    _assert_one_state(vis, n)
+    ginf = build_g_infinity(sc, vis)
+    _assert_one_state(ginf, n)
+    g15, g10 = spanners.build_g15(sc, ginf), spanners.build_g10(sc, ginf)
+    g7 = spanners.build_g7(sc, ginf, g10)
+    graphs = build_all(sc)[0]
+    oracle = verify.oracle_g_infinity(sc)
+    union = verify._union(n, graphs.values())
+    parsed = parse_edge_list(write_edge_list(g7))
+    validated = Graph(n, [(b, a) for a, b in reversed(g15.sorted_edges())] * 2)
+    for g in (g15, g10, g7, *graphs.values(), oracle, union, parsed, validated):
+        _assert_one_state(g, n)
+    assert [vis, ginf, g15, g10, g7] == [graphs[name] for name in spanners.GRAPH_NAMES]
+    assert oracle == ginf and parsed == g7 and validated == g15
+    assert union == vis
+
+
 @pytest.mark.parametrize("run", ["run_verification", "build_all", "cli build g7"])
 def test_vis_and_ginf_skip_the_validating_loop(monkeypatch, tmp_path, run):
-    # Neither vis nor ginf goes through Graph.__init__'s loop, and vis's
-    # edge frozenset is never built; ginf's is, for the tables it keys.
+    # No builder walks its graph through Graph.__init__'s loop, and no
+    # build makes a graph's edge frozenset; every graph comes from
+    # Graph.from_keys. Only verify's checks read frozensets, and the
+    # oracle alone walks its graph through the validating loop.
     sc = generate(GeneratorConfig(42, 5, obstacle_size=8, seed=20))
     walked, filled, kept = [], [], {}
-    real_init, real_getattr = Graph.__init__, Graph.__getattr__
+    real_init, real_edges = Graph.__init__, Graph.edges.fget
 
     def recording_init(self, n, edges):
         walked.append(self)
         real_init(self, n, edges)
 
-    def recording_getattr(self, name):
-        if name == "edges":
+    def recording_edges(self):
+        if self._edges is None:
             filled.append(self)
-        return real_getattr(self, name)
+        return real_edges(self)
 
     def keeping(name, step):
         def kept_step(*args):
@@ -372,9 +449,9 @@ def test_vis_and_ginf_skip_the_validating_loop(monkeypatch, tmp_path, run):
         return kept_step
 
     monkeypatch.setattr(Graph, "__init__", recording_init)
-    monkeypatch.setattr(Graph, "__getattr__", recording_getattr)
-    monkeypatch.setattr(spanners, "visibility_graph", keeping("vis", spanners.visibility_graph))
-    monkeypatch.setattr(spanners, "build_g_infinity", keeping("ginf", spanners.build_g_infinity))
+    monkeypatch.setattr(Graph, "edges", property(recording_edges))
+    for name in ("visibility_graph", "build_g_infinity", "build_g15", "build_g10", "g7_transform"):
+        monkeypatch.setattr(spanners, name, keeping(name, getattr(spanners, name)))
     if run == "run_verification":
         assert all(o.ok for o in run_verification(sc))
     elif run == "build_all":
@@ -383,6 +460,12 @@ def test_vis_and_ginf_skip_the_validating_loop(monkeypatch, tmp_path, run):
         (tmp_path / "s.json").write_text(write_instance(sc))
         argv = ["build", "--graph", "g7", "--in", str(tmp_path / "s.json"), "--out", str(tmp_path / "g7")]
         assert cli.main(argv) == 0
-    vis, ginf = kept["vis"], kept["ginf"]
-    assert walked and not any(g is vis or g is ginf for g in walked)
-    assert any(g is ginf for g in filled) and not any(g is vis for g in filled)
+    vis, ginf = kept["visibility_graph"], kept["build_g_infinity"]
+    built = [vis, ginf, kept["build_g15"], kept["build_g10"], kept["g7_transform"].graph]
+    assert not any(g is b for g in walked for b in built)
+    if run == "run_verification":
+        assert len(walked) == 1  # the oracle's graph
+        assert not any(g is vis for g in filled)
+        assert any(g is ginf for g in filled)  # for the oracle check
+    else:
+        assert walked == [] and filled == []
