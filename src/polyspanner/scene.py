@@ -13,15 +13,16 @@ kept in a slot and shared read-only: ``validation()``,
 ``general_position()`` and the exact arrays that every array pass
 reads, ``exact_points()`` (int64, or Python ints at ``INT64_GUARD``)
 and ``obstacle_wedges()``. Nothing of a run, such as its
-``cones.ConeIndex``, is kept on a scene.
+``cones.ConeIndex``, is kept on a scene. The reports, ``Violation``,
+``ValidationResult`` and ``GeneralPositionReport``, are NamedTuples:
+immutable and read by attribute.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -215,15 +216,13 @@ class Scene:
 # --- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
     indices: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     violations: tuple
 
     @property
@@ -381,8 +380,7 @@ def _bboxes_disjoint(a, b) -> bool:
 # --- general position -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralPositionReport:
+class GeneralPositionReport(NamedTuple):
     parallel_count: int  # pairs i < j on a cone-boundary slope
     first_parallel: Optional[tuple]  # the first such (i, j), or None
     collinear_count: int  # collinear triples i < j < k

@@ -30,7 +30,8 @@ charges, which land in positive subcones and decide a rewiring, so no
 build makes the whole charge table. ``compute_charges`` makes it, the
 charges of each g10 edge by paying subcone, for ``verify``'s charge
 checks: each sequence's A and B charges of its closest edge, then its
-path charges.
+path charges. ``Charge``, ``Transformation`` and ``G7Result`` are
+NamedTuples: immutable and read by attribute.
 ``pipeline`` is the one spelling of the chain's order: it builds the
 graphs lazily, so the CLI stops at the graph it was asked for.
 ``build_all`` runs it to the end and returns all five graphs, which
@@ -66,7 +67,6 @@ graph's ``edges`` frozenset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -257,8 +257,7 @@ def build_g10(scene: Scene, ginf: Graph) -> Graph:
 # --- the charge table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Charge:
+class Charge(NamedTuple):
     """One unit charged to a subcone for one graph edge.
 
     Scenarios: A/B are the two endpoint charges of a closest edge (A at
@@ -365,8 +364,7 @@ def _charge_table(scene: Scene, ginf: Graph, index: ConeIndex) -> dict:
 # --- the degree-7 transformation ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(NamedTuple):
     """Record of one double-charge resolution at vertex v.
 
     x and y are the path neighbors of v (x on the side of the path
@@ -386,8 +384,7 @@ class Transformation:
     uncharged_xw: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class G7Result:
+class G7Result(NamedTuple):
     graph: Graph
     transformations: tuple
 
@@ -460,7 +457,7 @@ def g7_transform(
         e_vy = _edge(v, y)
         e_xy = _edge(x, y)
         for r, cs in ledger.items():
-            moved = [replace(c, edge=e_xy) for c in cs if c.edge == e_vy and r.apex == y]
+            moved = [c._replace(edge=e_xy) for c in cs if c.edge == e_vy and r.apex == y]
             cs[:] = [c for c in cs if c.edge != e_vy] + moved
         edges.discard(_key(n, v, y))
         edges.add(_key(n, x, y))

@@ -33,13 +33,15 @@ tested.
 Every one of the 25 checks is one ``check`` step of
 ``run_verification``: a function that returns (ok, detail), whose
 ``ValueError`` becomes a failed outcome with the error as its detail.
-That step is the only place that makes a ``CheckOutcome``.
+That step is the only place that makes a ``CheckOutcome``. The
+outcome and the reports (``StretchReport``, ``PlanarityReport``,
+``DegreeReport``, ``WitnessReport``) are NamedTuples: immutable and
+read by attribute.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -132,8 +134,7 @@ def distance_matrix(table: EdgeTable) -> np.ndarray:
 # --- stretch ----------------------------------------------------------------
 
 
-@dataclass
-class StretchReport:
+class StretchReport(NamedTuple):
     max_ratio: float
     witness_pair: Optional[tuple]
 
@@ -164,8 +165,7 @@ def stretch_factor(base: EdgeTable, sub_dist: np.ndarray) -> StretchReport:
 # --- planarity and degrees --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanarityReport:
+class PlanarityReport(NamedTuple):
     crossing_pairs: tuple
     obstacle_conflicts: tuple
 
@@ -224,8 +224,7 @@ def check_planarity(scene: Scene, g: Graph) -> PlanarityReport:
     return PlanarityReport(tuple(crossings), conflicts)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     max_degree: int
     histogram: tuple  # sorted (degree, count) pairs
 
@@ -239,8 +238,7 @@ def degree_report(g: Graph) -> DegreeReport:
 # --- per-edge path bound ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     witnesses: tuple
 
     @property
@@ -480,8 +478,7 @@ def oracle_g_infinity(scene: Scene) -> Graph:
 # --- the full suite ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -41,7 +41,8 @@ class Graph:
     read-only int64 arrays u < v, sorted by u, then v, no pair twice.
 
     ``Graph.from_keys`` is the one normaliser: it takes keys u * n + v
-    in any order, repeats allowed, and ``pair_keys`` is its inverse. The
+    in any order, repeats allowed, and keeps the sorted unique keys,
+    read-only, as ``pair_keys``. The
     builders call it with keys they made valid. ``Graph(n, edges)`` is
     the validating boundary for any iterable of pairs, as a user or
     ``io.parse_edge_list`` hands it, and then hands its keys to
@@ -55,7 +56,7 @@ class Graph:
     every other graph, vis included; it lives as long as the graph and
     takes no part in equality or hashing."""
 
-    __slots__ = ("n", "index", "_pairs", "_edges")
+    __slots__ = ("n", "index", "_pairs", "_keys", "_edges")
 
     def __init__(self, n: int, edges: Iterable):
         if not 0 <= operator.index(n) < 2**31:
@@ -71,7 +72,8 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             keys.append(u * n + v if u < v else v * n + u)
-        self.n, self.index, self._pairs, self._edges = n, None, self.from_keys(n, keys)._pairs, None
+        g = self.from_keys(n, keys)
+        self.n, self.index, self._pairs, self._keys, self._edges = n, None, g._pairs, g._keys, None
 
     @classmethod
     def from_keys(cls, n: int, keys) -> "Graph":
@@ -81,10 +83,11 @@ class Graph:
         keys = np.sort(np.asarray(keys, dtype=np.int64))
         fresh = np.ones(keys.size, dtype=bool)
         fresh[1:] = keys[1:] != keys[:-1]
-        u, v = np.divmod(keys[fresh], n)
-        u.flags.writeable = v.flags.writeable = False
+        keys = keys[fresh]
+        u, v = np.divmod(keys, n)
+        keys.flags.writeable = u.flags.writeable = v.flags.writeable = False
         g = cls.__new__(cls)
-        g.n, g.index, g._pairs, g._edges = n, None, (u, v), None
+        g.n, g.index, g._pairs, g._keys, g._edges = n, None, (u, v), keys, None
         return g
 
     @property
@@ -103,9 +106,9 @@ class Graph:
         return self._pairs
 
     def pair_keys(self) -> np.ndarray:
-        """One key u * n + v per edge, in ``pairs`` order, so ascending."""
-        u, v = self.pairs()
-        return u * self.n + v
+        """One key u * n + v per edge, in ``pairs`` order, so ascending;
+        read-only, kept from ``from_keys``."""
+        return self._keys
 
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.pairs()), minlength=self.n)
@@ -128,10 +131,10 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         same_n = isinstance(other, Graph) and self.n == other.n
-        return same_n and all(map(np.array_equal, self._pairs, other._pairs))
+        return same_n and np.array_equal(self._keys, other._keys)
 
     def __hash__(self):
-        return hash((self.n, *(a.tobytes() for a in self._pairs)))
+        return hash((self.n, self._keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

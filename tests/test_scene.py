@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import math
 import random
@@ -202,8 +201,8 @@ def test_general_position_clean(split_cones):
 
 
 def _same_report_as_reference(scene):
-    got = dataclasses.astuple(check_general_position(scene))
-    assert got == dataclasses.astuple(reference_general_position.check_general_position(scene))
+    got = tuple(check_general_position(scene))
+    assert got == tuple(reference_general_position.check_general_position(scene))
     return got
 
 

@@ -384,13 +384,15 @@ def test_array_built_graphs_equal_their_validated_twins(name, factor):
 
 def _assert_one_state(g: Graph, n: int) -> None:
     """g holds read-only intp arrays u < v, sorted, with no pair twice,
-    and has not built its edge frozenset."""
+    and their read-only keys u * n + v, and has not built its edge
+    frozenset."""
     assert g.n == n and g._edges is None
     u, v = g.pairs()
+    keys = g.pair_keys()
     assert u.dtype == v.dtype == np.intp and u.shape == v.shape
-    assert not (u.flags.writeable or v.flags.writeable)
+    assert not (u.flags.writeable or v.flags.writeable or keys.flags.writeable)
     assert ((0 <= u) & (u < v) & (v < n)).all()
-    assert (np.diff(u * n + v) > 0).all()
+    assert np.array_equal(keys, u * n + v) and (np.diff(keys) > 0).all()
 
 
 @pytest.mark.parametrize("name", ["split_cones", "gen-obstacles", "gen-open", "n0", "n1", "n2"])
